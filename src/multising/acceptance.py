@@ -336,22 +336,13 @@ def criterion_legendre() -> Tuple[bool, str]:
     I(0.5) = 0.13081 +- 1e-4 for beta=0, f=s1*s2."""
     params = ModelParams(0.0, 1.0, 0.0)
     fstar = to_first_layer(F_BOND)
-    cache = {}
-
-    def F(t: float) -> float:
-        if t not in cache:
-            cache[t] = ldp.scgf(fstar, params, t, 1e-12)[0]
-        return cache[t]
-
-    h = 1e-4
-    x0 = (F(h) - F(-h)) / (2.0 * h)
-    i0, _ = ldp.legendre(F, x0, slope_bound=fstar.sup_bound)
-    worst_residual = 0.0
-    for x in np.linspace(-0.9, 0.9, 19):
-        val, t_star = ldp.legendre(F, float(x), slope_bound=fstar.sup_bound)
-        worst_residual = max(worst_residual, abs(F(t_star) + val - t_star * x))
-    i_half, _ = ldp.legendre(F, 0.5, slope_bound=fstar.sup_bound)
-    ok = i0 <= 1e-10 and worst_residual <= 1e-9 and abs(i_half - 0.13081) <= 1e-4
+    x0 = float(ldp.scgf_values(fstar, params, 0.0, 1e-12)[1][0])
+    xs = np.linspace(-0.9, 0.9, 19)
+    rc = ldp.rate_curve(fstar, params, np.concatenate([[x0, 0.5], xs]), 1e-12)
+    i0, i_half = rc.I[0], rc.I[1]
+    F_star = ldp.scgf_values(fstar, params, rc.t_star[2:], 1e-12)[0]
+    worst_residual = float(np.max(np.abs(F_star + rc.I[2:] - rc.t_star[2:] * xs)))
+    ok = bool(i0 <= 1e-10 and worst_residual <= 1e-9 and abs(i_half - 0.13081) <= 1e-4)
     return ok, (
         f"I(F'(0)) = {i0:.2e} (tol 1e-10); max duality residual "
         f"{worst_residual:.2e} (tol 1e-9); I(0.5) = {i_half:.6f} (0.13081 +- 1e-4)"

@@ -37,11 +37,6 @@ __all__ = [
 
 LOG2 = math.log(2.0)
 
-# 64-bit guard: exact integer comparisons are cheap for any Python int, but we
-# document the intended operating range so downstream size checks stay honest.
-MAX_VOLUME = 1 << 40
-
-
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False

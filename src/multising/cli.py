@@ -16,8 +16,6 @@ import json
 import math
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Sequence
 
@@ -125,18 +123,6 @@ def parse_observable(text: str) -> Observable:
         sign = -1.0 if kind == "-" else 1.0
         k += 1
     return Observable.make(pairs)
-
-
-@dataclass(frozen=True)
-class ObservableExpr:
-    """Source text together with its parsed canonical observable."""
-
-    source: str
-    observable: Observable
-
-    @classmethod
-    def parse(cls, text: str) -> "ObservableExpr":
-        return cls(source=text, observable=parse_observable(text))
 
 
 # ---------------------------------------------------------------------------
@@ -250,47 +236,23 @@ def _params(res: _Resolver) -> ModelParams:
     )
 
 
-def _int_conv(s):
-    return int(s)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands.
 # ---------------------------------------------------------------------------
 
 
-def _curve_block(task):
-    fstar, params, block, tol, depth, deriv_step = task
-    values, errs = ldp.scgf_values(fstar, params, block, tol, depth=depth)
-    up, _ = ldp.scgf_values(fstar, params, block + deriv_step, tol, depth=depth)
-    dn, _ = ldp.scgf_values(fstar, params, block - deriv_step, tol, depth=depth)
-    return values, (up - dn) / (2.0 * deriv_step), errs
-
-
 def _cmd_scgf(args) -> int:
     res = _Resolver(args)
     params = _params(res)
-    expr = ObservableExpr.parse(res.get("f", str, "s[1]*s[2]"))
+    obs = parse_observable(res.get("f", str, "s[1]*s[2]"))
     tol = res.get("tol", float, 1e-10)
     grid = _parse_grid(res.get("t", str, "-2:2:0.1"))
     output = res.get("output", str, None)
-    workers = res.get("workers", _int_conv, 1)
-    obs = expr.observable
     dyadic = all(i & (i - 1) == 0 for key, _ in obs.terms for i in key)
     if dyadic:
         fstar = to_first_layer(obs)
-        deriv_step = 1e-4
-        depth = ldp.series_depth_for(fstar, float(np.max(np.abs(grid))) + deriv_step, tol)
-        if workers > 1:
-            blocks = np.array_split(grid, workers)
-            tasks = [(fstar, params, b, tol, depth, deriv_step) for b in blocks if b.size]
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(_curve_block, tasks))
-            values = np.concatenate([p[0] for p in parts])
-            fprime = np.concatenate([p[1] for p in parts])
-            errs = np.concatenate([p[2] for p in parts])
-        else:
-            values, fprime, errs = _curve_block((fstar, params, grid, tol, depth, deriv_step))
+        values, fprime, _, errs = ldp.scgf_values(fstar, params, grid, tol)
+        depth = ldp.series_depth_for(fstar, float(np.max(np.abs(grid))), tol)
         rows = [[grid[i], values[i], fprime[i], errs[i]] for i in range(grid.size)]
         _write_csv(output, ["t", "F", "Fprime", "trunc_err"], rows)
         _sidecar(output, "scgf", res.resolved,
@@ -315,7 +277,7 @@ def _cmd_scgf(args) -> int:
 def _cmd_rate(args) -> int:
     res = _Resolver(args)
     params = _params(res)
-    obs = ObservableExpr.parse(res.get("f", str, "s[1]*s[2]")).observable
+    obs = parse_observable(res.get("f", str, "s[1]*s[2]"))
     tol = res.get("tol", float, 1e-10)
     xs = _parse_grid(res.get("x", str, "-0.9:0.9:0.1"))
     output = res.get("output", str, None)
@@ -367,9 +329,9 @@ def _cmd_entropy(args) -> int:
 def _cmd_sample(args) -> int:
     res = _Resolver(args)
     params = _params(res)
-    n = res.get("N", _int_conv, 64)
-    count = res.get("count", _int_conv, 100)
-    seed = res.get("seed", _int_conv, 0)
+    n = res.get("N", int, 64)
+    count = res.get("count", int, 100)
+    seed = res.get("seed", int, 0)
     fmt = res.get("format", str, "bin")
     output = res.get("output", str, None)
     if output is None:
@@ -388,9 +350,9 @@ def _cmd_sample(args) -> int:
 def _cmd_smb(args) -> int:
     res = _Resolver(args)
     params = _params(res)
-    n = res.get("N", _int_conv, 4096)
-    count = res.get("count", _int_conv, 2000)
-    seed = res.get("seed", _int_conv, 0)
+    n = res.get("N", int, 4096)
+    count = res.get("count", int, 2000)
+    seed = res.get("seed", int, 0)
     output = res.get("output", str, None)
     mean, stderr = gibbs.smb_estimate(n, params, count, seed)
     payload = {"mean": mean, "stderr": stderr, "N": n, "count": count, "seed": seed}
@@ -405,7 +367,7 @@ def _cmd_invariance(args) -> int:
     res = _Resolver(args)
     params = _params(res)
     indices = [int(s) for s in res.get("indices", str, "1,2").split(",")]
-    multiplier = res.get("multiplier", _int_conv, 2)
+    multiplier = res.get("multiplier", int, 2)
     atol = res.get("atol", float, 1e-10)
     output = res.get("output", str, None)
     rep = gibbs.check_mult_invariance(indices, multiplier, params, atol)
@@ -475,7 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--f", type=str, default=None, help="observable, e.g. 's[1]*s[2]'")
     p.add_argument("--t", type=str, default=None, help="tilt grid 'start:stop:step' or value")
-    p.add_argument("--workers", type=int, default=None, help="parallel workers for the grid")
     p.set_defaults(func=_cmd_scgf)
 
     p = sub.add_parser("rate", help="Legendre-transform rate function")
@@ -568,6 +529,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as err:
         _emit_error(2, err)
         return 2
+    except ArithmeticError as err:
+        _emit_error(3, err)
+        return 3
 
 
 def _emit_error(code: int, err: Exception) -> None:

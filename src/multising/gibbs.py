@@ -128,7 +128,8 @@ def _bc_sign(bc: str) -> float:
 def _isolated_site_log_weight(params: ModelParams, bc: str, jbc: float) -> float:
     # odd sites in (N, 2N] are interaction-free; under plus/minus boundary
     # conditions they still couple to the boundary configuration.
-    return math.log(2.0 * math.cosh(params.beta * (params.h + _bc_sign(bc) * jbc)))
+    x = abs(params.beta * (params.h + _bc_sign(bc) * jbc))
+    return x + math.log1p(math.exp(-2.0 * x))
 
 
 def _resolve_jbc(params: ModelParams, bc_coupling: str) -> float:

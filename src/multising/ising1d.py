@@ -32,6 +32,7 @@ __all__ = [
     "finite_volume_entropy",
     "tilted_layer_pressure",
     "tilted_prefix_pressures",
+    "prefix_sum_range",
 ]
 
 SPINS = (1, -1)
@@ -76,8 +77,7 @@ def transfer(params: ModelParams) -> TransferData:
     lam = e^{bJ} cosh(bh) + sqrt(e^{2bJ} sinh^2(bh) + e^{-2bJ}); the right
     eigenvector is proportional to (K(+,-), lam - K(+,+)), strictly positive.
     The initial law pi is the limiting marginal of the first chain spin,
-    evaluated from its closed-form ratio (the second factor of each product
-    cancels but is kept as displayed).
+    pi(a) proportional to e^{bh s_a} e_tilde(a).
     """
     b, J, h = params.beta, params.J, params.h
     bJ, bh = b * J, b * h
@@ -101,12 +101,11 @@ def transfer(params: ModelParams) -> TransferData:
         v = np.array([lam - K[1, 1], K[1, 0]])
     e_tilde = v / math.sqrt(v @ v)
     Q = K * e_tilde[None, :] / (lam * e_tilde[:, None])
-    num = math.exp(bh) * sum(
-        math.exp(bJ * sa + bh * sa) * e_tilde[ia] for ia, sa in enumerate(SPINS)
-    ) * e_tilde.sum()
-    den = lam * sum(math.exp(bh * sa) * e_tilde[ia] for ia, sa in enumerate(SPINS)) * e_tilde.sum()
-    p_plus = num / den
-    pi = np.array([p_plus, 1.0 - p_plus])
+    # normalize both components: forming the smaller one as 1 minus the
+    # other cancels
+    lp = bh * np.array(SPINS, dtype=float)
+    pi = np.exp(lp - lp.max()) * e_tilde
+    pi /= pi.sum()
     return TransferData(
         params=params,
         K=K,
@@ -152,28 +151,29 @@ def log_partition_scaled(n_bonds: int, bond: float, field: float, right_bc: str 
     and per-site weight e^{field*s}; for right_bc plus/minus the last site
     carries an extra weight e^{+-bc_bond*s}.
 
-    Vector-transfer products with per-step rescaling; no exponential of an
-    extensive quantity is ever formed.
+    A transfer recursion on the two log-weights of the last spin; only
+    exponentials of non-positive numbers are formed, so any finite
+    parameters give a finite result.
     """
     if n_bonds < 0:
         raise ValueError("n_bonds must be >= 0")
     if right_bc not in BOUNDARY_CONDITIONS:
         raise ValueError(f"unknown boundary condition {right_bc!r}")
-    K = np.empty((2, 2))
-    for ia, sa in enumerate(SPINS):
-        for ib, sb in enumerate(SPINS):
-            K[ia, ib] = math.exp(bond * sa * sb + field * sb)
-    v = np.array([math.exp(field), math.exp(-field)])
-    scale = 0.0
+    # log-weights of the last spin being + and -
+    lp, lm = field, -field
     for _ in range(n_bonds):
-        v = v @ K
-        m = v.max()
-        v /= m
-        scale += math.log(m)
+        lp, lm = (_logaddexp(lp + bond, lm - bond) + field,
+                  _logaddexp(lm + bond, lp - bond) - field)
     if right_bc != "free":
         sign = 1.0 if right_bc == "plus" else -1.0
-        v = v * np.array([math.exp(sign * bc_bond), math.exp(-sign * bc_bond)])
-    return scale + math.log(v.sum())
+        lp, lm = lp + sign * bc_bond, lm - sign * bc_bond
+    return _logaddexp(lp, lm)
+
+
+def _logaddexp(a: float, b: float) -> float:
+    if a < b:
+        a, b = b, a
+    return a + math.log1p(math.exp(b - a))
 
 
 def log_partition(n_bonds: int, params: ModelParams, right_bc: str = "free",
@@ -286,9 +286,26 @@ def finite_volume_entropy(n_bonds: int, params: ModelParams) -> float:
 # ---------------------------------------------------------------------------
 
 
+_W_MAX = 12  # widest window the exact passes accept: 2^12 states
+
+
 def _window_bits(w: int) -> np.ndarray:
     n = 1 << w
     return (np.arange(n)[:, None] >> np.arange(w)[None, :]) & 1
+
+
+def _window_width(fstar: FirstLayerObservable, w_max: int) -> int:
+    # a width-1 observable rides a two-site window, so that one shift rule
+    # (drop the oldest slot, weight the new one by Q from the newest) covers
+    # every width
+    if fstar.dim != 1:
+        raise PreconditionError("layer pressure requires a one-dimensional observable")
+    w = fstar.width
+    if w > w_max:
+        raise InfeasibleSizeError(
+            f"window width {w} exceeds the exact-transfer cap {w_max}"
+        )
+    return max(w, 2)
 
 
 def _window_values(fstar: FirstLayerObservable, w: int) -> np.ndarray:
@@ -314,57 +331,100 @@ def _window_init(td: TransferData, w: int) -> np.ndarray:
     return p
 
 
-def tilted_prefix_pressures(k: int, fstar: FirstLayerObservable, t, params,
-                            w_max: int = 12) -> np.ndarray:
-    """P^i(t * f*) = log E exp(t * sum_{j<=i} f* o theta_j) for i = 0..k,
-    under the infinite chain (pi, Q), via a sliding-window transfer pass.
+def _shift_predecessors(v: np.ndarray, w: int) -> np.ndarray:
+    # state index = sum_j bit_j 2^j; a shift drops slot 0, so the states
+    # 2q and 2q+1 share the successor prefix q (slots 1..w-1)
+    return v.reshape(v.shape[:-2] + (1 << (w - 1), 2) + v.shape[-1:])
 
-    Returns shape (k+1,) for scalar t, (k+1, len(t)) for a vector of tilts.
+
+# Bound on |t| (max f* - min f*) w + log(max Q / min Q) in the tilted pass.
+# Within one step the shifted exp(t f*) spans e^{|t| spread}; a window state
+# that still matters after w - 1 further steps is below the largest by at most
+# e^{|t| spread (w-1)} max Q / min Q.  Keeping the product above e^{-600}
+# keeps every weight that matters a normal double.
+_TILT_SPAN = 600.0
+
+
+def tilted_prefix_pressures(k: int, fstar: FirstLayerObservable, t, params,
+                            w_max: int = _W_MAX):
+    """P^i(t * f*) = log E exp(t S_i), S_i = sum_{j<=i} f* o theta_j, and its
+    first two t-derivatives, for i = 0..k, under the infinite chain (pi, Q).
+
+    One sliding-window transfer pass in forward mode: next to the window
+    weights w it carries sum S w and sum S^2 w, all three mixed by the same Q
+    and rescaled by the same per-tilt factor, so that
+    dP^i = E_t S_i and d2P^i = Var_t S_i come out exactly.  exp(t f*) is
+    formed once, shifted by its per-tilt maximum.
+
+    Returns (P, dP, d2P), each of shape (k+1,) for scalar t and (k+1, len(t))
+    for a vector of tilts.  Raises PreconditionError for tilts so large that
+    window weights which matter could underflow (see _TILT_SPAN).
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    if fstar.dim != 1:
-        raise PreconditionError("layer pressure requires a one-dimensional observable")
-    w = fstar.width
-    if w > w_max:
-        raise InfeasibleSizeError(
-            f"window width {w} exceeds the exact-transfer cap {w_max}"
-        )
+    w = _window_width(fstar, w_max)
     td = _as_transfer(params)
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    scalar = np.isscalar(t) or np.ndim(t) == 0
     n = 1 << w
-    fvals = _window_values(fstar, w)
-    tilt = np.outer(fvals, t_arr)  # added in log space; huge tilts stay finite
-    log_w = np.log(_window_init(td, w))[:, None] + np.zeros((1, t_arr.size))
-    out = np.empty((k + 1, t_arr.size))
-    if w >= 2:
-        tops = (np.arange(n >> 1) >> (w - 2)) & 1
-        q0 = td.Q[tops, 0][:, None]
-        q1 = td.Q[tops, 1][:, None]
+    f = _window_values(fstar, w)[:, None]
+    with np.errstate(divide="ignore"):
+        span = np.abs(t_arr) * np.ptp(f) * w + np.log(td.Q.max()) - np.log(td.Q.min())
+    if np.any(span > _TILT_SPAN):
+        raise PreconditionError("|t| or beta*(J,h) too large: the tilted window weights would underflow")
+    tf = f * t_arr[None, :]
+    shift = tf.max(axis=0)
+    e = np.exp(tf - shift[None, :])
+    # successor weights: new slot b after prefix q costs Q(newest slot of q, b)
+    tops = (np.arange(n >> 1) >> (w - 2)) & 1
+    q = td.Q[tops].T[None, :, :, None]  # (1, 2, n/2, 1), indexed [., b, q, .]
+    x = np.zeros((3, n, t_arr.size))  # w, sum S w, sum S^2 w per window state
+    x[0] = _window_init(td, w)[:, None]
+    out = np.empty((3, k + 1, t_arr.size))
+    log_scale = np.zeros(t_arr.size)
     for i in range(k + 1):
-        log_w = log_w + tilt
-        m = log_w.max(axis=0)
-        wlin = np.exp(log_w - m[None, :])
-        out[i] = m + np.log(wlin.sum(axis=0))
-        if i == k:
-            break
-        if w == 1:
-            wlin = np.stack(
-                [
-                    td.Q[0, 0] * wlin[0] + td.Q[1, 0] * wlin[1],
-                    td.Q[0, 1] * wlin[0] + td.Q[1, 1] * wlin[1],
-                ]
-            )
-        else:
-            s = wlin.reshape(n >> 1, 2, t_arr.size).sum(axis=1)
-            wlin = np.concatenate([q0 * s, q1 * s], axis=0)
-        log_w = np.log(wlin) + m[None, :]
-    return out[:, 0] if scalar else out
+        if i:
+            x = (q * _shift_predecessors(x, w).sum(axis=-2)[:, None]).reshape(3, n, -1)
+        w0, w1, w2 = x
+        fw = f * w0
+        x = np.stack([w0 * e, (w1 + fw) * e, (w2 + f * (2.0 * w1 + fw)) * e])
+        z, s1, s2 = x.sum(axis=1)
+        log_scale += shift + np.log(z)
+        m1 = s1 / z
+        out[0, i] = log_scale
+        out[1, i] = m1
+        out[2, i] = s2 / z - m1 * m1
+        x /= z
+    if not np.all(np.isfinite(out)):
+        raise PreconditionError("tilted pass is not finite; beta*(J,h) too large for the transfer data")
+    if np.ndim(t) == 0:
+        out = out[:, :, 0]
+    return out[0], out[1], out[2]
+
+
+def prefix_sum_range(k: int, fstar: FirstLayerObservable):
+    """(lo, hi), each of shape (k+1,): the least and greatest value of
+    S_i = sum_{j<=i} f* o theta_j over window paths, for i = 0..k.
+
+    Every path of the chain has positive probability, so these are the limits
+    of dP^i/dt as t -> -inf and t -> +inf.  A max-plus pass over the window
+    states, run for f* and -f* at once.
+    """
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    w = _window_width(fstar, _W_MAX)
+    f = _window_values(fstar, w)
+    f = np.stack([f, -f])[:, :, None]
+    best = f
+    out = np.empty((2, k + 1))
+    for i in range(k + 1):
+        if i:
+            best = f + np.tile(_shift_predecessors(best, w).max(axis=-2), (1, 2, 1))
+        out[:, i] = best.max(axis=(1, 2))
+    return -out[1], out[0]
 
 
 def tilted_layer_pressure(k: int, fstar: FirstLayerObservable, t: float, params,
-                          w_max: int = 12) -> float:
+                          w_max: int = _W_MAX) -> float:
     """P^k(t * f*), the tilted pressure of a window-k ergodic sum of f* under
     the infinite chain.  Satisfies |P^k| <= (k+1) * |t| * sup|f*|."""
-    return float(tilted_prefix_pressures(k, fstar, t, params, w_max=w_max)[-1])
+    return float(tilted_prefix_pressures(k, fstar, t, params, w_max=w_max)[0][-1])

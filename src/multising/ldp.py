@@ -2,8 +2,10 @@
 their Legendre-transform rate functions, and the Monte Carlo harness.
 
 For a first-layer observable f the SCGF is the weighted series
-F(t) = sum_k 2^{-(k+2)} P^k(t f*), with P^k the tilted layer pressures.  Its
-Legendre transform I(x) = sup_t (tx - F(t)) is the large-deviation rate of
+F(t) = sum_k 2^{-(k+2)} P^k(t f*), with P^k the tilted layer pressures.  One
+forward-mode prefix pass gives P^k and its first two t-derivatives, so F, F'
+and F'' are all exact up to the series truncation.  The Legendre transform
+I(x) = sup_t (tx - F(t)) is the large-deviation rate of
 X_N = (1/N) sum_{i<=N} f(s_{i.}), and F''(0) is the CLT variance.
 """
 
@@ -12,12 +14,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from . import gibbs
-from .ising1d import ModelParams, log_partition_scaled, tilted_prefix_pressures
+from .errors import PreconditionError
+from .ising1d import (
+    ModelParams,
+    _as_transfer,
+    log_partition_scaled,
+    prefix_sum_range,
+    tilted_prefix_pressures,
+)
 from .observables import FirstLayerObservable, Observable, to_first_layer
 
 __all__ = [
@@ -38,48 +47,58 @@ __all__ = [
     "clt_mc_summary",
 ]
 
-_T_CAP = 2.0**30
-_SATURATION_TOL = 1e-11
+# window-state entries per tilt block of the prefix pass: bounds the memory
+# of wide grids and keeps the per-step arrays in cache
+_BLOCK_ENTRIES = 1 << 13
+_NEWTON_MAX_ITER = 200
 
 
 def series_depth_for(fstar: FirstLayerObservable, t_max: float, tol: float) -> int:
-    """Smallest K with tail bound sum_{k>K} (k+1) |t| sup / 2^{k+2} < tol,
-    where sup bounds |f*|; the tail bound realizes |P^k| <= (k+1) |t| sup."""
+    """Smallest K whose tail bounds for F, F' and F'' are all below tol.
+
+    With sup bounding |f*|, |P^k| <= (k+1) |t| sup, |dP^k| <= (k+1) sup and
+    |d2P^k| <= (k+1)^2 sup^2; the tails sum_{k>K} of these times 2^{-(k+2)}
+    are (K+3) |t| sup, (K+3) sup and (K^2+6K+11) sup^2, each times 2^{-(K+2)}.
+    """
     sup = fstar.sup_bound
     k = 0
     while True:
-        if abs(t_max) * sup * (k + 3) * 0.5 ** (k + 2) < tol or k > 10_000:
+        growth = max(sup * (k + 3) * max(1.0, abs(t_max)), sup * sup * (k * k + 6 * k + 11))
+        if growth * 0.5 ** (k + 2) < tol or k > 10_000:
             return k
         k += 1
 
 
-def scgf_values(fstar: FirstLayerObservable, params, t, tol: float = 1e-10,
-                depth: int = None):
-    """Vectorized SCGF: returns (values, truncation bounds) for an array of
-    tilts, summing the layer-pressure series to a common rigorous depth.
+def _series(fstar: FirstLayerObservable, td, t: np.ndarray, depth: int):
+    """F, F' and F'' truncated after P^depth, for a 1-d array of tilts."""
+    weights = 0.5 ** (np.arange(depth + 1) + 2.0)
+    out = np.empty((3, t.size))
+    block = max(1, _BLOCK_ENTRIES >> max(max(fstar.widths), 2))
+    for start in range(0, t.size, block):
+        prefix = np.stack(tilted_prefix_pressures(depth, fstar, t[start:start + block], td))
+        out[:, start:start + block] = (weights[None, :, None] * prefix).sum(axis=1)
+    return out[0], out[1], out[2]
 
-    An explicit `depth` pins the truncation point (used to keep outputs
-    bit-identical when a grid is evaluated in independent blocks)."""
+
+def scgf_values(fstar: FirstLayerObservable, params, t, tol: float = 1e-10):
+    """Vectorized SCGF on an array of tilts: returns (F, F', F'', trunc_err).
+
+    The layer-pressure series is summed to the common depth
+    series_depth_for(fstar, max |t|, tol); trunc_err bounds the truncation
+    error of F at each tilt, and the errors of F' and F'' are below tol."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    sup = fstar.sup_bound
-    if depth is None:
-        t_max = float(np.max(np.abs(t_arr))) if t_arr.size else 0.0
-        depth = series_depth_for(fstar, t_max, tol)
-    prefix = tilted_prefix_pressures(depth, fstar, t_arr, params)  # (depth+1, nt)
-    # fixed-order accumulation: results must not depend on how a grid is
-    # blocked across workers, so no shape-dependent BLAS reductions here
-    values = np.zeros(t_arr.size)
-    for k in range(depth + 1):
-        values += 0.5 ** (k + 2) * prefix[k]
-    errs = np.abs(t_arr) * sup * (depth + 3) * 0.5 ** (depth + 2)
-    return values, errs
+    t_max = float(np.max(np.abs(t_arr))) if t_arr.size else 0.0
+    depth = series_depth_for(fstar, t_max, tol)
+    values, fprime, fsecond = _series(fstar, _as_transfer(params), t_arr, depth)
+    errs = np.abs(t_arr) * fstar.sup_bound * (depth + 3) * 0.5 ** (depth + 2)
+    return values, fprime, fsecond, errs
 
 
 def scgf(fstar: FirstLayerObservable, params, t: float, tol: float = 1e-10) -> Tuple[float, float]:
     """F(t) = sum_k P^k(t f*) / 2^{k+2} and its truncation-error bound."""
-    values, errs = scgf_values(fstar, params, t, tol)
+    values, _, _, errs = scgf_values(fstar, params, t, tol)
     return float(values[0]), float(errs[0])
 
 
@@ -119,13 +138,12 @@ def scgf_via_free_energy(t: float, params: ModelParams, tol: float = 1e-10) -> f
 
 @dataclass(frozen=True, eq=False)
 class ScgfCurve:
-    """Sampled (t, F, F') with per-point truncation bounds."""
+    """Sampled (t, F, F') with per-point truncation bounds of F."""
 
     grid: np.ndarray
     F: np.ndarray
     Fprime: np.ndarray
     trunc_err: np.ndarray
-    deriv_step: float
 
     def validate(self, convexity_slack: float = 1e-9) -> None:
         g = self.grid
@@ -149,15 +167,10 @@ class ScgfCurve:
             yield [self.grid[i], self.F[i], self.Fprime[i], self.trunc_err[i]]
 
 
-def scgf_curve(fstar: FirstLayerObservable, params, t_grid, tol: float = 1e-10,
-               deriv_step: float = 1e-4) -> ScgfCurve:
+def scgf_curve(fstar: FirstLayerObservable, params, t_grid, tol: float = 1e-10) -> ScgfCurve:
     grid = np.asarray(t_grid, dtype=float)
-    values, errs = scgf_values(fstar, params, grid, tol)
-    up, _ = scgf_values(fstar, params, grid + deriv_step, tol)
-    dn, _ = scgf_values(fstar, params, grid - deriv_step, tol)
-    fprime = (up - dn) / (2.0 * deriv_step)
-    curve = ScgfCurve(grid=grid, F=values, Fprime=fprime, trunc_err=errs,
-                      deriv_step=deriv_step)
+    values, fprime, _, errs = scgf_values(fstar, params, grid, tol)
+    curve = ScgfCurve(grid=grid, F=values, Fprime=fprime, trunc_err=errs)
     curve.validate()
     return curve
 
@@ -165,7 +178,7 @@ def scgf_curve(fstar: FirstLayerObservable, params, t_grid, tol: float = 1e-10,
 @dataclass(frozen=True, eq=False)
 class RateCurve:
     """Sampled rate function: x, I(x), maximizing tilt t*, and a domain flag
-    (0 interior, 1 outside the closed range of F')."""
+    (0 inside, 1 outside the open range `domain` of F')."""
 
     x: np.ndarray
     I: np.ndarray
@@ -181,103 +194,95 @@ class RateCurve:
             yield [self.x[i], self.I[i], self.t_star[i], int(self.domain_flag[i])]
 
 
-def _memoized_scgf(fstar, params, tol) -> Callable[[float], float]:
-    cache = {}
-
-    def F(t: float) -> float:
-        if t not in cache:
-            cache[t] = scgf(fstar, params, t, tol)[0]
-        return cache[t]
-
-    return F
-
-
-def legendre(curve_or_f, x: float, *, deriv_step: float = 1e-4,
-             t_tol: float = 1e-12, slope_bound: float = None) -> Tuple[float, float]:
-    """I(x) = sup_t (t x - F(t)) for strictly convex F, by monotone
-    root-finding on F' (expanding bracket then bisection).
-
-    Accepts either a callable F or a ScgfCurve (interpolated).  Outside the
-    closed range of F' the supremum is infinite: returns (inf, nan).
-    """
-    if isinstance(curve_or_f, ScgfCurve):
-        curve = curve_or_f
-        if np.any(np.diff(curve.Fprime) < -1e-12):
-            raise ValueError("non-convex curve: F' must be increasing")
-        if x < curve.Fprime[0] or x > curve.Fprime[-1]:
-            return math.inf, math.nan
-        t_star = float(np.interp(x, curve.Fprime, curve.grid))
-        f_at = float(np.interp(t_star, curve.grid, curve.F))
-        val = t_star * x - f_at
-        return (0.0 if -1e-10 < val < 0.0 else val), t_star
-
-    F = curve_or_f
-    # the range of F' is open for bounded observables; endpoints are sentinels
-    if slope_bound is not None and abs(x) >= slope_bound:
+def legendre(curve: ScgfCurve, x: float) -> Tuple[float, float]:
+    """I(x) = sup_t (t x - F(t)) from a sampled curve, with t* interpolated
+    where F' crosses x.  Outside the sampled range of F' the supremum is not
+    resolved: returns (inf, nan)."""
+    if np.any(np.diff(curve.Fprime) < -1e-12):
+        raise ValueError("non-convex curve: F' must be increasing")
+    if x < curve.Fprime[0] or x > curve.Fprime[-1]:
         return math.inf, math.nan
-
-    def fd(t: float) -> float:
-        return (F(t + deriv_step) - F(t - deriv_step)) / (2.0 * deriv_step)
-
-    lo, hi = -1.0, 1.0
-    f_hi = fd(hi)
-    while f_hi < x:
-        if hi >= _T_CAP:
-            return math.inf, math.nan
-        prev = f_hi
-        hi *= 2.0
-        f_hi = fd(hi)
-        if f_hi < x and f_hi - prev <= _SATURATION_TOL * max(1.0, abs(x)):
-            return math.inf, math.nan
-    f_lo = fd(lo)
-    while f_lo > x:
-        if -lo >= _T_CAP:
-            return math.inf, math.nan
-        prev = f_lo
-        lo *= 2.0
-        f_lo = fd(lo)
-        if f_lo > x and prev - f_lo <= _SATURATION_TOL * max(1.0, abs(x)):
-            return math.inf, math.nan
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if fd(mid) < x:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= t_tol * max(1.0, abs(lo), abs(hi)):
-            break
-    t_star = 0.5 * (lo + hi)
-    val = t_star * x - F(t_star)
-    return (0.0 if -1e-10 < val <= 0.0 else val), t_star
+    t_star = float(np.interp(x, curve.Fprime, curve.grid))
+    f_at = float(np.interp(t_star, curve.grid, curve.F))
+    val = t_star * x - f_at
+    return (0.0 if -1e-10 < val < 0.0 else val), t_star
 
 
-def rate_curve(fstar: FirstLayerObservable, params, x_values, tol: float = 1e-10,
-               deriv_step: float = 1e-4) -> RateCurve:
-    F = _memoized_scgf(fstar, params, tol)
-    sup = fstar.sup_bound
+def _newton_tilts(fstar, td, xs: np.ndarray, t: np.ndarray, depth: int):
+    """Solve F'(t) = x for every x at once, F truncated after P^depth, by
+    Newton steps safeguarded with a bracket: a step that leaves the bracket
+    is replaced by bisection, or, while one side is still open, by a step of
+    max(1, |t|) away from the closed side.  Starts from t; every x must lie
+    inside the range of F'.  Returns (t*, t* x - F(t*))."""
+    t = t.copy()
+    value = np.empty(xs.size)
+    lo = np.full(xs.size, -math.inf)
+    hi = np.full(xs.size, math.inf)
+    active = np.arange(xs.size)
+    for _ in range(_NEWTON_MAX_ITER):
+        if not active.size:
+            return t, value
+        ta, xa = t[active], xs[active]
+        F, fprime, fsecond = _series(fstar, td, ta, depth)
+        value[active] = ta * xa - F
+        g = fprime - xa
+        la = np.where(g < 0.0, ta, lo[active])
+        ha = np.where(g < 0.0, hi[active], ta)
+        step = np.divide(g, fsecond, out=np.zeros_like(g), where=g != 0.0)
+        nxt = ta - step
+        # F is quadratic near t*: after a step below 1e-8, t - step is exact
+        # to rounding and t x - F(t) short of I by F'' step^2 / 2 at most
+        converged = np.abs(step) <= 1e-8 * np.maximum(1.0, np.abs(ta))
+        # a bracket a few ulps wide is as far as rounding lets F' resolve t*
+        pinned = (ha - la) <= 4e-16 * np.maximum(1.0, np.abs(ta))
+        with np.errstate(invalid="ignore"):
+            inside = (nxt > la) & (nxt < ha)
+            widen = np.where(np.isinf(ha), la + np.maximum(1.0, np.abs(la)),
+                             ha - np.maximum(1.0, np.abs(ha)))
+        fallback = np.where(np.isinf(la) | np.isinf(ha), widen, 0.5 * (la + ha))
+        t[active] = np.where(converged | inside, nxt, np.where(pinned, ta, fallback))
+        lo[active], hi[active] = la, ha
+        active = active[~(converged | pinned)]
+    raise PreconditionError("rate function solve did not converge")
+
+
+def rate_curve(fstar: FirstLayerObservable, params, x_values, tol: float = 1e-10) -> RateCurve:
+    """I(x) and t* on a grid of x, solving F'(t*) = x for all x at once.
+
+    The range of F' is (lo, hi) with lo, hi the limits of F'(t) as
+    t -> -inf, +inf, computed exactly from the extreme window-path sums.  x
+    outside the open range gets I = inf, t* = nan and domain flag 1.  The
+    series depth covers the truncation of F' and F'', and is raised to cover
+    that of F at the largest |t*| found, so I is within tol."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    td = _as_transfer(params)
     xs = np.asarray(x_values, dtype=float)
-    I = np.empty_like(xs)
-    ts = np.empty_like(xs)
-    flags = np.zeros(xs.size, dtype=int)
-    for i, x in enumerate(xs):
-        val, t_star = legendre(F, float(x), deriv_step=deriv_step, slope_bound=sup)
-        I[i] = val
-        ts[i] = t_star
-        flags[i] = 0 if math.isfinite(val) else 1
-    return RateCurve(x=xs, I=I, t_star=ts, domain_flag=flags, domain=(-sup, sup))
+    t = np.zeros(xs.size)
+    depth = series_depth_for(fstar, 0.0, tol)
+    while True:
+        weights = 0.5 ** (np.arange(depth + 1) + 2.0)
+        lo_s, hi_s = prefix_sum_range(depth, fstar)
+        domain = (float(weights @ lo_s), float(weights @ hi_s))
+        interior = (xs > domain[0]) & (xs < domain[1])
+        t_in, value = _newton_tilts(fstar, td, xs[interior], t[interior], depth)
+        t[interior] = t_in
+        t_max = float(np.max(np.abs(t_in))) if t_in.size else 0.0
+        need = series_depth_for(fstar, t_max, tol)
+        if need <= depth:
+            break
+        depth = need
+    I = np.full(xs.size, math.inf)
+    # the supremum is at least -F(0) = 0; a negative value is rounding
+    I[interior] = np.maximum(value, 0.0)
+    t_star = np.where(interior, t, math.nan)
+    flags = np.where(interior, 0, 1)
+    return RateCurve(x=xs, I=I, t_star=t_star, domain_flag=flags, domain=domain)
 
 
-def clt_variance(fstar: FirstLayerObservable, params, tol: float = 1e-12,
-                 step: float = 1e-2) -> float:
-    """F''(0) by central second differences at steps (h, h/2) combined with
-    one Richardson step; the series values are exact up to `tol`, so the
-    error model is O(step^4) + O((tol + eps)/step^2)."""
-    F = _memoized_scgf(fstar, params, tol)
-
-    def d2(h: float) -> float:
-        return (F(h) - 2.0 * F(0.0) + F(-h)) / (h * h)
-
-    return (4.0 * d2(step / 2.0) - d2(step)) / 3.0
+def clt_variance(fstar: FirstLayerObservable, params, tol: float = 1e-12) -> float:
+    """F''(0), exact up to the series truncation (below tol)."""
+    return float(scgf_values(fstar, params, 0.0, tol)[2][0])
 
 
 def finite_pressure_exact(fstar: FirstLayerObservable, t: float, n: int, params) -> float:
@@ -288,7 +293,7 @@ def finite_pressure_exact(fstar: FirstLayerObservable, t: float, n: int, params)
         raise ValueError("volume must be in [1, 2^20]")
     counts = gibbs.layer_count_by_depth(n)
     p_max = max(counts)
-    prefix = tilted_prefix_pressures(p_max, fstar, t, params)
+    prefix = tilted_prefix_pressures(p_max, fstar, t, params)[0]
     total = 0.0
     for p, c in sorted(counts.items()):
         total += c * float(prefix[p])
@@ -339,9 +344,9 @@ def empirical_ldp_check(f: Observable, params, n: int, count: int, seed: int,
     fstar = to_first_layer(f)
     batch = gibbs.sample(n * f.max_site, params, count, seed)
     x_vals = multiplicative_average(batch, f, n)
-    F = _memoized_scgf(fstar, params, tol)
+    rates = rate_curve(fstar, params, thresholds, tol).I
     rows = []
-    for x in thresholds:
+    for x, rate in zip(thresholds, rates):
         n_tail = int(np.count_nonzero(x_vals >= x))
         if n_tail == 0:
             emp = math.inf
@@ -349,8 +354,7 @@ def empirical_ldp_check(f: Observable, params, n: int, count: int, seed: int,
         else:
             emp = -math.log(n_tail / count) / n
             censored = False
-        rate, _ = legendre(F, float(x), slope_bound=fstar.sup_bound)
-        rows.append(EmpiricalRow(float(x), emp, rate, censored, n_tail))
+        rows.append(EmpiricalRow(float(x), emp, float(rate), censored, n_tail))
     return rows
 
 
@@ -360,16 +364,13 @@ def clt_mc_summary(f: Observable, params, n: int, count: int, seed: int,
     fstar = to_first_layer(f)
     batch = gibbs.sample(n * f.max_site, params, count, seed)
     x_vals = multiplicative_average(batch, f, n)
-    F = _memoized_scgf(fstar, params, tol)
-    h = 1e-4
-    fprime0 = (F(h) - F(-h)) / (2.0 * h)
-    sigma2 = clt_variance(fstar, params, tol)
+    _, fprime0, sigma2, _ = scgf_values(fstar, params, 0.0, tol)
     emp_mean = float(x_vals.mean())
     emp_var = float(x_vals.var(ddof=1))
     return {
         "emp_mean": emp_mean,
         "emp_se": float(x_vals.std(ddof=1) / math.sqrt(count)),
-        "fprime0": float(fprime0),
+        "fprime0": float(fprime0[0]),
         "n_times_var": n * emp_var,
-        "sigma2": float(sigma2),
+        "sigma2": float(sigma2[0]),
     }

@@ -7,17 +7,6 @@ import math
 import numpy as np
 
 
-def logsumexp(a, axis=None):
-    """log(sum(exp(a))), stable against overflow."""
-    a = np.asarray(a, dtype=float)
-    m = np.max(a, axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    out = np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True)) + m
-    if axis is None:
-        return float(out)
-    return np.squeeze(out, axis=axis)
-
-
 class RunningLogSum:
     """Streaming log-sum-exp accumulator for chunked enumerations."""
 

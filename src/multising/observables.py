@@ -133,16 +133,6 @@ class FirstLayerObservable:
             pts.update(key)
         return frozenset(pts)
 
-    def evaluate(self, spins) -> float:
-        """Evaluate on a mapping offset -> spin in {-1, +1}."""
-        total = 0.0
-        for key, coeff in self.terms:
-            prod = 1
-            for o in key:
-                prod *= spins[o]
-            total += coeff * prod
-        return total
-
 
 def to_first_layer(obs: Observable) -> FirstLayerObservable:
     """Rewrite a site-indexed observable whose indices are all powers of two

@@ -99,17 +99,26 @@ class TestScgfCommand:
         assert meta["command"] == "scgf"
         assert meta["config"]["f"] == "s[1]*s[2]"
 
-    def test_golden_determinism_across_runs_and_workers(self, tmp_path):
+    def test_golden_determinism_across_runs(self, tmp_path):
         outs = []
-        for name, workers in [("a.csv", "1"), ("b.csv", "1"), ("c.csv", "2")]:
+        for name in ("a.csv", "b.csv"):
             out = tmp_path / name
             assert run_cli(
                 "scgf", "--beta", "1", "--J", "0.7", "--h", "0",
-                "--f", "s[1]*s[2]", "--t", "-1:1:0.05",
-                "--workers", workers, "--output", str(out),
+                "--f", "s[1]*s[2]", "--t", "-1:1:0.05", "--output", str(out),
             ) == 0
             outs.append(out.read_bytes())
-        assert outs[0] == outs[1] == outs[2]
+        assert outs[0] == outs[1]
+
+    def test_exact_slope_at_zero_tilt(self, tmp_path):
+        # at h = 0 the bonds are iid with mean tanh(beta J); F'(0) is exact
+        # even though the truncation bound of F vanishes at t = 0
+        out = tmp_path / "zero.csv"
+        assert run_cli("scgf", "--beta", "1", "--J", "0.7", "--h", "0",
+                       "--f", "s[1]*s[2]", "--t", "0", "--output", str(out)) == 0
+        t, F, Fp, err = (float(v) for v in out.read_text().splitlines()[1].split(","))
+        assert abs(Fp - math.tanh(0.7)) <= 1e-12
+        assert abs(F) <= 1e-15 and err == 0.0
 
     def test_non_dyadic_series_table(self, tmp_path):
         out = tmp_path / "series.csv"
@@ -158,6 +167,13 @@ class TestScalarCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["plus"] > payload["free"]
         assert payload["plus"] == payload["minus"]
+
+    def test_free_energy_low_temperature(self, capsys):
+        # at beta = 800 every exponential overflows a double; the free
+        # boundary value is log 2 + log 2cosh(beta J) in closed form
+        assert run_cli("free-energy", "--beta", "800") == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["free"] == pytest.approx(math.log(2) + 800.0, abs=1e-9)
 
     def test_entropy_all_modes(self, capsys):
         assert run_cli("entropy", "--beta", "1", "--J", "1", "--h", "0", "--mode", "all") == 0

@@ -51,6 +51,21 @@ class TestTransfer:
         with pytest.raises(PreconditionError):
             transfer(ModelParams(400.0, 2.0, 0.0))
 
+    def test_pi_small_component_matches_symmetric_form(self):
+        # pi(-) ~ 1e-4 here: forming it as 1 - pi(+) lost 5.6e-12 relative.
+        # Symmetric form: K = D^-1 S D with S(a, b) = exp(A ab + B (a+b)/2),
+        # pi(a) ~ e^{B s_a / 2} u(a) for the Perron vector u = (cos, sin) of S
+        beta, J, h = 2.97912, 1.0, 0.530395
+        A, B = beta * J, beta * h
+        s = np.array([1.0, -1.0])
+        log_s = A * np.outer(s, s) + 0.5 * B * (s[:, None] + s[None, :])
+        S = np.exp(log_s - log_s.max())
+        theta = 0.5 * math.atan2(2.0 * S[0, 1], S[0, 0] - S[1, 1])
+        pi = np.exp(0.5 * B * s) * np.array([math.cos(theta), math.sin(theta)])
+        pi /= pi.sum()
+        got = transfer(ModelParams(beta, J, h)).pi
+        assert np.max(np.abs(got / pi - 1.0)) <= 1e-13
+
 
 class TestLogPartition:
     def test_single_site(self):
@@ -200,13 +215,20 @@ class TestTiltedPressure:
             assert abs(ising1d.tilted_layer_pressure(5, fstar, 0.0, p)) <= 1e-12
 
     def test_infinite_temperature_closed_forms(self):
+        # P^k = (k+1) log cosh t, with derivatives (k+1) tanh t, (k+1) sech^2 t
         p = ModelParams(0.0, 1.0, 0.0)
+        t = np.array([-1.5, 0.4, 2.0])
         for fstar in (F_PAIR, F_SITE):
             for k in (0, 3, 10):
-                for t in (-1.5, 0.4, 2.0):
-                    assert ising1d.tilted_layer_pressure(k, fstar, t, p) == pytest.approx(
-                        (k + 1) * math.log(math.cosh(t)), abs=1e-11
+                for ti in t:
+                    assert ising1d.tilted_layer_pressure(k, fstar, ti, p) == pytest.approx(
+                        (k + 1) * math.log(math.cosh(ti)), abs=1e-11
                     )
+            P, dP, d2P = ising1d.tilted_prefix_pressures(10, fstar, t, p)
+            n = np.arange(1, 12)[:, None]
+            assert np.allclose(P, n * np.log(np.cosh(t)), rtol=0.0, atol=1e-11)
+            assert np.allclose(dP, n * np.tanh(t), rtol=0.0, atol=1e-12)
+            assert np.allclose(d2P, n / np.cosh(t) ** 2, rtol=0.0, atol=1e-12)
 
     @settings(max_examples=25, deadline=None)
     @given(params_st, st.integers(0, 6), st.floats(-1.5, 1.5))
@@ -215,6 +237,14 @@ class TestTiltedPressure:
         a = ising1d.tilted_layer_pressure(k, fstar, t, params)
         b = oracles.tilted_pressure_by_enumeration(k, fstar, t, params)
         assert abs(a - b) <= 1e-10 * max(1.0, abs(b))
+        # the forward-mode derivatives against central differences
+        h = 1e-4
+        _, dP, d2P = ising1d.tilted_prefix_pressures(k, fstar, t, params)
+        up = oracles.tilted_pressure_by_enumeration(k, fstar, t + h, params)
+        dn = oracles.tilted_pressure_by_enumeration(k, fstar, t - h, params)
+        scale = (k + 1) * fstar.sup_bound
+        assert abs(dP[-1] - (up - dn) / (2 * h)) <= 1e-7 * scale**3
+        assert abs(d2P[-1] - (up - 2 * b + dn) / (h * h)) <= 1e-5 * scale**4
 
     def test_linear_bound_and_convexity(self):
         p = ModelParams(1.0, 1.0, 0.2)
@@ -227,11 +257,32 @@ class TestTiltedPressure:
 
     def test_prefix_pass_matches_individual(self):
         p = ModelParams(0.7, 1.0, -0.3)
-        pre = ising1d.tilted_prefix_pressures(6, F_PAIR, 0.8, p)
+        pre, _, _ = ising1d.tilted_prefix_pressures(6, F_PAIR, 0.8, p)
         for k in range(7):
             assert pre[k] == pytest.approx(
                 ising1d.tilted_layer_pressure(k, F_PAIR, 0.8, p), abs=1e-12
             )
+
+    def test_prefix_sum_range_matches_enumeration(self):
+        fstar = FirstLayerObservable.make([([0, 1], 1.0), ([0], 1.0), ([2], -0.5)])
+        lo, hi = ising1d.prefix_sum_range(5, fstar)
+        for k in range(6):
+            spins = oracles.chain_spins(k + 3)
+            sums = sum((spins[:, j] * spins[:, j + 1] + spins[:, j] - 0.5 * spins[:, j + 2])
+                       for j in range(k + 1))
+            assert (lo[k], hi[k]) == (sums.min(), sums.max())
+
+    def test_extreme_tilt_is_a_typed_error(self):
+        # the sum of s0 - s1 telescopes to s0 - s_{k+1}; at t = 200 exp(-4t)
+        # underflows and a linear-scale pass would lose the paths through
+        # (-, +), coming out 0.11 low
+        f = FirstLayerObservable.make([([0], 1.0), ([1], -1.0)])
+        p = ModelParams(0.5, 1.0, 0.1)
+        P, _, _ = ising1d.tilted_prefix_pressures(3, f, 50.0, p)
+        assert P[-1] == pytest.approx(oracles.tilted_pressure_by_enumeration(3, f, 50.0, p),
+                                      rel=1e-14)
+        with pytest.raises(PreconditionError):
+            ising1d.tilted_prefix_pressures(3, f, [1.0, 200.0], p)
 
     def test_window_cap(self):
         wide = FirstLayerObservable.make([([0, 13], 1.0)])

@@ -27,11 +27,17 @@ class TestScgf:
             assert err == 0.0
 
     def test_infinite_temperature_closed_forms(self):
+        # F = log cosh t, F' = tanh t, F'' = sech^2 t, all exact from one pass
+        t = np.array([-2.5, -0.3, 0.0, 0.7, 3.0])
         for fstar in (FS_BOND, FS_MAG):
-            for t in (-2.5, -0.3, 0.7, 3.0):
-                v, err = ldp.scgf(fstar, P_FREE, t, 1e-10)
-                assert v == pytest.approx(math.log(math.cosh(t)), abs=1e-8)
-                assert err < 1e-10
+            F, F1, F2, err = ldp.scgf_values(fstar, P_FREE, t, 1e-10)
+            assert np.all(err < 1e-10)
+            assert np.allclose(F, np.log(np.cosh(t)), rtol=0.0, atol=1e-10)
+            assert np.allclose(F1, np.tanh(t), rtol=0.0, atol=1e-10)
+            assert np.allclose(F2, 1.0 / np.cosh(t) ** 2, rtol=0.0, atol=1e-10)
+            for ti in t:
+                v, _ = ldp.scgf(fstar, P_FREE, float(ti), 1e-10)
+                assert v == pytest.approx(math.log(math.cosh(ti)), abs=1e-10)
 
     def test_zero_field_bond_closed_form(self):
         # bond variables are iid signs with P(+) = alpha at h=0
@@ -84,46 +90,36 @@ class TestScgfCurve:
         # central secants agree with the tabulated derivative to O(step^2)
         assert np.max(np.abs(secants - curve.Fprime[1:-1])) <= step**2
 
-    def test_depth_pinning_matches_blocked_evaluation(self):
-        grid = np.arange(-1.0, 1.001, 0.125)
-        depth = ldp.series_depth_for(FS_BOND, 1.0 + 1e-4, 1e-10)
-        full, _ = ldp.scgf_values(FS_BOND, P_UNIT, grid, 1e-10, depth=depth)
-        parts = [
-            ldp.scgf_values(FS_BOND, P_UNIT, b, 1e-10, depth=depth)[0]
-            for b in np.array_split(grid, 3)
-        ]
-        assert np.array_equal(full, np.concatenate(parts))
-
 
 class TestLegendre:
-    def F(self, t):
-        return ldp.scgf(FS_BOND, P_FREE, t, 1e-12)[0]
+    # beta = 0, f = s1 s2: F(t) = log cosh t, so I is the conjugate of log cosh
+    # and t* = atanh(x)
 
     def test_rate_vanishes_at_mean(self):
-        h = 1e-4
-        x0 = (self.F(h) - self.F(-h)) / (2 * h)
-        val, t_star = ldp.legendre(self.F, x0, slope_bound=1.0)
-        assert val <= 1e-10
-        assert abs(t_star) <= 1e-6
+        x0 = ldp.scgf_values(FS_BOND, P_FREE, 0.0, 1e-12)[1]
+        rc = ldp.rate_curve(FS_BOND, P_FREE, x0, 1e-12)
+        assert 0.0 <= rc.I[0] <= 1e-10
+        assert abs(rc.t_star[0]) <= 1e-10
 
     def test_matches_analytic_conjugate(self):
-        for x in (-0.8, -0.25, 0.1, 0.5, 0.9):
-            val, t_star = ldp.legendre(self.F, x, slope_bound=1.0)
-            assert val == pytest.approx(logcosh_conjugate(x), abs=1e-8)
-            assert t_star == pytest.approx(math.atanh(x), abs=1e-5)
+        xs = [-0.8, -0.25, 0.1, 0.5, 0.9]
+        rc = ldp.rate_curve(FS_BOND, P_FREE, xs, 1e-12)
+        for x, val, t_star in zip(xs, rc.I, rc.t_star):
+            assert val == pytest.approx(logcosh_conjugate(x), abs=1e-10)
+            assert t_star == pytest.approx(math.atanh(x), abs=1e-10)
 
     def test_out_of_range_sentinel(self):
-        for x in (1.5, -2.0, 1.0, -1.0):
-            val, t_star = ldp.legendre(self.F, x, slope_bound=1.0)
-            assert val == math.inf
-            assert math.isnan(t_star)
+        rc = ldp.rate_curve(FS_BOND, P_FREE, [1.5, -2.0, 1.0, -1.0], 1e-12)
+        assert np.all(rc.I == math.inf)
+        assert np.all(np.isnan(rc.t_star))
+        assert list(rc.domain_flag) == [1, 1, 1, 1]
 
     def test_conjugate_recovers_curve(self):
-        h = 1e-4
-        for t in np.arange(-2.0, 2.01, 0.25):
-            x_star = (self.F(float(t) + h) - self.F(float(t) - h)) / (2 * h)
-            val, _ = ldp.legendre(self.F, x_star, slope_bound=1.0)
-            assert float(t) * x_star - val == pytest.approx(self.F(float(t)), abs=1e-6)
+        t = np.arange(-2.0, 2.01, 0.25)
+        F, x_star, _, _ = ldp.scgf_values(FS_BOND, P_FREE, t, 1e-12)
+        rc = ldp.rate_curve(FS_BOND, P_FREE, x_star, 1e-12)
+        assert np.allclose(t * x_star - rc.I, F, rtol=0.0, atol=1e-10)
+        assert np.allclose(rc.t_star, t, rtol=0.0, atol=1e-9)
 
     def test_curve_input_path(self):
         curve = ldp.scgf_curve(FS_BOND, P_FREE, np.arange(-4.0, 4.001, 0.02), 1e-12)
@@ -137,7 +133,6 @@ class TestLegendre:
             F=np.array([1.0, 0.0, 1.0]),
             Fprime=np.array([1.0, 0.0, -1.0]),
             trunc_err=np.zeros(3),
-            deriv_step=1e-4,
         )
         with pytest.raises(ValueError):
             ldp.legendre(bogus, 0.3)
@@ -161,6 +156,19 @@ class TestLegendre:
         assert np.all(np.diff(rc.t_star[1:4]) > 0)
         assert interior[1] <= min(interior[0], interior[2])
 
+    def test_range_of_fprime_narrower_than_sup(self):
+        # f* = s0 s1 + s0 takes values in [-2, 2], but along a path its sum
+        # cannot fall faster than about -1 per site: the range of F' is
+        # (-4/3, 2) at beta = 0, and x below -4/3 has an infinite rate
+        fstar = to_first_layer(Observable.make([((1, 2), 1.0), ((1,), 1.0)]))
+        xs = np.array([-1.5, -1.3, -0.5, 0.0, 1.9])
+        rc = ldp.rate_curve(fstar, P_FREE, xs, 1e-11)
+        assert rc.domain == pytest.approx((-4.0 / 3.0, 2.0), abs=1e-10)
+        assert list(rc.domain_flag) == [1, 0, 0, 0, 0]
+        _, fprime, _, _ = ldp.scgf_values(fstar, P_FREE, rc.t_star[1:], 1e-11)
+        assert np.allclose(fprime, xs[1:], rtol=0.0, atol=1e-10)
+        assert np.all(np.isfinite(rc.I[1:])) and np.all(rc.I[1:] >= 0.0)
+
 
 class TestCltVariance:
     def test_infinite_temperature_unit_variance(self):
@@ -172,6 +180,9 @@ class TestCltVariance:
         assert ldp.clt_variance(FS_BOND, P_UNIT) == pytest.approx(
             1 - math.tanh(1.0) ** 2, abs=1e-6
         )
+
+    def test_zero_field_bond_variance_is_exact(self):
+        assert abs(ldp.clt_variance(FS_BOND, P_UNIT) - (1 - math.tanh(1.0) ** 2)) <= 1e-12
 
     def test_nonnegative(self):
         for params in (P_UNIT, ModelParams(0.9, -1.2, 0.4)):
