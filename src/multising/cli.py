@@ -252,12 +252,10 @@ def _cmd_scgf(args) -> int:
     if dyadic:
         fstar = to_first_layer(obs)
         values, fprime, _, errs = ldp.scgf_values(fstar, params, grid, tol)
-        depth = ldp.series_depth_for(fstar, float(np.max(np.abs(grid))), tol)
         rows = [[grid[i], values[i], fprime[i], errs[i]] for i in range(grid.size)]
         _write_csv(output, ["t", "F", "Fprime", "trunc_err"], rows)
         _sidecar(output, "scgf", res.resolved,
-                 {"observable": str(obs), "series_depth": depth,
-                  "max_trunc_err": repr(float(np.max(errs)))})
+                 {"observable": str(obs), "max_trunc_err": repr(float(np.max(errs)))})
         return 0
     # non-dyadic indices: multi-prime route, single tilt, series table output
     if grid.size != 1:

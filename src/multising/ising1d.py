@@ -337,28 +337,20 @@ def _shift_predecessors(v: np.ndarray, w: int) -> np.ndarray:
     return v.reshape(v.shape[:-2] + (1 << (w - 1), 2) + v.shape[-1:])
 
 
-# Bound on |t| (max f* - min f*) w + log(max Q / min Q) in the tilted pass.
-# Within one step the shifted exp(t f*) spans e^{|t| spread}; a window state
-# that still matters after w - 1 further steps is below the largest by at most
-# e^{|t| spread (w-1)} max Q / min Q.  Keeping the product above e^{-600}
-# keeps every weight that matters a normal double.
-_TILT_SPAN = 600.0
-
-
 def tilted_prefix_pressures(k: int, fstar: FirstLayerObservable, t, params,
                             w_max: int = _W_MAX):
     """P^i(t * f*) = log E exp(t S_i), S_i = sum_{j<=i} f* o theta_j, and its
     first two t-derivatives, for i = 0..k, under the infinite chain (pi, Q).
 
-    One sliding-window transfer pass in forward mode: next to the window
-    weights w it carries sum S w and sum S^2 w, all three mixed by the same Q
-    and rescaled by the same per-tilt factor, so that
-    dP^i = E_t S_i and d2P^i = Var_t S_i come out exactly.  exp(t f*) is
-    formed once, shifted by its per-tilt maximum.
+    One sliding-window transfer pass in forward mode.  Per window state it
+    carries the log of the tilted weight and the tilted conditional mean and
+    variance of S given that state.  A shift merges two predecessor states
+    by their weights; the tilt adds t f* to the log weight and f* to the
+    mean.  So dP^i = E_t S_i and d2P^i = Var_t S_i come out exactly, and in
+    log space no window weight underflows, however large |t|.
 
     Returns (P, dP, d2P), each of shape (k+1,) for scalar t and (k+1, len(t))
-    for a vector of tilts.  Raises PreconditionError for tilts so large that
-    window weights which matter could underflow (see _TILT_SPAN).
+    for a vector of tilts.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -367,33 +359,46 @@ def tilted_prefix_pressures(k: int, fstar: FirstLayerObservable, t, params,
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     n = 1 << w
     f = _window_values(fstar, w)[:, None]
-    with np.errstate(divide="ignore"):
-        span = np.abs(t_arr) * np.ptp(f) * w + np.log(td.Q.max()) - np.log(td.Q.min())
-    if np.any(span > _TILT_SPAN):
-        raise PreconditionError("|t| or beta*(J,h) too large: the tilted window weights would underflow")
     tf = f * t_arr[None, :]
-    shift = tf.max(axis=0)
-    e = np.exp(tf - shift[None, :])
     # successor weights: new slot b after prefix q costs Q(newest slot of q, b)
     tops = (np.arange(n >> 1) >> (w - 2)) & 1
-    q = td.Q[tops].T[None, :, :, None]  # (1, 2, n/2, 1), indexed [., b, q, .]
-    x = np.zeros((3, n, t_arr.size))  # w, sum S w, sum S^2 w per window state
-    x[0] = _window_init(td, w)[:, None]
+    with np.errstate(divide="ignore"):
+        log_q = np.log(td.Q[tops].T)[:, :, None]  # (2, n/2, 1), indexed [b, q, .]
+        log_w = np.log(_window_init(td, w))[:, None] + np.zeros((1, t_arr.size))
+    mean = np.zeros((n, t_arr.size))
+    var = np.zeros((n, t_arr.size))
     out = np.empty((3, k + 1, t_arr.size))
-    log_scale = np.zeros(t_arr.size)
     for i in range(k + 1):
         if i:
-            x = (q * _shift_predecessors(x, w).sum(axis=-2)[:, None]).reshape(3, n, -1)
-        w0, w1, w2 = x
-        fw = f * w0
-        x = np.stack([w0 * e, (w1 + fw) * e, (w2 + f * (2.0 * w1 + fw)) * e])
-        z, s1, s2 = x.sum(axis=1)
-        log_scale += shift + np.log(z)
-        m1 = s1 / z
-        out[0, i] = log_scale
+            a = _shift_predecessors(log_w, w)
+            m = _shift_predecessors(mean, w)
+            v = _shift_predecessors(var, w)
+            gap = a[:, 1] - a[:, 0]
+            small = np.exp(-np.abs(gap))
+            merged = np.maximum(a[:, 0], a[:, 1]) + np.log1p(small)
+            # weights of the two predecessors, each to full relative precision
+            big = 1.0 / (1.0 + small)
+            small *= big
+            later = gap > 0.0
+            r0 = np.where(later, small, big)
+            r1 = np.where(later, big, small)
+            dm = m[:, 1] - m[:, 0]
+            mq = r0 * m[:, 0] + r1 * m[:, 1]
+            vq = r0 * v[:, 0] + r1 * v[:, 1] + r0 * r1 * dm * dm
+            log_w = (log_q + merged[None]).reshape(n, -1)
+            mean = np.concatenate([mq, mq])
+            var = np.concatenate([vq, vq])
+        log_w = log_w + tf
+        mean = mean + f
+        top = log_w.max(axis=0)
+        p = np.exp(log_w - top[None, :])
+        z = p.sum(axis=0)
+        p /= z
+        m1 = (p * mean).sum(axis=0)
+        d = mean - m1
+        out[0, i] = top + np.log(z)
         out[1, i] = m1
-        out[2, i] = s2 / z - m1 * m1
-        x /= z
+        out[2, i] = (p * (var + d * d)).sum(axis=0)
     if not np.all(np.isfinite(out)):
         raise PreconditionError("tilted pass is not finite; beta*(J,h) too large for the transfer data")
     if np.ndim(t) == 0:

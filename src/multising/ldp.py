@@ -210,10 +210,11 @@ def legendre(curve: ScgfCurve, x: float) -> Tuple[float, float]:
 
 def _newton_tilts(fstar, td, xs: np.ndarray, t: np.ndarray, depth: int):
     """Solve F'(t) = x for every x at once, F truncated after P^depth, by
-    Newton steps safeguarded with a bracket: a step that leaves the bracket
-    is replaced by bisection, or, while one side is still open, by a step of
-    max(1, |t|) away from the closed side.  Starts from t; every x must lie
-    inside the range of F'.  Returns (t*, t* x - F(t*))."""
+    Newton steps safeguarded with a bracket.  While a side of the bracket is
+    still open, a step is at most max(1, |t|) long, so that the flat tail of
+    a steep F' cannot throw t far out; a step that leaves a closed bracket is
+    replaced by bisection.  Starts from t; every x must lie inside the range
+    of F'.  Returns (t*, t* x - F(t*))."""
     t = t.copy()
     value = np.empty(xs.size)
     lo = np.full(xs.size, -math.inf)
@@ -228,18 +229,19 @@ def _newton_tilts(fstar, td, xs: np.ndarray, t: np.ndarray, depth: int):
         g = fprime - xa
         la = np.where(g < 0.0, ta, lo[active])
         ha = np.where(g < 0.0, hi[active], ta)
-        step = np.divide(g, fsecond, out=np.zeros_like(g), where=g != 0.0)
-        nxt = ta - step
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(g == 0.0, 0.0, g / fsecond)
         # F is quadratic near t*: after a step below 1e-8, t - step is exact
         # to rounding and t x - F(t) short of I by F'' step^2 / 2 at most
         converged = np.abs(step) <= 1e-8 * np.maximum(1.0, np.abs(ta))
         # a bracket a few ulps wide is as far as rounding lets F' resolve t*
         pinned = (ha - la) <= 4e-16 * np.maximum(1.0, np.abs(ta))
+        reach = np.maximum(1.0, np.abs(ta))
+        is_open = np.isinf(la) | np.isinf(ha)
+        nxt = ta - np.where(is_open, np.clip(step, -reach, reach), step)
         with np.errstate(invalid="ignore"):
             inside = (nxt > la) & (nxt < ha)
-            widen = np.where(np.isinf(ha), la + np.maximum(1.0, np.abs(la)),
-                             ha - np.maximum(1.0, np.abs(ha)))
-        fallback = np.where(np.isinf(la) | np.isinf(ha), widen, 0.5 * (la + ha))
+        fallback = np.where(is_open, ta, 0.5 * (la + ha))
         t[active] = np.where(converged | inside, nxt, np.where(pinned, ta, fallback))
         lo[active], hi[active] = la, ha
         active = active[~(converged | pinned)]

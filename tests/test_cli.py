@@ -120,6 +120,20 @@ class TestScgfCommand:
         assert abs(Fp - math.tanh(0.7)) <= 1e-12
         assert abs(F) <= 1e-15 and err == 0.0
 
+    def test_large_tilts_of_a_scaled_coupling(self, tmp_path):
+        # 10 s1 s2 at beta = 0: F(t) = log cosh 10t, far past the tilts where
+        # the window weights span more than the double range
+        out = tmp_path / "wide.csv"
+        assert run_cli("scgf", "--beta", "0", "--J", "1", "--h", "0",
+                       "--f", "10*s[1]*s[2]", "--t", "-20:20:0.1", "--output", str(out)) == 0
+        rows = np.array([[float(v) for v in line.split(",")]
+                         for line in out.read_text().splitlines()[1:]])
+        t = rows[:, 0]
+        assert rows.shape[0] == 401
+        assert np.allclose(rows[:, 1], np.logaddexp(10 * t, -10 * t) - math.log(2.0),
+                           rtol=1e-13, atol=1e-12)
+        assert np.allclose(rows[:, 2], 10 * np.tanh(10 * t), rtol=0.0, atol=1e-10)
+
     def test_non_dyadic_series_table(self, tmp_path):
         out = tmp_path / "series.csv"
         code = run_cli(

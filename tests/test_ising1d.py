@@ -272,17 +272,33 @@ class TestTiltedPressure:
                        for j in range(k + 1))
             assert (lo[k], hi[k]) == (sums.min(), sums.max())
 
-    def test_extreme_tilt_is_a_typed_error(self):
+    def test_extreme_tilts_match_enumeration(self):
         # the sum of s0 - s1 telescopes to s0 - s_{k+1}; at t = 200 exp(-4t)
-        # underflows and a linear-scale pass would lose the paths through
-        # (-, +), coming out 0.11 low
+        # underflows, and a pass on a linear scale would lose the paths
+        # through (-, +) and come out 0.11 low
         f = FirstLayerObservable.make([([0], 1.0), ([1], -1.0)])
         p = ModelParams(0.5, 1.0, 0.1)
-        P, _, _ = ising1d.tilted_prefix_pressures(3, f, 50.0, p)
-        assert P[-1] == pytest.approx(oracles.tilted_pressure_by_enumeration(3, f, 50.0, p),
-                                      rel=1e-14)
-        with pytest.raises(PreconditionError):
-            ising1d.tilted_prefix_pressures(3, f, [1.0, 200.0], p)
+        t = np.array([50.0, 200.0, 1000.0, -1000.0])
+        P, dP, d2P = ising1d.tilted_prefix_pressures(3, f, t, p)
+        for i, ti in enumerate(t):
+            assert P[-1, i] == pytest.approx(
+                oracles.tilted_pressure_by_enumeration(3, f, float(ti), p), rel=1e-14)
+        assert np.array_equal(dP[-1], 2.0 * np.sign(t)) and np.all(np.abs(d2P) <= 1e-40)
+
+    def test_steep_coupling_at_large_tilt(self):
+        # at h = 0 the bonds are iid: P^k = (k+1) (lc(t + bJ) - lc(bJ)) with
+        # lc = log cosh, for tilts far beyond where exp(t f*) underflows
+        k, bj = 3, 3.5
+        t = np.array([-274.0, -20.0, 20.0, 1e4])
+        P, dP, d2P = ising1d.tilted_prefix_pressures(k, F_PAIR, t, ModelParams(bj, 1.0, 0.0))
+
+        def lc(u):
+            return np.logaddexp(u, -u) - math.log(2.0)
+
+        assert np.allclose(P[-1], (k + 1) * (lc(t + bj) - lc(bj)), rtol=1e-15, atol=0.0)
+        assert np.allclose(dP[-1], (k + 1) * np.tanh(t + bj), rtol=0.0, atol=1e-14)
+        e = np.exp(-2.0 * np.abs(t + bj))
+        assert np.allclose(d2P[-1], (k + 1) * 4.0 * e / (1.0 + e) ** 2, rtol=1e-9, atol=0.0)
 
     def test_window_cap(self):
         wide = FirstLayerObservable.make([([0, 13], 1.0)])

@@ -156,6 +156,21 @@ class TestLegendre:
         assert np.all(np.diff(rc.t_star[1:4]) > 0)
         assert interior[1] <= min(interior[0], interior[2])
 
+    @pytest.mark.parametrize("bj", [3.5, 5.0])
+    def test_steep_slope_at_low_temperature(self, bj):
+        # at h = 0, F(t) = lc(t + bJ) - lc(bJ) with lc = log cosh, so
+        # t* = atanh(x) - bJ; F'(0) = tanh(bJ) is near 1 and F''(0) tiny, so
+        # an unguarded Newton step from t = 0 lands hundreds of units out
+        xs = np.round(np.arange(-0.9, 0.9001, 0.05), 12)
+        rc = ldp.rate_curve(FS_BOND, ModelParams(bj, 1.0, 0.0), xs, 1e-11)
+        t_star = np.arctanh(xs) - bj
+
+        def lc(u):
+            return np.logaddexp(u, -u) - math.log(2.0)
+
+        assert np.allclose(rc.t_star, t_star, rtol=0.0, atol=1e-10)
+        assert np.allclose(rc.I, t_star * xs - lc(t_star + bj) + lc(bj), rtol=0.0, atol=1e-10)
+
     def test_range_of_fprime_narrower_than_sup(self):
         # f* = s0 s1 + s0 takes values in [-2, 2], but along a path its sum
         # cannot fall faster than about -1 per site: the range of F' is
