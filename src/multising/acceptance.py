@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
 from fractions import Fraction
 from typing import Callable, List, Tuple
 
@@ -366,7 +367,9 @@ CRITERIA: List[Tuple[str, str, Callable[[], Tuple[bool, str]]]] = [
 def run_all(emit=print) -> bool:
     all_ok = True
     for cid, title, fn in CRITERIA:
+        start = time.perf_counter()
         ok, detail = fn()
+        seconds = time.perf_counter() - start
         all_ok = all_ok and ok
-        emit(f"{'PASS' if ok else 'FAIL'} criterion {cid}: {title} -- {detail}")
+        emit(f"{'PASS' if ok else 'FAIL'} criterion {cid}: {title} ({seconds:.2f} s) -- {detail}")
     return all_ok

@@ -15,8 +15,10 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Callable, Dict, Iterator, List, Tuple
+
+from .errors import InfeasibleSizeError
 
 __all__ = [
     "PrimeBasis",
@@ -253,23 +255,27 @@ def koroa_series(
 # ---------------------------------------------------------------------------
 
 
+def _smooth_stream(basis: PrimeBasis) -> Iterator[int]:
+    """The basis-smooth numbers 1 = n_1 < n_2 < ... by a heap merge of the
+    prime multiples.  m is multiplied only by the primes up to its smallest
+    prime factor, so every number enters the heap once, as (n / q) * q with
+    q the smallest prime factor of n."""
+    heap = [1]
+    while True:
+        m = heapq.heappop(heap)
+        yield m
+        for p in basis.primes:
+            heapq.heappush(heap, m * p)
+            if m % p == 0:
+                break
+
+
 def smooth_numbers(basis: PrimeBasis, count: int) -> List[int]:
     """First `count` integers whose prime factors all lie in the basis,
-    in increasing order (n_1 = 1).  Heap merge of the prime multiples."""
+    in increasing order (n_1 = 1)."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    out: List[int] = []
-    heap = [1]
-    seen = {1}
-    while len(out) < count:
-        m = heapq.heappop(heap)
-        out.append(m)
-        for p in basis.primes:
-            c = m * p
-            if c not in seen:
-                seen.add(c)
-                heapq.heappush(heap, c)
-    return out
+    return list(islice(_smooth_stream(basis), count))
 
 
 def canonical_region(basis: PrimeBasis, cardinality: int) -> Region:
@@ -313,28 +319,15 @@ def iter_kie_weights(basis: PrimeBasis) -> Iterator[Tuple[int, int, int, float]]
     n_j is the j-th basis-smooth number; since distinct smooth numbers have
     distinct logarithms, the counting function of {x : sum x_i log p_i <= rho}
     increments by exactly one, so these differences are the layer-cardinality
-    frequencies.
+    frequencies.  With kappa = a/b, w_j is the single integer division
+    a (n_{j+1} - n_j) / (b n_j n_{j+1}), which Python rounds correctly.
     """
-    kappa_fr = basis.kappa_fraction()
-    heap = [1]
-    seen = {1}
-
-    def pop_next() -> int:
-        m = heapq.heappop(heap)
-        for p in basis.primes:
-            c = m * p
-            if c not in seen:
-                seen.add(c)
-                heapq.heappush(heap, c)
-        return m
-
-    n_cur = pop_next()
-    j = 0
-    while True:
-        j += 1
-        n_next = pop_next()
-        w = float(kappa_fr * Fraction(n_next - n_cur, n_cur * n_next))
-        yield j, n_cur, n_next, w
+    kappa = basis.kappa_fraction()
+    a, b = kappa.numerator, kappa.denominator
+    stream = _smooth_stream(basis)
+    n_cur = next(stream)
+    for j, n_next in enumerate(stream, 1):
+        yield j, n_cur, n_next, a * (n_next - n_cur) / (b * n_cur * n_next)
         n_cur = n_next
 
 
@@ -387,28 +380,43 @@ class WeightSeries:
 
 
 def kie_weights(basis: PrimeBasis, tolerance: float, max_terms: int = 10_000_000) -> WeightSeries:
-    """Enumerate the weight series until the conservative bound on the
-    remaining mass sum_{j>J} j * w_j drops below `tolerance`."""
+    """Enumerate the weight series up to the first J at which the
+    conservative bound on the remaining mass sum_{j>J} j * w_j drops below
+    `tolerance`.  The bound decreases in J, so J is found by bisection
+    before any weight is formed."""
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
+    if max_terms < 1:
+        raise ValueError("max_terms must be >= 1")
     kappa_fr = basis.kappa_fraction()
-    kappa = float(kappa_fr)
+
+    def below(j: int) -> bool:
+        return _weight_tail_bound(j, basis.dim, float(kappa_fr)) < tolerance
+
+    if not below(max_terms):
+        raise InfeasibleSizeError(
+            f"the weight series needs more than max_terms={max_terms} terms "
+            f"(cap) to reach tolerance {tolerance:g}"
+        )
+    lo, hi = 0, max_terms  # J lies in (lo, hi]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if below(mid):
+            hi = mid
+        else:
+            lo = mid
     smooth: List[int] = []
     weights: Dict[int, float] = {}
-    bound = math.inf
     for j, n_j, n_next, w_j in iter_kie_weights(basis):
         smooth.append(n_j)
         weights[j] = w_j
-        bound = _weight_tail_bound(j, basis.dim, kappa)
-        if bound < tolerance:
+        if j == hi:
             smooth.append(n_next)
             break
-        if j >= max_terms:
-            raise RuntimeError("weight series failed to reach tolerance")
     return WeightSeries(
         basis=basis,
         kappa_fraction=kappa_fr,
         smooth=tuple(smooth),
         weights=weights,
-        truncation_tail=bound,
+        truncation_tail=_weight_tail_bound(hi, basis.dim, float(kappa_fr)),
     )

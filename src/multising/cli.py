@@ -164,6 +164,10 @@ class _Resolver:
 
 
 def _fmt(v) -> str:
+    if type(v) is float:
+        return repr(v)
+    if type(v) is int:
+        return str(v)
     if isinstance(v, (bool, np.bool_)):
         return str(bool(v)).lower()
     if isinstance(v, (float, np.floating)):

@@ -288,6 +288,10 @@ def ks_entropy_report(params: ModelParams, tol: float = 1e-12) -> Dict[str, floa
 # ---------------------------------------------------------------------------
 
 
+_MAGIC = b"MISG"
+_HEADER_V2 = struct.Struct("<4sIqqQddd")
+
+
 @dataclass(frozen=True, eq=False)
 class SampleBatch:
     """count independent draws of s_[1,N] under the infinite-volume measure.
@@ -305,29 +309,37 @@ class SampleBatch:
     configurations: np.ndarray  # int8, shape (count, N), values +-1
 
     def save_binary(self, path) -> None:
-        """Header: N, count, seed, beta, J, h as IEEE-754 doubles; payload:
-        one byte per spin (0x00 = -1, 0x01 = +1), replica-major."""
+        """Header v2 (56 bytes, little-endian): the magic b"MISG", uint32
+        version 2, int64 N and count, uint64 seed, then beta, J and h as
+        IEEE-754 doubles.  Payload: one byte per spin (0x00 = -1,
+        0x01 = +1), replica-major."""
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"seed {self.seed} does not fit the unsigned 64-bit header field")
+        header = _HEADER_V2.pack(_MAGIC, 2, self.N, self.count, self.seed,
+                                 self.params.beta, self.params.J, self.params.h)
         with open(path, "wb") as fh:
-            fh.write(
-                struct.pack(
-                    "<6d",
-                    float(self.N),
-                    float(self.count),
-                    float(self.seed),
-                    self.params.beta,
-                    self.params.J,
-                    self.params.h,
-                )
-            )
+            fh.write(header)
             fh.write((self.configurations == 1).astype(np.uint8).tobytes())
 
     @classmethod
     def load_binary(cls, path) -> "SampleBatch":
+        """Read a v2 file, or a v1 file, whose 48-byte header holds N, count,
+        seed, beta, J and h as six doubles."""
         with open(path, "rb") as fh:
-            header = fh.read(48)
-            n, count, seed, beta, J, h = struct.unpack("<6d", header)
+            data = fh.read()
+        v2 = data[:4] == _MAGIC
+        if len(data) < (_HEADER_V2.size if v2 else 48):
+            raise ValueError("sample file is shorter than its header")
+        if v2:
+            _, version, n, count, seed, beta, J, h = _HEADER_V2.unpack_from(data)
+            if version != 2:
+                raise ValueError(f"unsupported sample file version {version}")
+            offset = _HEADER_V2.size
+        else:
+            n, count, seed, beta, J, h = struct.unpack_from("<6d", data)
             n, count, seed = int(n), int(count), int(seed)
-            payload = np.frombuffer(fh.read(), dtype=np.uint8)
+            offset = 48
+        payload = np.frombuffer(data, dtype=np.uint8, offset=offset)
         if payload.size != n * count:
             raise ValueError("payload size does not match header")
         configs = payload.reshape(count, n).astype(np.int8) * 2 - 1

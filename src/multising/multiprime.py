@@ -10,8 +10,10 @@ smooth-number weight series, giving the pressure of any local observable.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -20,7 +22,6 @@ from . import arith
 from .arith import PrimeBasis, Region
 from .errors import InfeasibleSizeError, PreconditionError
 from .ising1d import ModelParams, TransferData, q_power, transfer
-from .numutil import RunningLogSum
 from .observables import FirstLayerObservable, Observable
 
 __all__ = [
@@ -34,8 +35,8 @@ __all__ = [
     "layer_region_shapes",
 ]
 
-DEPENDENCE_CAP = 25
-_CHUNK_BITS = 20
+WIDTH_CAP = 22  # sites spanned by the largest intermediate factor: 2^22 doubles, 32 MB
+_MAX_TERMS = 100_000  # smooth-number series terms
 
 
 def _prime_factors(n: int) -> Dict[int, int]:
@@ -114,124 +115,160 @@ def extend_observable(f: Observable, base_basis: PrimeBasis,
 # Exact region pressures.
 # ---------------------------------------------------------------------------
 
+_SPIN = np.array([1.0, -1.0])  # spin value of table index 0 and 1
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
 
-    def find(self, a: int) -> int:
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
+@dataclass(frozen=True)
+class _Plan:
+    """The factor graph of a region pressure and its elimination schedule.
 
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
+    Sites are numbered in lexicographic order.  Factors are numbered in the
+    order: one initial law per line, the chain links, the tilt monomials,
+    then the output of each elimination step.  A step sums the factors
+    `inputs` over the joint scope `union` and eliminates `site` from it.
+    """
+
+    starts: Tuple[int, ...]  # axial coordinate of each line's first site
+    links: Tuple[int, ...]  # gap of each pair of consecutive line sites
+    monomials: Tuple[Tuple[int, float], ...]  # (number of sites, coefficient)
+    scopes: Tuple[Tuple[int, ...], ...]  # sorted sites of every factor
+    steps: Tuple[Tuple[Tuple[int, ...], Tuple[int, ...], int], ...]  # (inputs, union, site)
+
+
+@lru_cache(maxsize=512)
+def _plan(points: frozenset, fstar: FirstLayerObservable, axis: int, cap: int) -> _Plan:
+    """Build the factor graph of the region and a greedy min-fill
+    elimination order, refusing it if some intermediate factor would span
+    more than `cap` sites.  Symbolic only: no table is formed here."""
+    monos: Dict[Tuple[Tuple[int, ...], ...], float] = {}
+    for x in points:
+        for offs, coeff in fstar.terms:
+            if offs:
+                inst = tuple(sorted(tuple(a + b for a, b in zip(x, o)) for o in offs))
+                monos[inst] = monos.get(inst, 0.0) + coeff
+    site_list = sorted({s for inst in monos for s in inst})
+    site_id = {s: i for i, s in enumerate(site_list)}
+    lines: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {}
+    for s in site_list:  # lexicographic order runs along each line
+        lines.setdefault(s[:axis] + s[axis + 1:], []).append(s)
+    starts, links, scopes = [], [], []
+    for line in lines.values():
+        starts.append(line[0][axis])
+        scopes.append((site_id[line[0]],))
+    for line in lines.values():
+        for a, b in zip(line, line[1:]):
+            links.append(b[axis] - a[axis])
+            scopes.append((site_id[a], site_id[b]))
+    for inst in monos:
+        scopes.append(tuple(site_id[s] for s in inst))
+
+    n = len(site_list)
+    adj = [set() for _ in range(n)]
+    holders = [set() for _ in range(n)]  # factors whose scope holds the site
+    for f, scope in enumerate(scopes):
+        for v in scope:
+            adj[v].update(scope)
+            holders[v].add(f)
+    for v in range(n):
+        adj[v].discard(v)
+
+    def score(v):  # (fill-in edges, degree, site)
+        nb = adj[v]
+        return (sum(len(nb - adj[a]) for a in nb) - len(nb)) // 2, len(nb), v
+
+    current = {v: score(v) for v in range(n)}
+    heap = list(current.values())
+    heapq.heapify(heap)
+    steps = []
+    while heap:
+        entry = heapq.heappop(heap)
+        v = entry[2]
+        if current.get(v) != entry:
+            continue
+        del current[v]
+        nb = adj[v]
+        if len(nb) + 1 > cap:
+            raise InfeasibleSizeError(
+                f"eliminating the {n} sites of the dependence set needs a factor "
+                f"over {len(nb) + 1} sites (cap {cap}); an exact contraction is "
+                "infeasible, use a looser tolerance or a Monte Carlo estimate"
+            )
+        inputs = tuple(sorted(holders[v]))
+        union = tuple(sorted(nb | {v}))
+        out = len(scopes)
+        scopes.append(tuple(sorted(nb)))
+        for f in inputs:
+            for u in scopes[f]:
+                holders[u].discard(f)
+        for u in nb:
+            holders[u].add(out)
+        steps.append((inputs, union, v))
+        near = set()
+        for a in nb:
+            adj[a] |= nb
+            adj[a] -= {a, v}
+            near |= adj[a]
+        # the fill of a site changes only if its neighbours changed or two
+        # of them were newly joined
+        for u in nb | {u for u in near - nb if len(adj[u] & nb) > 1}:
+            current[u] = score(u)
+            heapq.heappush(heap, current[u])
+    return _Plan(tuple(starts), tuple(links),
+                 tuple((len(inst), c) for inst, c in monos.items()),
+                 tuple(scopes), tuple(steps))
+
+
+def _log_sum_exp(a: np.ndarray, axis: int) -> np.ndarray:
+    """log sum exp of a along axis, overwriting a; a slice of -inf sums to
+    -inf."""
+    m = a.max(axis=axis, keepdims=True)
+    m[m == -np.inf] = 0.0
+    a -= m
+    np.exp(a, out=a)
+    with np.errstate(divide="ignore"):
+        return np.log(a.sum(axis=axis)) + np.squeeze(m, axis)
 
 
 def region_pressure(key: RegionPressureKey, model: ExtendedModel,
-                    cap: int = DEPENDENCE_CAP) -> float:
+                    cap: int = WIDTH_CAP) -> float:
     """Psi = log E exp(t * sum_{x in region} f*(theta_x .)) under the
     product-of-lines layer measure, exactly.
 
-    The dependence set S = region + support(f*) is grouped into lines along
-    the interacting axis; lines coupled by no common tilt monomial factor
-    out, so the enumeration cost is 2^(largest coupled component), capped by
-    |S| <= cap.  Within a line, unassigned gaps are summed by matrix powers.
+    The dependence set S = region + support(f*) carries three kinds of
+    log-scale factor: the initial law log(pi Q^v0) of each line along the
+    interacting axis, the links log Q^gap between consecutive sites of a
+    line, and the tilt t * c * prod s of each monomial instance.  The sites
+    are summed out one at a time in a greedy min-fill order, so the cost
+    follows the width of the factor graph rather than |S|; lines coupled by
+    no monomial separate by themselves.  An order whose largest
+    intermediate factor spans more than `cap` sites (2^cap entries) is
+    refused before any table is formed.
     """
     region, fstar, t = key.region, key.fstar, key.t
     dim = model.basis.dim
     if fstar.dim != dim or (region.points and region.dim != dim):
         raise ValueError("region / observable dimension mismatch with the model")
-    axis = model.base_axis
-    const_coeff = sum(c for offs, c in fstar.terms if not offs)
-
-    sites = set()
-    monomials = []  # (tuple of sites, coeff) instances over the region
-    for x in region.points:
-        for offs, coeff in fstar.terms:
-            if not offs:
-                continue
-            inst = tuple(sorted(tuple(a + b for a, b in zip(x, o)) for o in offs))
-            monomials.append((inst, coeff))
-            sites.update(inst)
-    psi = t * const_coeff * region.cardinality
-    if not sites:
+    psi = t * sum(c for offs, c in fstar.terms if not offs) * region.cardinality
+    plan = _plan(region.points, fstar, model.base_axis, cap)
+    if not plan.scopes:
         return psi
-    if len(sites) > cap:
-        raise InfeasibleSizeError(
-            f"dependence set has {len(sites)} sites (cap {cap}); an exact "
-            "enumeration is infeasible, use the finite-volume route or a "
-            "Monte Carlo estimate"
-        )
-
-    site_list = sorted(sites)
-    site_id = {s: i for i, s in enumerate(site_list)}
-    lines: Dict[Tuple[int, ...], List[Tuple[int, int]]] = {}
-    for s in site_list:
-        lkey = s[:axis] + s[axis + 1 :]
-        lines.setdefault(lkey, []).append((s[axis], site_id[s]))
-    line_keys = sorted(lines)
-    line_of_site = {}
-    for li, lk in enumerate(line_keys):
-        lines[lk].sort()
-        for _, sid in lines[lk]:
-            line_of_site[sid] = li
-
-    uf = _UnionFind(len(line_keys))
-    for inst, _ in monomials:
-        first = line_of_site[site_id[inst[0]]]
-        for s in inst[1:]:
-            uf.union(first, line_of_site[site_id[s]])
-
-    comp_lines: Dict[int, List[int]] = {}
-    for li in range(len(line_keys)):
-        comp_lines.setdefault(uf.find(li), []).append(li)
-
     td = model.transfer()
-    log_q = {}
-
-    def lq(gap: int) -> np.ndarray:
-        if gap not in log_q:
-            log_q[gap] = np.log(q_power(td, gap))
-        return log_q[gap]
-
-    for comp in comp_lines.values():
-        comp_sites = []
-        for li in comp:
-            comp_sites.extend(sid for _, sid in lines[line_keys[li]])
-        local = {sid: b for b, sid in enumerate(sorted(comp_sites))}
-        m = len(local)
-        comp_monos = [
-            ([local[site_id[s]] for s in inst], coeff)
-            for inst, coeff in monomials
-            if line_of_site[site_id[inst[0]]] in comp
-        ]
-        acc = RunningLogSum()
-        total = 1 << m
-        chunk = 1 << min(_CHUNK_BITS, m)
-        for start in range(0, total, chunk):
-            idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-            bits = [((idx >> b) & 1) for b in range(m)]
-            logp = np.zeros(idx.size)
-            for li in comp:
-                entries = lines[line_keys[li]]
-                v0, sid0 = entries[0]
-                first = np.log(td.pi @ q_power(td, v0))
-                logp = logp + first[bits[local[sid0]]]
-                for (va, sa), (vb, sb) in zip(entries, entries[1:]):
-                    logp = logp + lq(vb - va)[bits[local[sa]], bits[local[sb]]]
-            tilt = np.zeros(idx.size)
-            for bit_ids, coeff in comp_monos:
-                prod = 1.0 - 2.0 * bits[bit_ids[0]]
-                for b in bit_ids[1:]:
-                    prod = prod * (1.0 - 2.0 * bits[b])
-                tilt = tilt + coeff * prod
-            acc.add(logp + t * tilt)
-        psi += acc.value()
-    return psi
+    log_q = {gap: np.log(q_power(td, gap)) for gap in set(plan.links)}
+    tables = [np.log(td.pi @ q_power(td, v0)) for v0 in plan.starts]
+    tables += [log_q[gap] for gap in plan.links]
+    for size, coeff in plan.monomials:
+        table = np.full((), t * coeff)
+        for _ in range(size):
+            table = np.multiply.outer(table, _SPIN)
+        tables.append(table)
+    for inputs, union, site in plan.steps:
+        acc = np.zeros((2,) * len(union))
+        for f in inputs:
+            scope = plan.scopes[f]
+            acc += tables[f].reshape([2 if u in scope else 1 for u in union])
+            tables[f] = None
+        tables.append(_log_sum_exp(acc, union.index(site)))
+    return psi + sum(float(table) for table in tables if table is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -250,49 +287,56 @@ class SeriesRow:
 
 
 def kie_pressure(f: Observable, params: ModelParams, t: float, tol: float,
-                 base_prime: int = 2, cap: int = DEPENDENCE_CAP) -> Tuple[float, List[SeriesRow]]:
+                 base_prime: int = 2, cap: int = WIDTH_CAP) -> Tuple[float, List[SeriesRow]]:
     """Pressure of a local observable under the multiplicative measure via
     the smooth-number series kappa * sum_j (1/n_j - 1/n_{j+1}) Psi_j.
 
     Psi_j is evaluated on the canonical cardinality-j region (the exponent
     vectors of the first j smooth numbers, which every layer region of
     cardinality j equals).  Truncation uses |Psi_j| <= j |t| sup|f*| together
-    with the exact remaining mass sum_{j>J} j w_j (mass identity).  If the
-    tolerance would require regions past the dependence-set cap, the cap
-    error from region_pressure propagates.
+    with the exact remaining mass sum_{j>J} j w_j (mass identity).  That
+    bound does not involve Psi, so the stopping index J is found first and
+    every region j <= J is checked against the factor-width cap before any
+    Psi_j is computed; a tolerance past the cap fails at once.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     model, fstar = extend_observable(f, PrimeBasis((base_prime,)), params)
     sup = fstar.sup_bound
     kappa_fr = model.basis.kappa_fraction()
-    value = 0.0
     mass = Fraction(0)
-    rows: List[SeriesRow] = []
-    points: List[Tuple[int, ...]] = []
+    terms = []  # (j, n_j, w_j, tail bound after term j)
+    points: List[Tuple[int, ...]] = []  # region j is the first j of them
     for j, n_j, n_next, w_j in arith.iter_kie_weights(model.basis):
         points.append(arith.decompose(n_j, model.basis).exponents)
-        region = Region(frozenset(points))
+        mass += j * kappa_fr * Fraction(n_next - n_j, n_j * n_next)
+        terms.append((j, n_j, w_j, float(1 - mass) * abs(t) * sup))
+        if terms[-1][3] < tol:
+            break
+        if j >= _MAX_TERMS:
+            raise InfeasibleSizeError(
+                f"the series needs more than {_MAX_TERMS} terms (cap) to reach tol={tol:g}"
+            )
+    for j in range(len(terms), 0, -1):  # the widest region first
         try:
-            psi = region_pressure(RegionPressureKey(region, fstar, t), model, cap=cap)
+            _plan(frozenset(points[:j]), fstar, model.base_axis, cap)
         except InfeasibleSizeError as err:
             raise InfeasibleSizeError(
-                f"series term j={j} exceeds the exact-enumeration cap before "
-                f"reaching tol={tol:g} (remaining tail bound "
-                f"{float(1 - mass) * abs(t) * sup:.3g}): {err}"
+                f"reaching tol={tol:g} takes the series terms j <= {len(terms)}, "
+                f"and term j={j} exceeds the factor-width cap: {err}"
             ) from err
+    value = 0.0
+    rows: List[SeriesRow] = []
+    for j, n_j, w_j, tail in terms:
+        region = Region(frozenset(points[:j]))
+        psi = region_pressure(RegionPressureKey(region, fstar, t), model, cap=cap)
         value += w_j * psi
-        mass += j * kappa_fr * Fraction(n_next - n_j, n_j * n_next)
-        tail = float(1 - mass) * abs(t) * sup
         rows.append(SeriesRow(j, n_j, w_j, psi, value, tail))
-        if tail < tol:
-            return value, rows
-        if j > 100_000:
-            raise RuntimeError("pressure series failed to reach tolerance")
+    return value, rows
 
 
 def finite_pressure_exact_d(f: Observable, t: float, n: int, params: ModelParams,
-                            base_prime: int = 2, cap: int = DEPENDENCE_CAP) -> float:
+                            base_prime: int = 2, cap: int = WIDTH_CAP) -> float:
     """(1/n) sum over layers r <= n of the exact region pressure of the layer
     region; the finite-volume counterpart of kie_pressure, used for
     convergence diagnostics and as the authoritative fallback."""

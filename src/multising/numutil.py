@@ -19,6 +19,8 @@ class RunningLogSum:
         if logvals.size == 0:
             return
         m = float(np.max(logvals))
+        if m == -math.inf:  # all weights zero; exp(-inf - -inf) would be NaN
+            return
         if m <= self._max:
             self._sum += float(np.sum(np.exp(logvals - self._max)))
         else:

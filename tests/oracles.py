@@ -118,3 +118,82 @@ def tilted_pressure_by_enumeration(k, fstar, t, params):
         vals.append(logp + t * total)
     m = max(vals)
     return m + math.log(sum(math.exp(v - m) for v in vals))
+
+
+def enumerated_region_pressure(key, model):
+    """Psi of a region pressure key by enumerating every spin pattern of the
+    dependence set S = region + support(f*), 2^|S| of them in chunks of 2^20.
+
+    Lines coupled by no common tilt monomial factor out, so only each
+    coupled component is enumerated jointly.  Within a line, unassigned gaps
+    are summed by matrix powers of Q.
+    """
+    from multising.ising1d import q_power
+    from multising.numutil import RunningLogSum
+
+    region, fstar, t = key.region, key.fstar, key.t
+    axis = model.base_axis
+    psi = t * sum(c for offs, c in fstar.terms if not offs) * region.cardinality
+    sites = set()
+    monomials = []
+    for x in region.points:
+        for offs, coeff in fstar.terms:
+            if offs:
+                inst = tuple(sorted(tuple(a + b for a, b in zip(x, o)) for o in offs))
+                monomials.append((inst, coeff))
+                sites.update(inst)
+    if not sites:
+        return psi
+    site_list = sorted(sites)
+    site_id = {s: i for i, s in enumerate(site_list)}
+    lines = {}
+    for s in site_list:
+        lines.setdefault(s[:axis] + s[axis + 1:], []).append((s[axis], site_id[s]))
+    line_keys = sorted(lines)
+    line_of_site = {sid: li for li, lk in enumerate(line_keys) for _, sid in lines[lk]}
+
+    parent = list(range(len(line_keys)))  # union-find over lines
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for inst, _ in monomials:
+        first = find(line_of_site[site_id[inst[0]]])
+        for s in inst[1:]:
+            parent[find(line_of_site[site_id[s]])] = first
+    components = {}
+    for li in range(len(line_keys)):
+        components.setdefault(find(li), []).append(li)
+
+    td = model.transfer()
+    for comp in components.values():
+        comp_sites = sorted(sid for li in comp for _, sid in lines[line_keys[li]])
+        local = {sid: b for b, sid in enumerate(comp_sites)}
+        m = len(local)
+        comp_monos = [([local[site_id[s]] for s in inst], coeff)
+                      for inst, coeff in monomials if line_of_site[site_id[inst[0]]] in comp]
+        acc = RunningLogSum()
+        total = 1 << m
+        chunk = 1 << min(20, m)
+        for start in range(0, total, chunk):
+            idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+            bits = [(idx >> b) & 1 for b in range(m)]
+            logp = np.zeros(idx.size)
+            for li in comp:
+                entries = lines[line_keys[li]]
+                v0, sid0 = entries[0]
+                logp = logp + np.log(td.pi @ q_power(td, v0))[bits[local[sid0]]]
+                for (va, sa), (vb, sb) in zip(entries, entries[1:]):
+                    logp = logp + np.log(q_power(td, vb - va))[bits[local[sa]], bits[local[sb]]]
+            tilt = np.zeros(idx.size)
+            for bit_ids, coeff in comp_monos:
+                prod = 1.0 - 2.0 * bits[bit_ids[0]]
+                for b in bit_ids[1:]:
+                    prod = prod * (1.0 - 2.0 * bits[b])
+                tilt = tilt + coeff * prod
+            acc.add(logp + t * tilt)
+        psi += acc.value()
+    return psi

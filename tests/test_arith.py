@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from multising import arith
 from multising.arith import PrimeBasis, Region
+from multising.errors import InfeasibleSizeError
 
 B2 = PrimeBasis((2,))
 B23 = PrimeBasis((2, 3))
@@ -178,6 +180,16 @@ class TestSmoothNumbers:
         assert reg.points == frozenset({(0, 0), (1, 0), (0, 1), (2, 0), (1, 1)})
         assert reg.is_lower_set()
 
+    @pytest.mark.parametrize("basis", [B2, B23, B235, PrimeBasis((3, 7))])
+    def test_matches_trial_division(self, basis):
+        got = arith.smooth_numbers(basis, 300)
+        want = [1]
+        for p in basis.primes:  # every p-power multiple up to the 300th
+            want = [m * p**e for m in want for e in range(got[-1].bit_length())
+                    if m * p**e <= got[-1]]
+        assert got == sorted(want)
+        assert all(trial_division_decompose(m, basis.primes)[0] == 1 for m in got)
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=1, max_value=60))
     def test_canonical_region_cardinality(self, j):
@@ -219,3 +231,22 @@ class TestKieWeights:
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
             arith.kie_weights(B2, 0.0)
+        with pytest.raises(ValueError):
+            arith.kie_weights(B2, 0.1, max_terms=0)
+
+    @pytest.mark.parametrize("basis", [B2, B23, B235, PrimeBasis((3, 7))])
+    def test_weights_are_the_rounded_fractions(self, basis):
+        kappa = basis.kappa_fraction()
+        for j, n_j, n_next, w in itertools.islice(arith.iter_kie_weights(basis), 3000):
+            assert w == float(kappa * Fraction(n_next - n_j, n_j * n_next))
+
+    @pytest.mark.parametrize("tol", [0.3, 1e-3, 1e-8])
+    def test_stops_at_first_bound_below_tolerance(self, tol):
+        ws = arith.kie_weights(B235, tol)
+        assert ws.truncation_tail == ws.tail_bound(ws.j_max) < tol
+        assert ws.tail_bound(ws.j_max - 1) >= tol
+        assert len(ws.smooth) == ws.j_max + 1
+
+    def test_unreachable_tolerance_is_a_cap_error(self):
+        with pytest.raises(InfeasibleSizeError, match="cap"):
+            arith.kie_weights(PrimeBasis((2, 3, 5, 7)), 1e-5)

@@ -215,6 +215,11 @@ class TestScalarCommands:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["code"] == 4
 
+    def test_unreachable_weight_tolerance_exit_code(self, capsys):
+        code = run_cli("kie-weights", "--primes", "2,3,5,7", "--tol", "1e-5")
+        assert code == 4
+        assert json.loads(capsys.readouterr().err)["error"]["code"] == 4
+
     def test_kie_weights_csv(self, tmp_path):
         out = tmp_path / "w.csv"
         assert run_cli("kie-weights", "--primes", "2,3", "--tol", "1e-8",
@@ -258,6 +263,22 @@ class TestSampleCommand:
         back = SampleBatch.load_binary(out)
         direct = sample(8, ModelParams(1.0, 1.0, 0.0), 5, 7)
         assert np.array_equal(back.configurations, direct.configurations)
+
+    def test_large_seed_round_trip(self, tmp_path):
+        from multising.gibbs import SampleBatch
+
+        out = tmp_path / "batch.bin"
+        seed = (1 << 60) + 1
+        assert run_cli("sample", "--N", "16", "--count", "3", "--seed", str(seed),
+                       "--format", "bin", "--output", str(out)) == 0
+        assert SampleBatch.load_binary(out).seed == seed
+
+    def test_seed_outside_header_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "batch.bin"
+        assert run_cli("sample", "--N", "4", "--count", "2", "--seed", str(1 << 64),
+                       "--format", "bin", "--output", str(out)) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["code"] == 2
+        assert not out.exists()
 
     def test_csv_format(self, tmp_path):
         out = tmp_path / "batch.csv"

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -196,7 +197,38 @@ class TestSampler:
         assert back.N == batch.N and back.count == batch.count and back.seed == batch.seed
         assert back.params == batch.params
         assert np.array_equal(back.configurations, batch.configurations)
-        assert path.stat().st_size == 48 + 10 * 37
+        assert path.stat().st_size == 56 + 10 * 37
+
+    def test_binary_seed_above_2_53(self, tmp_path):
+        seed = (1 << 60) + 1  # a double would read back 2^60
+        batch = gibbs.sample(6, P_UNIT, 4, seed)
+        path = tmp_path / "batch.bin"
+        batch.save_binary(path)
+        back = SampleBatch.load_binary(path)
+        assert back.seed == seed
+        assert np.array_equal(back.configurations, batch.configurations)
+
+    def test_binary_seed_outside_uint64(self, tmp_path):
+        batch = gibbs.sample(4, P_UNIT, 2, 1 << 64)
+        with pytest.raises(ValueError, match="seed"):
+            batch.save_binary(tmp_path / "batch.bin")
+        assert not (tmp_path / "batch.bin").exists()
+
+    def test_loads_version_1_files(self, tmp_path):
+        batch = gibbs.sample(5, ModelParams(0.7, -1.0, 0.3), 3, 12)
+        path = tmp_path / "v1.bin"
+        path.write_bytes(struct.pack("<6d", 5.0, 3.0, 12.0, 0.7, -1.0, 0.3)
+                         + (batch.configurations == 1).astype(np.uint8).tobytes())
+        back = SampleBatch.load_binary(path)
+        assert (back.N, back.count, back.seed) == (5, 3, 12)
+        assert back.params == batch.params
+        assert np.array_equal(back.configurations, batch.configurations)
+
+    def test_short_file_is_a_value_error(self, tmp_path):
+        path = tmp_path / "short.bin"
+        path.write_bytes(b"MISG\x02\x00")
+        with pytest.raises(ValueError):
+            SampleBatch.load_binary(path)
 
     def test_csv_export(self, tmp_path):
         batch = gibbs.sample(4, P_UNIT, 3, 5)

@@ -9,7 +9,10 @@ from multising.arith import PrimeBasis, Region
 from multising.errors import InfeasibleSizeError, PreconditionError
 from multising.ising1d import ModelParams, tilted_layer_pressure
 from multising.multiprime import RegionPressureKey
+from multising.numutil import RunningLogSum
 from multising.observables import Observable, to_first_layer
+
+import oracles
 
 P_FREE = ModelParams(0.0, 1.0, 0.0)
 P_UNIT = ModelParams(1.0, 1.0, 0.0)
@@ -81,11 +84,41 @@ class TestRegionPressure:
             b = brute_region_pressure(pts, fstar, t, model)
             assert a == pytest.approx(b, abs=1e-11)
 
-    def test_dependence_cap(self):
+    def test_width_cap(self):
+        # the cap bounds the largest intermediate factor, not |S|: the
+        # 40-site canonical region 30 needs a factor over 6 sites only,
+        # while region 600 (632 sites) needs one over more than 22
         model, fstar = multiprime.extend_observable(F_TWO, PrimeBasis((2,)), P_UNIT)
         region = arith.canonical_region(model.basis, 30)
-        with pytest.raises(InfeasibleSizeError, match="cap"):
-            multiprime.region_pressure(RegionPressureKey(region, fstar, 0.5), model)
+        key = RegionPressureKey(region, fstar, 0.5)
+        assert math.isfinite(multiprime.region_pressure(key, model))
+        with pytest.raises(InfeasibleSizeError, match="cap 5"):
+            multiprime.region_pressure(key, model, cap=5)
+        wide = RegionPressureKey(arith.canonical_region(model.basis, 600), fstar, 0.5)
+        with pytest.raises(InfeasibleSizeError, match="cap 22"):
+            multiprime.region_pressure(wide, model)
+
+    def test_uncoupled_lines_factor(self):
+        # s1 s2 + s3 s6 over {2, 3}: the two bonds lie on the lines y = 0
+        # and y = 1, which no monomial couples
+        f = Observable.make([((1, 2), 1.0), ((3, 6), 1.0)])
+        model, fstar = multiprime.extend_observable(f, PrimeBasis((2,)), P_UNIT)
+        key = RegionPressureKey(Region(frozenset({(0, 0)})), fstar, 0.7)
+        bond = tilted_layer_pressure(0, to_first_layer(F_BOND), 0.7, P_UNIT)
+        assert multiprime.region_pressure(key, model) == pytest.approx(2 * bond, abs=1e-13)
+
+    def test_running_log_sum_skips_zero_weights(self):
+        acc = RunningLogSum()
+        acc.add([-np.inf, -np.inf])
+        assert acc.value() == -np.inf
+        acc.add([0.0, -np.inf])
+        assert acc.value() == 0.0
+
+    def test_log_sum_exp_of_impossible_slice(self):
+        a = np.array([[-np.inf, -np.inf], [0.0, 1.0]])
+        out = multiprime._log_sum_exp(a, 1)
+        assert out[0] == -np.inf
+        assert out[1] == pytest.approx(np.logaddexp(0.0, 1.0), abs=1e-15)
 
     def test_constant_term_shift(self):
         f = Observable.make([((1, 2), 1.0), ((), 0.5)])
@@ -114,8 +147,8 @@ class TestKiePressure:
             assert abs(v - w) <= 2 * tol
 
     def test_two_prime_agrees_with_finite_volume(self):
-        # largest cap-feasible truncation; the finite-volume computation is
-        # the authoritative value to compare against
+        # the finite-volume computation is the authoritative value to
+        # compare against
         v, rows = multiprime.kie_pressure(F_TWO, P_FREE, 0.1, tol=0.03)
         w = multiprime.finite_pressure_exact_d(F_TWO, 0.1, 48, P_FREE)
         assert abs(v - w) <= 1e-2
@@ -131,8 +164,19 @@ class TestKiePressure:
         assert [r.n_j for r in rows] == smooth
 
     def test_unreachable_tolerance_raises_cap_error(self):
+        # tol 1e-10 needs the terms j <= 589, whose regions need factors
+        # over more than 22 sites; the width check fails before any Psi_j
         with pytest.raises(InfeasibleSizeError, match="cap"):
             multiprime.kie_pressure(F_TWO, P_UNIT, 1.0, 1e-10)
+
+    def test_small_tolerance_and_its_bound(self):
+        # tol 1e-4 at t = 1 takes 144 terms; every partial sum lies within
+        # its tail bound of the final value
+        v, rows = multiprime.kie_pressure(F_TWO, ModelParams(1.0, 1.0, 0.2), 1.0, 1e-4)
+        assert len(rows) == 144 and rows[-1].tail_bound < 1e-4
+        for r in rows:
+            assert abs(r.psi_j) <= r.j * 2.0 * (1 + 1e-12)
+            assert abs(v - r.partial_sum) <= r.tail_bound + 1e-12
 
 
 class TestFiniteVolume:
@@ -178,3 +222,62 @@ class TestShapeScan:
             assert region.cardinality == c
             assert region.is_lower_set()
             assert region.points == arith.canonical_region(PrimeBasis((2, 3)), c).points
+
+
+class TestEnumeratorOracle:
+    """region_pressure against the chunked 2^|S| enumerator on every case
+    with a dependence set of at most 22 sites."""
+
+    POINTS = [  # (beta, J, h, t)
+        (1.0, 1.0, 0.3, 0.5),
+        (1.5, 4.0, -0.7, -5.0),
+        (2.0, -3.0, 1.2, 3.0),
+    ]
+
+    @pytest.mark.parametrize("point", POINTS)
+    def test_canonical_regions(self, point):
+        *params, t = point
+        model, fstar = multiprime.extend_observable(F_TWO, PrimeBasis((2,)), ModelParams(*params))
+        for j in range(1, 16):  # region 15 has 22 sites, region 16 has 23
+            key = RegionPressureKey(arith.canonical_region(model.basis, j), fstar, t)
+            want = oracles.enumerated_region_pressure(key, model)
+            assert multiprime.region_pressure(key, model) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_random_lower_sets_three_site_monomial(self, dim):
+        # s1 s2 s3 - 0.5 s1 s3 over {2, 3}, s1 s3 s5 + 0.7 s1 s2 over {2, 3, 5}
+        rng = np.random.default_rng(10 + dim)
+        pairs = {2: [((1, 2, 3), 1.0), ((1, 3), -0.5)], 3: [((1, 3, 5), 1.0), ((1, 2), 0.7)]}[dim]
+        f = Observable.make(pairs)
+        done = 0
+        while done < 10:
+            params = ModelParams(float(rng.uniform(0.2, 2.0)), float(rng.choice([-3.0, 1.0, 3.0])),
+                                 float(rng.uniform(-1.0, 1.0)))
+            model, fstar = multiprime.extend_observable(f, PrimeBasis((2,)), params)
+            assert model.basis.dim == dim
+            pts = _random_lower_set(rng, dim, 4 if dim == 2 else 3)
+            sites = {tuple(a + b for a, b in zip(x, o)) for x in pts
+                     for offs, _ in fstar.terms for o in offs}
+            if len(sites) > 18:
+                continue
+            key = RegionPressureKey(Region(frozenset(pts)), fstar, float(rng.uniform(-5.0, 5.0)))
+            want = oracles.enumerated_region_pressure(key, model)
+            assert multiprime.region_pressure(key, model) == pytest.approx(want, abs=1e-12)
+            done += 1
+
+
+def _random_lower_set(rng, dim, extent):
+    """The lower-set closure of a few random points in [0, extent)^dim."""
+    pts = {(0,) * dim}
+    for _ in range(int(rng.integers(1, 4))):
+        pts.add(tuple(int(v) for v in rng.integers(0, extent, size=dim)))
+    stack = list(pts)
+    while stack:
+        x = stack.pop()
+        for axis in range(dim):
+            if x[axis] > 0:
+                y = x[:axis] + (x[axis] - 1,) + x[axis + 1:]
+                if y not in pts:
+                    pts.add(y)
+                    stack.append(y)
+    return pts
