@@ -18,7 +18,9 @@ from fractions import Fraction
 from itertools import combinations, islice
 from typing import Callable, Dict, Iterator, List, Tuple
 
-from .errors import InfeasibleSizeError
+import numpy as np
+
+from .errors import InfeasibleSizeError, PreconditionError
 
 __all__ = [
     "PrimeBasis",
@@ -28,9 +30,9 @@ __all__ = [
     "decompose",
     "psi2",
     "layer_partition",
-    "koroa_weights",
     "koroa_finite_average",
-    "koroa_series",
+    "dyadic_depth",
+    "dyadic_sum",
     "smooth_numbers",
     "iter_kie_weights",
     "kie_weights",
@@ -183,19 +185,8 @@ def layer_partition(n: int, basis: PrimeBasis) -> Dict[int, Region]:
 
 
 # ---------------------------------------------------------------------------
-# Dyadic averaging weights (basis {2}).
+# Dyadic layer series (basis {2}).
 # ---------------------------------------------------------------------------
-
-
-def koroa_weights(k_max: int) -> Dict[int, float]:
-    """The dyadic layer-density weights p -> 1/2^{p+2}, p = 0..k_max.
-
-    These are the limiting frequencies of psi2(i, N) = p over odd i <= N;
-    they sum to 1/2 (the density of odd integers).
-    """
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
-    return {p: 0.5 ** (p + 2) for p in range(k_max + 1)}
 
 
 def koroa_finite_average(phi: Callable[[int], object], n: int):
@@ -213,41 +204,44 @@ def koroa_finite_average(phi: Callable[[int], object], n: int):
     return total / n
 
 
-def koroa_series(
-    phi: Callable[[int], float],
-    tol: float,
-    growth_c: float = 1.0,
-    growth_q: float = 1.0,
-) -> Tuple[float, float]:
-    """sum_p phi(p)/2^{p+2} truncated with a rigorous tail bound.
+def _dyadic_tail(k: int, growth):
+    a, b, c = growth
+    return 0.5 ** (k + 2) * (a + b * (k + 2) + c * (k * k + 4 * k + 6))
 
-    The growth certificate |phi(p)| <= growth_c * max(1, p)^growth_q supplies
-    the bound; the returned pair is (value, tail bound at truncation).
+
+def dyadic_depth(tol: float, *growths) -> int:
+    """Smallest K at which the tail bound of every growth is below tol.
+
+    A growth (a, b, c) certifies |g(p)| <= a + b p + c p^2 for a layer
+    quantity g.  The tail sum_{p>K} g(p) / 2^{p+2} of its layer series is
+    then at most 2^{-(K+2)} (a + b (K+2) + c (K^2 + 4K + 6)).  A tail bound
+    that is not finite is a PreconditionError: no depth would meet it.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
-
-    def tail(p_last: int) -> float:
-        # terms c*p^q/2^{p+2} decay at ratio <= e^{q/p}/2 <= 2^{-1/2} once
-        # p >= 2q/log 2; sum explicitly until then, geometric bound after.
-        p0 = max(p_last + 1, int(math.ceil(2.0 * growth_q / LOG2)))
-        s = 0.0
-        for p in range(p_last + 1, p0):
-            s += growth_c * max(1, p) ** growth_q * 0.5 ** (p + 2)
-        ratio = 2.0 ** (-0.5)
-        first = growth_c * max(1, p0) ** growth_q * 0.5 ** (p0 + 2)
-        return s + first / (1.0 - ratio)
-
-    value = 0.0
-    p = 0
+    k = 0
     while True:
-        value += phi(p) * 0.5 ** (p + 2)
-        b = tail(p)
-        if b < tol:
-            return value, b
-        p += 1
-        if p > 100_000:
-            raise RuntimeError("series failed to satisfy tolerance")
+        tails = [_dyadic_tail(k, g) for g in growths]
+        if not math.isfinite(sum(tails)):
+            raise PreconditionError("layer series tail bound is not finite; parameters too large")
+        if max(tails) < tol:
+            return k
+        k += 1
+
+
+def dyadic_sum(prefix, growth):
+    """(sum_{p<=K} g(p) / 2^{p+2}, tail bound) for the layer quantities
+    g(0), ..., g(K) along axis 0 of prefix and a growth as in dyadic_depth.
+    The weights 1/2^{p+2} are the limiting frequencies of psi2(i, N) = p
+    over odd i <= N, and sum to 1/2.  The terms are added in order of p."""
+    prefix = np.asarray(prefix, dtype=float)
+    k = prefix.shape[0] - 1
+    weights = np.ldexp(1.0, -np.arange(2, k + 3)).reshape((-1,) + (1,) * (prefix.ndim - 1))
+    terms = weights * prefix
+    # numpy reduces a leading axis row by row when a row holds more than one
+    # entry, but a contiguous axis pairwise; cumsum goes in order
+    value = terms.sum(axis=0) if terms[0].size > 1 else np.cumsum(terms, axis=0)[-1]
+    return value, _dyadic_tail(k, growth)
 
 
 # ---------------------------------------------------------------------------

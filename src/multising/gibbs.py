@@ -23,8 +23,8 @@ from .ising1d import (
     ModelParams,
     _as_transfer,
     chain_marginal_logprob,
-    log_partition_scaled,
-    marginal_entropy,
+    log_partition_prefix,
+    marginal_entropies,
 )
 
 __all__ = [
@@ -160,15 +160,15 @@ def finite_volume_log_partition(n: int, params: ModelParams, bc: str = "free",
     if bc not in BOUNDARY_CONDITIONS:
         raise ValueError(f"unknown boundary condition {bc!r}")
     jbc = _resolve_jbc(params, bc_coupling)
-    bond = params.beta * params.J
-    field = params.beta * params.h
-    bcb = params.beta * jbc
+    counts = layer_count_by_depth(n)
+    log_z = log_partition_prefix(max(counts) + 1, params.beta * params.J,
+                                 params.beta * params.h, bc, params.beta * jbc)
     total = 0.0
-    for p, c in layer_count_by_depth(n).items():
-        total += c * log_partition_scaled(p + 1, bond, field, bc, bcb)
+    for p, c in counts.items():
+        total += c * log_z[p + 1]
     n_iso = _odd_count(2 * n) - _odd_count(n)
     total += n_iso * _isolated_site_log_weight(params, bc, jbc)
-    return total
+    return float(total)
 
 
 def free_energy(bc: str, params: ModelParams, tol: float = 1e-10,
@@ -182,21 +182,17 @@ def free_energy(bc: str, params: ModelParams, tol: float = 1e-10,
     """
     if bc not in BOUNDARY_CONDITIONS:
         raise ValueError(f"unknown boundary condition {bc!r}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     jbc = _resolve_jbc(params, bc_coupling)
     bond = params.beta * params.J
     field = params.beta * params.h
     bcb = params.beta * jbc if bc != "free" else 0.0
-    c1 = LOG2 + abs(bond) + abs(field)
-    c0 = 2 * LOG2 + abs(bond) + 2 * abs(field) + abs(bcb)
-    total = 0.0
-    p = 0
-    while True:
-        total += 0.5 ** (p + 2) * log_partition_scaled(p + 1, bond, field, bc, bcb)
-        if 0.5 ** (p + 2) * (c0 + c1 * (p + 2)) < tol:
-            break
-        p += 1
+    # |log Z| of the chain with p+1 bonds is at most
+    # (p+2) log 2 + (p+1) |bond| + (p+2) |field| + |bcb|
+    growth = (2 * LOG2 + abs(bond) + 2 * abs(field) + abs(bcb),
+              LOG2 + abs(bond) + abs(field), 0.0)
+    depth = arith.dyadic_depth(tol, growth)
+    log_z = log_partition_prefix(depth + 1, bond, field, bc, bcb)[1:]
+    total = float(arith.dyadic_sum(log_z, growth)[0])
     return total + 0.5 * _isolated_site_log_weight(params, bc, jbc)
 
 
@@ -230,16 +226,10 @@ def ks_entropy(params: ModelParams, mode: str = "series", tol: float = 1e-12) ->
         return 0.5 * LOG2 + 0.5 * _binary_entropy(alpha)
     td = _as_transfer(params)
     if mode == "series":
-        if tol <= 0:
-            raise ValueError("tol must be positive")
-        total = 0.0
-        k = 0
-        while True:
-            total += 0.5 ** (k + 2) * marginal_entropy(k, td)
-            # marginal entropies are at most (k+1) log 2
-            if LOG2 * (k + 3) * 0.5 ** (k + 2) < tol:
-                return total
-            k += 1
+        # the marginal entropy on sites 0..k is at most (k+1) log 2
+        growth = (LOG2, LOG2, 0.0)
+        depth = arith.dyadic_depth(tol, growth)
+        return float(arith.dyadic_sum(marginal_entropies(depth, td), growth)[0])
     if mode == "formula":
         row_ent = -(td.Q * td.log_Q).sum(axis=1)
         resolvent = 0.25 * np.linalg.inv(np.eye(2) - 0.5 * td.Q)

@@ -24,13 +24,13 @@ __all__ = [
     "TransferData",
     "transfer",
     "log_partition",
+    "log_partition_prefix",
     "log_partition_scaled",
     "cylinder_logprob",
     "chain_marginal_logprob",
     "q_power",
+    "marginal_entropies",
     "marginal_entropy",
-    "finite_volume_entropy",
-    "tilted_layer_pressure",
     "tilted_prefix_pressures",
     "prefix_sum_range",
 ]
@@ -145,13 +145,13 @@ def _spin_index(value: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def log_partition_scaled(n_bonds: int, bond: float, field: float, right_bc: str = "free",
-                         bc_bond: float = 0.0) -> float:
-    """log Z for the chain on sites 0..n_bonds with per-bond weight e^{bond*ss'}
-    and per-site weight e^{field*s}; for right_bc plus/minus the last site
-    carries an extra weight e^{+-bc_bond*s}.
+def log_partition_prefix(n_bonds: int, bond: float, field: float, right_bc: str = "free",
+                         bc_bond: float = 0.0) -> np.ndarray:
+    """log Z of the chains on sites 0..i, for i = 0..n_bonds, with per-bond
+    weight e^{bond*ss'} and per-site weight e^{field*s}; for right_bc
+    plus/minus the last site carries an extra weight e^{+-bc_bond*s}.
 
-    A transfer recursion on the two log-weights of the last spin; only
+    One transfer recursion on the two log-weights of the last spin; only
     exponentials of non-positive numbers are formed, so any finite
     parameters give a finite result.
     """
@@ -159,15 +159,23 @@ def log_partition_scaled(n_bonds: int, bond: float, field: float, right_bc: str 
         raise ValueError("n_bonds must be >= 0")
     if right_bc not in BOUNDARY_CONDITIONS:
         raise ValueError(f"unknown boundary condition {right_bc!r}")
+    shift = {"free": 0.0, "plus": bc_bond, "minus": -bc_bond}[right_bc]
+    out = np.empty(n_bonds + 1)
     # log-weights of the last spin being + and -
     lp, lm = field, -field
-    for _ in range(n_bonds):
-        lp, lm = (_logaddexp(lp + bond, lm - bond) + field,
-                  _logaddexp(lm + bond, lp - bond) - field)
-    if right_bc != "free":
-        sign = 1.0 if right_bc == "plus" else -1.0
-        lp, lm = lp + sign * bc_bond, lm - sign * bc_bond
-    return _logaddexp(lp, lm)
+    for i in range(n_bonds + 1):
+        if i:
+            lp, lm = (_logaddexp(lp + bond, lm - bond) + field,
+                      _logaddexp(lm + bond, lp - bond) - field)
+        out[i] = _logaddexp(lp + shift, lm - shift)
+    return out
+
+
+def log_partition_scaled(n_bonds: int, bond: float, field: float, right_bc: str = "free",
+                         bc_bond: float = 0.0) -> float:
+    """log Z of the chain on sites 0..n_bonds: the last entry of
+    log_partition_prefix."""
+    return float(log_partition_prefix(n_bonds, bond, field, right_bc, bc_bond)[-1])
 
 
 def _logaddexp(a: float, b: float) -> float:
@@ -231,54 +239,27 @@ def chain_marginal_logprob(positions, spin_indices, params) -> float:
     return lp
 
 
-def marginal_entropy(k: int, params) -> float:
-    """Entropy of the chain marginal on sites 0..k:
-    H(pi) + sum_{i<k} sum_a m_i(a) * H(Q(a, .)) with m_i = pi Q^i.  Exact."""
+def marginal_entropies(k: int, params) -> np.ndarray:
+    """Entropies of the chain marginals on sites 0..i, for i = 0..k:
+    H(pi) + sum_{j<i} sum_a m_j(a) * H(Q(a, .)) with m_j = pi Q^j, as one
+    cumulative sum.  Exact."""
     if k < 0:
         raise ValueError("k must be >= 0")
     td = _as_transfer(params)
     row_ent = -(td.Q * td.log_Q).sum(axis=1)
-    ent = float(-(td.pi * td.log_pi).sum())
-    m = td.pi.copy()
-    for _ in range(k):
-        ent += float(m @ row_ent)
+    terms = np.empty(k + 1)
+    terms[0] = -(td.pi * td.log_pi).sum()
+    m = td.pi
+    for i in range(k):
+        terms[i + 1] = m @ row_ent
         m = m @ td.Q
-    return ent
+    return np.cumsum(terms)
 
 
-def finite_volume_entropy(n_bonds: int, params: ModelParams) -> float:
-    """Entropy log Z - beta * d(log Z)/d(beta) of the free-boundary chain on
-    sites 0..n_bonds, with the energy expectation computed exactly by
-    forward-backward transfer sums."""
-    b, J, h = params.beta, params.J, params.h
-    K = np.empty((2, 2))
-    for ia, sa in enumerate(SPINS):
-        for ib, sb in enumerate(SPINS):
-            K[ia, ib] = math.exp(b * J * sa * sb + b * h * sb)
-    n_sites = n_bonds + 1
-    fwd = np.empty((n_sites, 2))
-    fwd[0] = np.array([math.exp(b * h), math.exp(-b * h)])
-    fwd[0] /= fwd[0].sum()
-    for i in range(1, n_sites):
-        v = fwd[i - 1] @ K
-        fwd[i] = v / v.sum()
-    bwd = np.empty((n_sites, 2))
-    bwd[-1] = np.array([1.0, 1.0])
-    for i in range(n_sites - 2, -1, -1):
-        v = K @ bwd[i + 1]
-        bwd[i] = v / v.sum()
-    spins = np.array(SPINS, dtype=float)
-    e_sites = 0.0
-    for i in range(n_sites):
-        w = fwd[i] * bwd[i]
-        e_sites += float((w * spins).sum() / w.sum())
-    e_bonds = 0.0
-    prod = spins[:, None] * spins[None, :]
-    for i in range(n_bonds):
-        w = fwd[i][:, None] * K * bwd[i + 1][None, :]
-        e_bonds += float((w * prod).sum() / w.sum())
-    log_z = log_partition(n_bonds, params, "free")
-    return log_z - b * (J * e_bonds + h * e_sites)
+def marginal_entropy(k: int, params) -> float:
+    """Entropy of the chain marginal on sites 0..k: the last entry of
+    marginal_entropies."""
+    return float(marginal_entropies(k, params)[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -426,10 +407,3 @@ def prefix_sum_range(k: int, fstar: FirstLayerObservable):
             best = f + np.tile(_shift_predecessors(best, w).max(axis=-2), (1, 2, 1))
         out[:, i] = best.max(axis=(1, 2))
     return -out[1], out[0]
-
-
-def tilted_layer_pressure(k: int, fstar: FirstLayerObservable, t: float, params,
-                          w_max: int = _W_MAX) -> float:
-    """P^k(t * f*), the tilted pressure of a window-k ergodic sum of f* under
-    the infinite chain.  Satisfies |P^k| <= (k+1) * |t| * sup|f*|."""
-    return float(tilted_prefix_pressures(k, fstar, t, params, w_max=w_max)[0][-1])

@@ -4,7 +4,10 @@ their Legendre-transform rate functions, and the Monte Carlo harness.
 For a first-layer observable f the SCGF is the weighted series
 F(t) = sum_k 2^{-(k+2)} P^k(t f*), with P^k the tilted layer pressures.  One
 forward-mode prefix pass gives P^k and its first two t-derivatives, so F, F'
-and F'' are all exact up to the series truncation.  The Legendre transform
+and F'' are all exact up to the series truncation.  The series are summed
+by arith.dyadic_sum and truncated at the depth arith.dyadic_depth picks from
+the growths |P^k| <= (k+1) |t| sup|f*|, |dP^k| <= (k+1) sup|f*| and
+|d2P^k| <= (k+1)^2 sup|f*|^2.  The Legendre transform
 I(x) = sup_t (tx - F(t)) is the large-deviation rate of
 X_N = (1/N) sum_{i<=N} f(s_{i.}), and F''(0) is the CLT variance.
 """
@@ -13,17 +16,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from . import gibbs
+from . import arith, gibbs
 from .errors import PreconditionError
 from .ising1d import (
     ModelParams,
     _as_transfer,
-    log_partition_scaled,
+    log_partition_prefix,
     prefix_sum_range,
     tilted_prefix_pressures,
 )
@@ -54,30 +56,28 @@ _NEWTON_MAX_ITER = 200
 
 
 def series_depth_for(fstar: FirstLayerObservable, t_max: float, tol: float) -> int:
-    """Smallest K whose tail bounds for F, F' and F'' are all below tol.
-
-    With sup bounding |f*|, |P^k| <= (k+1) |t| sup, |dP^k| <= (k+1) sup and
-    |d2P^k| <= (k+1)^2 sup^2; the tails sum_{k>K} of these times 2^{-(k+2)}
-    are (K+3) |t| sup, (K+3) sup and (K^2+6K+11) sup^2, each times 2^{-(K+2)}.
+    """Smallest K at which the tail bounds for F, F' and F'' are all below
+    tol: with sup bounding |f*|, |P^k| <= (k+1) |t| sup, |dP^k| <= (k+1) sup
+    and |d2P^k| <= (k+1)^2 sup^2, growths in the sense of arith.dyadic_depth.
     """
     sup = fstar.sup_bound
-    k = 0
-    while True:
-        growth = max(sup * (k + 3) * max(1.0, abs(t_max)), sup * sup * (k * k + 6 * k + 11))
-        if growth * 0.5 ** (k + 2) < tol or k > 10_000:
-            return k
-        k += 1
+    s = sup * max(1.0, abs(t_max))
+    return arith.dyadic_depth(tol, (s, s, 0.0), (sup * sup, 2 * sup * sup, sup * sup))
 
 
 def _series(fstar: FirstLayerObservable, td, t: np.ndarray, depth: int):
-    """F, F' and F'' truncated after P^depth, for a 1-d array of tilts."""
-    weights = 0.5 ** (np.arange(depth + 1) + 2.0)
-    out = np.empty((3, t.size))
+    """F, F', F'' truncated after P^depth, and the tail bound of F, for a
+    1-d array of tilts."""
+    out = np.empty((4, t.size))
     block = max(1, _BLOCK_ENTRIES >> max(max(fstar.widths), 2))
     for start in range(0, t.size, block):
-        prefix = np.stack(tilted_prefix_pressures(depth, fstar, t[start:start + block], td))
-        out[:, start:start + block] = (weights[None, :, None] * prefix).sum(axis=1)
-    return out[0], out[1], out[2]
+        tb = t[start:start + block]
+        prefix = np.stack(tilted_prefix_pressures(depth, fstar, tb, td), axis=1)
+        s = np.abs(tb) * fstar.sup_bound
+        values, tail = arith.dyadic_sum(prefix, (s, s, 0.0))
+        out[:3, start:start + block] = values
+        out[3, start:start + block] = tail
+    return out[0], out[1], out[2], out[3]
 
 
 def scgf_values(fstar: FirstLayerObservable, params, t, tol: float = 1e-10):
@@ -86,25 +86,16 @@ def scgf_values(fstar: FirstLayerObservable, params, t, tol: float = 1e-10):
     The layer-pressure series is summed to the common depth
     series_depth_for(fstar, max |t|, tol); trunc_err bounds the truncation
     error of F at each tilt, and the errors of F' and F'' are below tol."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     t_max = float(np.max(np.abs(t_arr))) if t_arr.size else 0.0
     depth = series_depth_for(fstar, t_max, tol)
-    values, fprime, fsecond = _series(fstar, _as_transfer(params), t_arr, depth)
-    errs = np.abs(t_arr) * fstar.sup_bound * (depth + 3) * 0.5 ** (depth + 2)
-    return values, fprime, fsecond, errs
+    return _series(fstar, _as_transfer(params), t_arr, depth)
 
 
 def scgf(fstar: FirstLayerObservable, params, t: float, tol: float = 1e-10) -> Tuple[float, float]:
     """F(t) = sum_k P^k(t f*) / 2^{k+2} and its truncation-error bound."""
     values, _, _, errs = scgf_values(fstar, params, t, tol)
     return float(values[0]), float(errs[0])
-
-
-@lru_cache(maxsize=65536)
-def _logz_free(n_bonds: int, bond: float, field: float) -> float:
-    return log_partition_scaled(n_bonds, bond, field, "free", 0.0)
 
 
 def scgf_via_free_energy(t: float, params: ModelParams, tol: float = 1e-10) -> float:
@@ -116,19 +107,14 @@ def scgf_via_free_energy(t: float, params: ModelParams, tol: float = 1e-10) -> f
     the finite free-boundary chain law coincides with the infinite chain
     marginal.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     bond = params.beta * params.J
     field = params.beta * params.h
-    total = 0.0
-    p = 0
-    while True:
-        term = _logz_free(p + 1, bond + t, field) - _logz_free(p + 1, bond, field)
-        total += 0.5 ** (p + 2) * term
-        # |d logZ / d bond| <= number of bonds = p+1
-        if abs(t) * (p + 3) * 0.5 ** (p + 2) < tol:
-            return total
-        p += 1
+    # |d log Z / d bond| <= number of bonds = p+1
+    growth = (abs(t), abs(t), 0.0)
+    depth = arith.dyadic_depth(tol, growth)
+    diff = (log_partition_prefix(depth + 1, bond + t, field)[1:]
+            - log_partition_prefix(depth + 1, bond, field)[1:])
+    return float(arith.dyadic_sum(diff, growth)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +210,7 @@ def _newton_tilts(fstar, td, xs: np.ndarray, t: np.ndarray, depth: int):
         if not active.size:
             return t, value
         ta, xa = t[active], xs[active]
-        F, fprime, fsecond = _series(fstar, td, ta, depth)
+        F, fprime, fsecond, _ = _series(fstar, td, ta, depth)
         value[active] = ta * xa - F
         g = fprime - xa
         la = np.where(g < 0.0, ta, lo[active])
@@ -256,16 +242,14 @@ def rate_curve(fstar: FirstLayerObservable, params, x_values, tol: float = 1e-10
     outside the open range gets I = inf, t* = nan and domain flag 1.  The
     series depth covers the truncation of F' and F'', and is raised to cover
     that of F at the largest |t*| found, so I is within tol."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     td = _as_transfer(params)
     xs = np.asarray(x_values, dtype=float)
     t = np.zeros(xs.size)
     depth = series_depth_for(fstar, 0.0, tol)
+    sup = fstar.sup_bound
     while True:
-        weights = 0.5 ** (np.arange(depth + 1) + 2.0)
-        lo_s, hi_s = prefix_sum_range(depth, fstar)
-        domain = (float(weights @ lo_s), float(weights @ hi_s))
+        ranges = np.stack(prefix_sum_range(depth, fstar), axis=1)
+        domain = tuple(float(v) for v in arith.dyadic_sum(ranges, (sup, sup, 0.0))[0])
         interior = (xs > domain[0]) & (xs < domain[1])
         t_in, value = _newton_tilts(fstar, td, xs[interior], t[interior], depth)
         t[interior] = t_in

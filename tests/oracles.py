@@ -29,17 +29,6 @@ def chain_log_partition(n_bonds, params, bc="free", bc_coupling="J"):
     return float(m + np.log(np.exp(a - m).sum()))
 
 
-def chain_entropy(n_bonds, params):
-    """Entropy of the free-boundary finite chain from its exact law."""
-    spins = chain_spins(n_bonds + 1)
-    energy = params.J * (spins[:, :-1] * spins[:, 1:]).sum(axis=1) + params.h * spins.sum(axis=1)
-    a = params.beta * energy
-    m = a.max()
-    logz = m + np.log(np.exp(a - m).sum())
-    logp = a - logz
-    return float(-(np.exp(logp) * logp).sum())
-
-
 def finite_volume_cylinder_logprob(values, n, params):
     """log P(s_0..s_k = values) under the finite free-boundary chain on
     [0, n], by scaled transfer sums (independent of the Markov (pi, Q) route).

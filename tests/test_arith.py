@@ -2,13 +2,14 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multising import arith
 from multising.arith import PrimeBasis, Region
-from multising.errors import InfeasibleSizeError
+from multising.errors import InfeasibleSizeError, PreconditionError
 
 B2 = PrimeBasis((2,))
 B23 = PrimeBasis((2, 3))
@@ -145,17 +146,58 @@ class TestLayerPartition:
 
 class TestDyadicWeights:
     def test_first_weights(self):
-        w = arith.koroa_weights(5)
-        assert w[0] == 0.25
-        assert w[1] == 0.125
+        assert arith.dyadic_sum([1.0], (1.0, 0.0, 0.0))[0] == 0.25
+        assert arith.dyadic_sum([0.0, 1.0], (1.0, 0.0, 0.0))[0] == 0.125
 
     def test_series_sums_to_half(self):
-        value, tail = arith.koroa_series(lambda p: 1.0, 1e-12, growth_c=1.0, growth_q=0.0)
+        growth = (1.0, 0.0, 0.0)
+        depth = arith.dyadic_depth(1e-12, growth)
+        value, tail = arith.dyadic_sum([1.0] * (depth + 1), growth)
+        assert tail < 1e-12
         assert abs(value - 0.5) <= tail + 1e-15
 
     def test_identity_series_sums_to_half(self):
-        value, tail = arith.koroa_series(lambda p: float(p), 1e-12)
+        growth = (0.0, 1.0, 0.0)
+        depth = arith.dyadic_depth(1e-12, growth)
+        value, tail = arith.dyadic_sum([float(p) for p in range(depth + 1)], growth)
+        assert tail < 1e-12
         assert abs(value - 0.5) <= tail + 1e-15
+
+    @pytest.mark.parametrize("growth", [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)])
+    def test_tail_is_the_explicit_remainder(self, growth):
+        a, b, c = growth
+
+        def g(p):
+            return a + b * p + c * p * p
+
+        for k in range(0, 40, 3):
+            _, tail = arith.dyadic_sum([g(p) for p in range(k + 1)], growth)
+            explicit = math.fsum(g(p) * 0.5 ** (p + 2) for p in range(k + 1, k + 400))
+            assert tail == pytest.approx(explicit, rel=1e-14)
+
+    def test_terms_are_added_in_order(self):
+        rng = np.random.default_rng(3)
+        for shape in [(45,), (45, 1), (45, 2), (45, 3, 1), (45, 3, 7)]:
+            scale = rng.uniform(0.0, 50.0, (45,) + (1,) * (len(shape) - 1))
+            g = rng.standard_normal(shape) * scale
+            want = np.zeros(shape[1:])
+            for p in range(45):
+                want = want + 0.5 ** (p + 2) * g[p]
+            assert np.array_equal(arith.dyadic_sum(g, (50.0, 0.0, 0.0))[0], want)
+
+    def test_depth_is_the_first_below_tolerance(self):
+        growth = (2.0, 0.5, 0.1)
+        depth = arith.dyadic_depth(1e-9, growth)
+        assert arith.dyadic_sum([0.0] * (depth + 1), growth)[1] < 1e-9
+        assert arith.dyadic_sum([0.0] * depth, growth)[1] >= 1e-9
+
+    def test_depth_rejects_bad_input(self):
+        for tol in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                arith.dyadic_depth(tol, (1.0, 0.0, 0.0))
+        for growth in ((math.inf, 0.0, 0.0), (1.0, math.nan, 0.0), (0.0, 0.0, 1e308)):
+            with pytest.raises(PreconditionError):
+                arith.dyadic_depth(1e-10, growth)
 
     def test_finite_average_of_one_is_odd_density(self):
         assert arith.koroa_finite_average(lambda p: 1, 1024) == Fraction(1, 2)

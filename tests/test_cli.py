@@ -189,6 +189,11 @@ class TestScalarCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["free"] == pytest.approx(math.log(2) + 800.0, abs=1e-9)
 
+    def test_free_energy_overflowing_coupling_exits_3(self, capsys):
+        # beta*J overflows to inf, so no series depth bounds the tail
+        assert run_cli("free-energy", "--beta", "1e200", "--J", "1e200", "--h", "0") == 3
+        assert json.loads(capsys.readouterr().err)["error"]["code"] == 3
+
     def test_entropy_all_modes(self, capsys):
         assert run_cli("entropy", "--beta", "1", "--J", "1", "--h", "0", "--mode", "all") == 0
         payload = json.loads(capsys.readouterr().out)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multising import gibbs
+from multising import gibbs, ising1d
 from multising.errors import PreconditionError
 from multising.gibbs import CylinderSpec, SampleBatch
 from multising.ising1d import ModelParams
@@ -76,6 +76,23 @@ class TestFreeEnergy:
         assert fp > ff
         assert fp == fm
 
+    def test_series_depth_known_answer(self, monkeypatch):
+        # the plus tail 2^-(K+2) (c0 + c1 (K+2)) first drops below 1e-10 at K = 38
+        calls = []
+
+        def spy(n_bonds, *args):
+            calls.append(n_bonds)
+            return ising1d.log_partition_prefix(n_bonds, *args)
+
+        monkeypatch.setattr(gibbs, "log_partition_prefix", spy)
+        gibbs.free_energy("plus", P_UNIT, 1e-10)
+        assert calls == [38 + 1]
+
+    def test_overflowing_coupling_is_a_precondition_error(self):
+        for bc in ("free", "plus", "minus"):
+            with pytest.raises(PreconditionError):
+                gibbs.free_energy(bc, ModelParams(1e200, 1e200, 0.0))
+
     def test_zero_field_closed_form(self):
         # at h=0 every finite volume already attains the limit:
         # f = 2 log 2 + log cosh(beta J)
@@ -118,6 +135,18 @@ class TestKsEntropy:
             c = gibbs.ks_entropy(p, "closed_h0")
             assert gibbs.ks_entropy(p, "series", 1e-11) == pytest.approx(c, abs=1e-10)
             assert gibbs.ks_entropy(p, "formula") == pytest.approx(c, abs=1e-12)
+
+    def test_series_depth_known_answer(self, monkeypatch):
+        # the tail log 2 (K+3) 2^-(K+2) first drops below 1e-12 at K = 43
+        calls = []
+
+        def spy(k, params):
+            calls.append(k)
+            return ising1d.marginal_entropies(k, params)
+
+        monkeypatch.setattr(gibbs, "marginal_entropies", spy)
+        gibbs.ks_entropy(P_UNIT, "series", 1e-12)
+        assert calls == [43]
 
     def test_frozen_layer_limit(self):
         assert gibbs.ks_entropy(ModelParams(20.0, 1.0, 0.0), "closed_h0") == pytest.approx(

@@ -85,11 +85,18 @@ class TestLogPartition:
         )
 
     @settings(max_examples=60, deadline=None)
-    @given(params_st, st.integers(0, 9), st.sampled_from(["free", "plus", "minus"]))
-    def test_brute_force_equivalence(self, params, n_bonds, bc):
-        a = ising1d.log_partition(n_bonds, params, bc)
-        b = oracles.chain_log_partition(n_bonds, params, bc)
-        assert abs(a - b) <= 1e-10 * max(1.0, abs(b))
+    @given(params_st, st.integers(0, 9))
+    def test_brute_force_equivalence(self, params, n_bonds):
+        b, J, h = params.beta, params.J, params.h
+        for bc in ising1d.BOUNDARY_CONDITIONS:
+            a = ising1d.log_partition(n_bonds, params, bc)
+            want = oracles.chain_log_partition(n_bonds, params, bc)
+            assert abs(a - want) <= 1e-10 * max(1.0, abs(want))
+            prefix = ising1d.log_partition_prefix(n_bonds, b * J, b * h, bc, b * J)
+            assert prefix[-1] == a
+            for i in range(n_bonds + 1):
+                want = oracles.chain_log_partition(i, params, bc)
+                assert abs(prefix[i] - want) <= 1e-10 * max(1.0, abs(want))
 
     def test_bc_coupling_flag(self):
         p = ModelParams(1.0, 2.0, 0.3)
@@ -164,6 +171,7 @@ class TestMarginalEntropy:
 
     def test_matches_direct_cylinder_sum(self):
         p = ModelParams(0.8, 1.1, 0.4)
+        prefix = ising1d.marginal_entropies(5, p)
         for k in range(6):
             total = 0.0
             for pattern in range(1 << (k + 1)):
@@ -171,6 +179,7 @@ class TestMarginalEntropy:
                 lp = ising1d.cylinder_logprob(values, p)
                 total -= math.exp(lp) * lp
             assert ising1d.marginal_entropy(k, p) == pytest.approx(total, abs=1e-12)
+            assert prefix[k] == pytest.approx(total, abs=1e-12)
 
     def test_infinite_temperature(self):
         p = ModelParams(0.0, 1.0, 0.0)
@@ -178,30 +187,6 @@ class TestMarginalEntropy:
             assert ising1d.marginal_entropy(k, p) == pytest.approx(
                 (k + 1) * math.log(2), abs=1e-12
             )
-
-
-class TestFiniteVolumeEntropy:
-    def test_infinite_temperature(self):
-        for n in (0, 1, 5):
-            assert ising1d.finite_volume_entropy(n, ModelParams(0.0, 1.0, 0.0)) == pytest.approx(
-                (n + 1) * math.log(2), abs=1e-12
-            )
-
-    def test_frozen_limit_two_ground_states(self):
-        assert ising1d.finite_volume_entropy(6, ModelParams(20.0, 1.0, 0.0)) == pytest.approx(
-            math.log(2), abs=1e-6
-        )
-
-    def test_one_bond_closed_form(self):
-        s = ising1d.finite_volume_entropy(1, ModelParams(1.0, 1.0, 0.0))
-        assert s == pytest.approx(math.log(4 * math.cosh(1)) - math.tanh(1), abs=1e-12)
-
-    @settings(max_examples=40, deadline=None)
-    @given(params_st, st.integers(0, 8))
-    def test_brute_force_equivalence(self, params, n_bonds):
-        a = ising1d.finite_volume_entropy(n_bonds, params)
-        b = oracles.chain_entropy(n_bonds, params)
-        assert a == pytest.approx(b, abs=1e-9)
 
 
 F_PAIR = FirstLayerObservable.make([([0, 1], 1.0)])
@@ -212,7 +197,7 @@ class TestTiltedPressure:
     def test_zero_tilt(self):
         p = ModelParams(1.0, 1.0, 0.3)
         for fstar in (F_PAIR, F_SITE):
-            assert abs(ising1d.tilted_layer_pressure(5, fstar, 0.0, p)) <= 1e-12
+            assert abs(ising1d.tilted_prefix_pressures(5, fstar, 0.0, p)[0][-1]) <= 1e-12
 
     def test_infinite_temperature_closed_forms(self):
         # P^k = (k+1) log cosh t, with derivatives (k+1) tanh t, (k+1) sech^2 t
@@ -221,9 +206,8 @@ class TestTiltedPressure:
         for fstar in (F_PAIR, F_SITE):
             for k in (0, 3, 10):
                 for ti in t:
-                    assert ising1d.tilted_layer_pressure(k, fstar, ti, p) == pytest.approx(
-                        (k + 1) * math.log(math.cosh(ti)), abs=1e-11
-                    )
+                    P = ising1d.tilted_prefix_pressures(k, fstar, ti, p)[0]
+                    assert P[-1] == pytest.approx((k + 1) * math.log(math.cosh(ti)), abs=1e-11)
             P, dP, d2P = ising1d.tilted_prefix_pressures(10, fstar, t, p)
             n = np.arange(1, 12)[:, None]
             assert np.allclose(P, n * np.log(np.cosh(t)), rtol=0.0, atol=1e-11)
@@ -234,7 +218,7 @@ class TestTiltedPressure:
     @given(params_st, st.integers(0, 6), st.floats(-1.5, 1.5))
     def test_enumeration_equivalence(self, params, k, t):
         fstar = FirstLayerObservable.make([([0, 1], 1.0), ([0], -0.5)])
-        a = ising1d.tilted_layer_pressure(k, fstar, t, params)
+        a = ising1d.tilted_prefix_pressures(k, fstar, t, params)[0][-1]
         b = oracles.tilted_pressure_by_enumeration(k, fstar, t, params)
         assert abs(a - b) <= 1e-10 * max(1.0, abs(b))
         # the forward-mode derivatives against central differences
@@ -251,7 +235,7 @@ class TestTiltedPressure:
         fstar = F_PAIR
         k = 7
         grid = np.arange(-3.0, 3.01, 0.25)
-        vals = np.array([ising1d.tilted_layer_pressure(k, fstar, float(t), p) for t in grid])
+        vals = ising1d.tilted_prefix_pressures(k, fstar, grid, p)[0][-1]
         assert np.all(np.abs(vals) <= (k + 1) * np.abs(grid) * fstar.sup_bound + 1e-12)
         assert np.all(np.diff(vals, 2) >= -1e-9)
 
@@ -260,7 +244,7 @@ class TestTiltedPressure:
         pre, _, _ = ising1d.tilted_prefix_pressures(6, F_PAIR, 0.8, p)
         for k in range(7):
             assert pre[k] == pytest.approx(
-                ising1d.tilted_layer_pressure(k, F_PAIR, 0.8, p), abs=1e-12
+                ising1d.tilted_prefix_pressures(k, F_PAIR, 0.8, p)[0][-1], abs=1e-12
             )
 
     def test_prefix_sum_range_matches_enumeration(self):
@@ -303,9 +287,9 @@ class TestTiltedPressure:
     def test_window_cap(self):
         wide = FirstLayerObservable.make([([0, 13], 1.0)])
         with pytest.raises(InfeasibleSizeError):
-            ising1d.tilted_layer_pressure(2, wide, 0.5, ModelParams(1.0))
+            ising1d.tilted_prefix_pressures(2, wide, 0.5, ModelParams(1.0))
 
     def test_rejects_multidimensional(self):
         f2 = FirstLayerObservable.make([([(0, 0), (1, 0)], 1.0)], dim=2)
         with pytest.raises(PreconditionError):
-            ising1d.tilted_layer_pressure(2, f2, 0.5, ModelParams(1.0))
+            ising1d.tilted_prefix_pressures(2, f2, 0.5, ModelParams(1.0))

@@ -47,6 +47,10 @@ class TestScgf:
             target = math.log(alpha * math.exp(t) + (1 - alpha) * math.exp(-t))
             assert v == pytest.approx(target, abs=1e-11)
 
+    def test_series_depth_known_answer(self):
+        # the F'' tail (K^2+6K+11) 2^-(K+2) first drops below 1e-12 at K = 50
+        assert ldp.series_depth_for(FS_BOND, 0.0, 1e-12) == 50
+
     def test_truncation_bound_is_honest(self):
         v9, err9 = ldp.scgf(FS_BOND, P_UNIT, 1.3, 1e-6)
         v12, _ = ldp.scgf(FS_BOND, P_UNIT, 1.3, 1e-13)

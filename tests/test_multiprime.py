@@ -7,7 +7,7 @@ from multising import arith, ldp, multiprime
 from multising.acceptance import brute_region_pressure
 from multising.arith import PrimeBasis, Region
 from multising.errors import InfeasibleSizeError, PreconditionError
-from multising.ising1d import ModelParams, tilted_layer_pressure
+from multising.ising1d import ModelParams, tilted_prefix_pressures
 from multising.multiprime import RegionPressureKey
 from multising.numutil import RunningLogSum
 from multising.observables import Observable, to_first_layer
@@ -68,7 +68,7 @@ class TestRegionPressure:
         model, fstar = multiprime.extend_observable(F_BOND, PrimeBasis((2,)), P_UNIT)
         region = Region(frozenset((i,) for i in range(k + 1)))
         a = multiprime.region_pressure(RegionPressureKey(region, fstar, 0.9), model)
-        b = tilted_layer_pressure(k, to_first_layer(F_BOND), 0.9, P_UNIT)
+        b = tilted_prefix_pressures(k, to_first_layer(F_BOND), 0.9, P_UNIT)[0][-1]
         assert a == pytest.approx(b, abs=1e-11)
 
     def test_brute_force_equivalence(self):
@@ -104,7 +104,7 @@ class TestRegionPressure:
         f = Observable.make([((1, 2), 1.0), ((3, 6), 1.0)])
         model, fstar = multiprime.extend_observable(f, PrimeBasis((2,)), P_UNIT)
         key = RegionPressureKey(Region(frozenset({(0, 0)})), fstar, 0.7)
-        bond = tilted_layer_pressure(0, to_first_layer(F_BOND), 0.7, P_UNIT)
+        bond = tilted_prefix_pressures(0, to_first_layer(F_BOND), 0.7, P_UNIT)[0][-1]
         assert multiprime.region_pressure(key, model) == pytest.approx(2 * bond, abs=1e-13)
 
     def test_running_log_sum_skips_zero_weights(self):
