@@ -345,7 +345,8 @@ def _cmd_sample(args) -> int:
         batch.save_csv(output)
     else:
         raise ValueError("format must be 'bin' or 'csv'")
-    _sidecar(output, "sample", res.resolved, {"N": n, "count": count, "seed": seed})
+    _sidecar(output, "sample", res.resolved,
+             {"N": n, "count": count, "seed": seed, "stream_version": gibbs.STREAM_VERSION})
     return 0
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import Dict, Iterator, Mapping, Tuple
+from typing import Dict, Iterator, List, Mapping, Tuple
 
 import numpy as np
 
@@ -281,15 +281,25 @@ def ks_entropy_report(params: ModelParams, tol: float = 1e-12) -> Dict[str, floa
 _MAGIC = b"MISG"
 _HEADER_V2 = struct.Struct("<4sIqqQddd")
 
+# Version of the map from (seed, replica, site) to uniforms, recorded in the
+# sample sidecar.  Batches drawn under another version are not reproduced.
+STREAM_VERSION = 2
+
+# Row chunks of the sampler, the SMB statistic and the CSV writer hold about
+# this many spins (one uniform each), which bounds their working memory.
+_CHUNK_SPINS = 1 << 20
+
 
 @dataclass(frozen=True, eq=False)
 class SampleBatch:
     """count independent draws of s_[1,N] under the infinite-volume measure.
 
-    Reproducible: the uniform stream of layer r is Philox-keyed by
-    (seed, r); replica c consumes rows c of that layer's (count, chain)
-    block, so the batch is independent of evaluation order and extends
-    consistently when count grows.
+    Reproducible under stream version 2: the layers of psi2 depth p share one
+    Philox stream keyed by SeedSequence(entropy=seed, spawn_key=(2, p)), and
+    replica c consumes the c-th run of L_p (p+1) doubles of it, L_p being
+    the number of such layers.  So the batch is independent of evaluation
+    order and extends consistently when count grows.  The binary header's
+    version number is that of the file layout, not of the stream.
     """
 
     N: int
@@ -336,70 +346,115 @@ class SampleBatch:
         return cls(n, count, seed, ModelParams(beta, J, h), configs)
 
     def save_csv(self, path) -> None:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(",".join(f"site_{i}" for i in range(1, self.N + 1)) + "\n")
-            for row in self.configurations:
-                fh.write(",".join(str(int(v)) for v in row) + "\n")
+        """A header line site_1,...,site_N, then one line per replica of
+        comma-separated spins, each "1" or "-1"."""
+        rows = max(1, _CHUNK_SPINS // self.N)
+        with open(path, "wb") as fh:
+            fh.write((",".join(f"site_{i}" for i in range(1, self.N + 1)) + "\n").encode("ascii"))
+            for start in range(0, self.count, rows):
+                cfg = self.configurations[start:start + rows]
+                # every spin as "-1" plus its separator; a plus spin drops the "-"
+                tokens = np.empty(cfg.shape + (3,), dtype=np.uint8)
+                tokens[...] = np.frombuffer(b"-1,", dtype=np.uint8)
+                tokens[:, -1, 2] = ord("\n")
+                keep = np.ones(tokens.shape, dtype=bool)
+                keep[..., 0] = cfg == -1
+                fh.write(tokens[keep].tobytes())
 
 
-def _layer_rng(seed: int, r: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(r,))
-    return np.random.Generator(np.random.Philox(ss))
+def _depth_classes(n: int) -> List[Tuple[int, np.ndarray]]:
+    """(p, the odd r with psi2(r, n) = p in increasing order) for each depth
+    p that has layers: the odd r in (n >> (p+1), n >> p]."""
+    return [(p, np.arange(((n >> (p + 1)) + 1) | 1, (n >> p) + 1, 2))
+            for p in layer_count_by_depth(n)]
 
 
-def _iter_layer_chains(n: int, params, count: int, seed: int) -> Iterator[Tuple[int, np.ndarray]]:
-    """Yield (r, spin-index matrix of shape (count, psi2(r,n)+1)) per layer."""
+def _class_blocks(classes, params, count: int,
+                  seed: int) -> Iterator[Tuple[int, List[np.ndarray]]]:
+    """Per chunk of consecutive replicas, its first replica and one
+    spin-index block (True = minus) per depth class: block[c, i, j] is tau_i
+    of the j-th layer of the class in replica start + c.  Each step of the
+    chain is one select over all (replica, layer) pairs of the class."""
     td = _as_transfer(params)
-    pi_plus = td.pi[0]
-    q_plus = td.Q[:, 0]
-    for r in range(1, n + 1, 2):
-        length = arith.psi2(r, n) + 1
-        u = _layer_rng(seed, r).random((count, length))
-        idx = np.empty((count, length), dtype=np.int8)
-        s = (u[:, 0] >= pi_plus).astype(np.int8)
-        idx[:, 0] = s
-        for i in range(1, length):
-            s = (u[:, i] >= q_plus[s]).astype(np.int8)
-            idx[:, i] = s
-        yield r, idx
+    streams = [np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(entropy=seed, spawn_key=(STREAM_VERSION, p)))) for p, _ in classes]
+    # tau_0 is minus where u >= pi(+), and a step from s is minus where
+    # u >= Q(s, +): the select s ? (u >= Q(-,+)) : (u >= Q(+,+)) is taken as
+    # (u >= Q(+,+)) ^ (s & flip), flip marking where the two comparisons differ
+    thresholds = np.full((classes[-1][0] + 1, 1), td.Q[0, 0])
+    thresholds[0] = td.pi[0]
+    n = sum((p + 1) * r.size for p, r in classes)
+    chunk = max(1, _CHUNK_SPINS // n)
+    for start in range(0, count, chunk):
+        rows = min(chunk, count - start)
+        blocks = []
+        for (p, r), stream in zip(classes, streams):
+            u = stream.random((rows, p + 1, r.size))
+            idx = u >= thresholds[:p + 1]
+            flip = idx[:, 1:] ^ (u[:, 1:] >= td.Q[1, 0])
+            for i in range(p):
+                idx[:, i + 1] ^= np.bitwise_and(flip[:, i], idx[:, i], out=flip[:, i])
+            blocks.append(idx)
+        yield start, blocks
 
 
-def sample(n: int, params: ModelParams, count: int, seed: int) -> SampleBatch:
-    """Draw `count` configurations on [1, n]: each odd layer runs its chain
-    for psi2(r, n) + 1 sites and scatters to sites r * 2^i."""
+def _check_sample_size(n: int, count: int) -> None:
     if n < 1:
         raise ValueError("volume must be >= 1")
     if count < 1:
         raise ValueError("count must be >= 1")
+
+
+def sample(n: int, params: ModelParams, count: int, seed: int) -> SampleBatch:
+    """Draw `count` configurations on [1, n]: each odd layer r runs its chain
+    for psi2(r, n) + 1 sites, which land on the sites r * 2^i."""
+    _check_sample_size(n, count)
+    classes = _depth_classes(n)
+    # column k of a chunk's concatenated class blocks holds site sites[k]
+    sites = np.concatenate([(r[None, :] << np.arange(p + 1)[:, None]).ravel() for p, r in classes])
+    column = np.empty(n, dtype=np.intp)
+    column[sites - 1] = np.arange(n)
     configs = np.empty((count, n), dtype=np.int8)
-    for r, idx in _iter_layer_chains(n, params, count, seed):
-        site = r
-        for i in range(idx.shape[1]):
-            configs[:, site - 1] = 1 - 2 * idx[:, i]
-            site *= 2
+    for start, blocks in _class_blocks(classes, params, count, seed):
+        rows = blocks[0].shape[0]
+        flat = np.concatenate([b.reshape(rows, -1) for b in blocks], axis=1)
+        out = configs[start:start + rows]
+        np.take(flat.view(np.int8), column, axis=1, out=out)
+        out *= -2
+        out += 1
     return SampleBatch(n, count, int(seed), params, configs)
 
 
 def smb_estimate(n: int, params: ModelParams, count: int, seed: int) -> Tuple[float, float]:
-    """Mean and standard error of -(1/n) log mu(s_[1,n]) over a sampled batch.
+    """Mean and standard error of -(1/n) log mu(s_[1,n]) over the batch that
+    sample(n, params, count, seed) draws.
 
     The log-probability of each draw is exact: per layer it is
-    log pi(tau_0) + sum log Q(tau_i, tau_{i+1}), summed over layers.
+    log pi(tau_0) + sum log Q(tau_i, tau_{i+1}), so per replica it is the
+    count of each initial state and each transition type times its log.
     """
+    _check_sample_size(n, count)
     td = _as_transfer(params)
-    block = []
-    partials = []
-    for _, idx in _iter_layer_chains(n, td, count, seed):
-        contrib = td.log_pi[idx[:, 0]]
-        if idx.shape[1] > 1:
-            contrib = contrib + td.log_Q[idx[:, :-1], idx[:, 1:]].sum(axis=1)
-        block.append(contrib)
-        if len(block) == 256:
-            partials.append(np.sum(np.stack(block), axis=0))
-            block = []
-    if block:
-        partials.append(np.sum(np.stack(block), axis=0))
-    values = -np.sum(np.stack(partials), axis=0) / n
+    classes = _depth_classes(n)
+    layers = sum(r.size for _, r in classes)
+    # per replica: minus initial states, minus states that a transition
+    # leaves, minus states it enters, and minus-to-minus transitions
+    counts = np.zeros((4, count), dtype=np.int64)
+    for start, blocks in _class_blocks(classes, td, count, seed):
+        part = counts[:, start:start + blocks[0].shape[0]]
+        for idx in blocks:
+            minus = idx.sum(axis=2)
+            part[0] += minus[:, 0]
+            part[1] += minus[:, :-1].sum(axis=1)
+            part[2] += minus[:, 1:].sum(axis=1)
+            part[3] += (idx[:, :-1] & idx[:, 1:]).sum(axis=(1, 2))
+    m0, leave, enter, mm = counts
+    k = np.stack([layers - m0, m0,                          # pi(+), pi(-)
+                  n - layers - leave - enter + mm, enter - mm,  # Q(+,+), Q(+,-)
+                  leave - mm, mm], axis=1)                  # Q(-,+), Q(-,-)
+    w = np.concatenate([td.log_pi, td.log_Q.ravel()])
+    # a type that never occurs adds 0, also where its log is not finite
+    values = -(k * np.where(k > 0, w, 0.0)).sum(axis=1) / n
     mean = float(values.mean())
     if count > 1:
         stderr = float(values.std(ddof=1) / math.sqrt(count))

@@ -60,6 +60,8 @@ def series_depth_for(fstar: FirstLayerObservable, t_max: float, tol: float) -> i
     tol: with sup bounding |f*|, |P^k| <= (k+1) |t| sup, |dP^k| <= (k+1) sup
     and |d2P^k| <= (k+1)^2 sup^2, growths in the sense of arith.dyadic_depth.
     """
+    if not math.isfinite(t_max):
+        raise ValueError(f"tilt t must be finite, got {t_max!r}")
     sup = fstar.sup_bound
     s = sup * max(1.0, abs(t_max))
     return arith.dyadic_depth(tol, (s, s, 0.0), (sup * sup, 2 * sup * sup, sup * sup))

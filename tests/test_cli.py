@@ -158,6 +158,13 @@ class TestScgfCommand:
         assert err["error"]["code"] == 2
 
 
+    @pytest.mark.parametrize("t", ["nan", "inf", "-inf", "0.5,nan"])
+    def test_non_finite_tilt_is_usage_error(self, capsys, t):
+        assert run_cli("scgf", "--beta", "1", "--t", t) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["code"] == 2 and "tilt" in err["message"]
+
+
 class TestRateCommand:
     def test_rate_csv(self, tmp_path):
         out = tmp_path / "rate.csv"
@@ -268,6 +275,14 @@ class TestSampleCommand:
         back = SampleBatch.load_binary(out)
         direct = sample(8, ModelParams(1.0, 1.0, 0.0), 5, 7)
         assert np.array_equal(back.configurations, direct.configurations)
+
+    def test_sidecar_records_stream_version(self, tmp_path):
+        out = tmp_path / "batch.bin"
+        assert run_cli("sample", "--N", "8", "--count", "2", "--seed", "3",
+                       "--format", "bin", "--output", str(out)) == 0
+        meta = json.loads((tmp_path / "batch.bin.meta.json").read_text())
+        assert meta["stream_version"] == 2
+        assert (meta["N"], meta["count"], meta["seed"]) == (8, 2, 3)
 
     def test_large_seed_round_trip(self, tmp_path):
         from multising.gibbs import SampleBatch

@@ -268,6 +268,66 @@ class TestSampler:
         assert len(lines) == 4
         assert set(lines[1].split(",")) <= {"1", "-1"}
 
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 1), (1, 7), (37, 10)])
+    @pytest.mark.parametrize("chunk", [None, 25])
+    def test_csv_matches_per_spin_formatter(self, tmp_path, monkeypatch, shape, chunk):
+        if chunk is not None:  # chunks of 25 spins: 37 rows of 10 take 19 chunks
+            monkeypatch.setattr(gibbs, "_CHUNK_SPINS", chunk)
+        count, n = shape
+        cfg = np.where(np.random.default_rng(count * n).random(shape) < 0.5, -1, 1).astype(np.int8)
+        path = tmp_path / "batch.csv"
+        SampleBatch(n, count, 1, P_UNIT, cfg).save_csv(path)
+        want = ",".join(f"site_{i}" for i in range(1, n + 1)) + "\n"
+        want += "".join(",".join(str(int(v)) for v in row) + "\n" for row in cfg)
+        assert path.read_bytes() == want.encode("ascii")
+
+
+def _reference_sample(n, params, count, seed):
+    """Stream contract v2 site by site: the layers of depth p share the
+    stream SeedSequence(entropy=seed, spawn_key=(2, p)), and replica c reads
+    its run of L_p (p+1) doubles as (step i, layer j) in C order."""
+    td = ising1d.transfer(params)
+    cfg = np.empty((count, n), dtype=np.int8)
+    for p in range(n.bit_length()):
+        layers = [r for r in range(1, n + 1, 2) if r << p <= n < r << (p + 1)]
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(2, p))
+        u = np.random.Generator(np.random.Philox(ss)).random((count, p + 1, len(layers)))
+        for c in range(count):
+            for j, r in enumerate(layers):
+                s = int(u[c, 0, j] >= td.pi[0])
+                cfg[c, r - 1] = 1 - 2 * s
+                for i in range(1, p + 1):
+                    s = int(u[c, i, j] >= td.Q[s, 0])
+                    cfg[c, (r << i) - 1] = 1 - 2 * s
+    return cfg
+
+
+class TestStreamContract:
+    P = ModelParams(0.8, 1.1, -0.2)
+
+    def test_known_answer(self):
+        rows = ["-+-+------+-", "----------+-", "----------+-"]
+        want = np.array([[1 if ch == "+" else -1 for ch in row] for row in rows], dtype=np.int8)
+        assert np.array_equal(gibbs.sample(12, self.P, 3, 2026).configurations, want)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 12, 37, 64])
+    def test_matches_site_by_site_reference(self, n):
+        got = gibbs.sample(n, self.P, 7, 2026).configurations
+        assert np.array_equal(got, _reference_sample(n, self.P, 7, 2026))
+
+    def test_block_boundaries_do_not_move_the_stream(self, monkeypatch):
+        batch = gibbs.sample(300, self.P, 9, 5).configurations
+        smb = gibbs.smb_estimate(300, self.P, 9, 5)
+        monkeypatch.setattr(gibbs, "_CHUNK_SPINS", 1)  # one replica per chunk
+        assert np.array_equal(gibbs.sample(300, self.P, 9, 5).configurations, batch)
+        assert gibbs.smb_estimate(300, self.P, 9, 5) == smb
+
+    def test_prefix_across_chunks(self, monkeypatch):
+        monkeypatch.setattr(gibbs, "_CHUNK_SPINS", 3 * 64)  # three replicas per chunk
+        small = gibbs.sample(64, self.P, 100, 42)
+        large = gibbs.sample(64, self.P, 250, 42)
+        assert np.array_equal(small.configurations, large.configurations[:100])
+
 
 class TestSmb:
     def test_infinite_temperature_exact(self):
@@ -279,6 +339,28 @@ class TestSmb:
         mean, se = gibbs.smb_estimate(512, ModelParams(1.0, 0.0, 0.0), 200, 4)
         assert mean == pytest.approx(math.log(2), abs=1e-13)
         assert se <= 1e-15
+
+    def test_matches_cylinder_logprob_of_the_sampled_batch(self):
+        n, count, seed = 48, 20, 17
+        params = ModelParams(0.9, 0.7, 0.3)
+        cfg = gibbs.sample(n, params, count, seed).configurations
+        values = np.array([-gibbs.cylinder_logprob_sigma(dict(enumerate(map(int, row), 1)), params)
+                           for row in cfg]) / n
+        mean, se = gibbs.smb_estimate(n, params, count, seed)
+        assert mean == pytest.approx(values.mean(), abs=1e-12)
+        assert se == pytest.approx(values.std(ddof=1) / math.sqrt(count), abs=1e-12)
+
+    def test_finite_where_the_chain_has_impossible_transitions(self):
+        # at beta*J = 25 the transfer data carry -inf and nan logs for
+        # transitions the sampler never takes; they must not reach the mean
+        mean, se = gibbs.smb_estimate(64, ModelParams(25.0, 1.0, 0.0), 10, 1)
+        assert math.isfinite(mean) and math.isfinite(se)
+
+    def test_rejects_empty_batches(self):
+        with pytest.raises(ValueError):
+            gibbs.smb_estimate(0, P_UNIT, 10, 1)
+        with pytest.raises(ValueError):
+            gibbs.smb_estimate(16, P_UNIT, 0, 1)
 
     def test_converges_to_entropy(self):
         mean, se = gibbs.smb_estimate(1 << 10, P_UNIT, 800, 12345)

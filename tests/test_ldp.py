@@ -51,6 +51,15 @@ class TestScgf:
         # the F'' tail (K^2+6K+11) 2^-(K+2) first drops below 1e-12 at K = 50
         assert ldp.series_depth_for(FS_BOND, 0.0, 1e-12) == 50
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tilt_is_named(self, bad):
+        with pytest.raises(ValueError, match="tilt"):
+            ldp.scgf(FS_BOND, P_UNIT, bad)
+        with pytest.raises(ValueError, match="tilt"):
+            ldp.scgf_values(FS_BOND, P_UNIT, [0.5, bad, -0.5])
+        with pytest.raises(ValueError, match="tilt"):
+            ldp.series_depth_for(FS_BOND, bad, 1e-10)
+
     def test_truncation_bound_is_honest(self):
         v9, err9 = ldp.scgf(FS_BOND, P_UNIT, 1.3, 1e-6)
         v12, _ = ldp.scgf(FS_BOND, P_UNIT, 1.3, 1e-13)
