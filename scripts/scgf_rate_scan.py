@@ -10,7 +10,7 @@ import argparse
 import numpy as np
 
 from multising import ldp
-from multising.cli import parse_observable
+from multising.cli import _write_csv, parse_observable
 from multising.ising1d import ModelParams
 from multising.observables import to_first_layer
 
@@ -32,17 +32,11 @@ def main():
     fstar = to_first_layer(parse_observable(args.f))
     grid = np.arange(-args.t_max, args.t_max + args.t_step / 2, args.t_step)
     curve = ldp.scgf_curve(fstar, params, grid, args.tol)
-    with open(f"{args.out_prefix}_scgf.csv", "w") as fh:
-        fh.write(",".join(curve.csv_header()) + "\n")
-        for row in curve.csv_rows():
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    _write_csv(f"{args.out_prefix}_scgf.csv", curve.csv_header(), curve.csv_columns())
 
     xs = np.linspace(curve.Fprime[0], curve.Fprime[-1], args.x_points + 2)[1:-1]
     rate = ldp.rate_curve(fstar, params, xs, args.tol)
-    with open(f"{args.out_prefix}_rate.csv", "w") as fh:
-        fh.write(",".join(rate.csv_header()) + "\n")
-        for row in rate.csv_rows():
-            fh.write(",".join(repr(float(v)) for v in row[:3]) + f",{int(row[3])}\n")
+    _write_csv(f"{args.out_prefix}_rate.csv", rate.csv_header(), rate.csv_columns())
     print(f"wrote {args.out_prefix}_scgf.csv ({grid.size} points) and "
           f"{args.out_prefix}_rate.csv ({xs.size} points)")
 

@@ -16,7 +16,10 @@ import json
 import math
 import re
 import sys
+from contextlib import nullcontext
+from dataclasses import astuple
 from fractions import Fraction
+from itertools import islice
 from typing import Dict, Optional, Sequence
 
 import numpy as np
@@ -149,9 +152,7 @@ class _Resolver:
 
     def __init__(self, args: argparse.Namespace):
         self.args = vars(args)
-        self.file = {}
-        if self.args.get("config"):
-            self.file = _load_config(self.args["config"])
+        self.file = _load_config(self.args["config"]) if self.args.get("config") else {}
         self.resolved: Dict[str, object] = {}
 
     def get(self, name: str, conv, default):
@@ -163,37 +164,45 @@ class _Resolver:
         return v
 
 
-def _fmt(v) -> str:
-    if type(v) is float:
-        return repr(v)
-    if type(v) is int:
-        return str(v)
-    if isinstance(v, (bool, np.bool_)):
-        return str(bool(v)).lower()
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))  # shortest round-trip decimal
-    return str(v)
+_CSV_CHUNK_ROWS = 1 << 13
 
 
-def _write_csv(path: Optional[str], header: Sequence[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(text)
+def _open_output(path: Optional[str]):
+    return nullcontext(sys.stdout) if path is None else open(path, "w", encoding="ascii")
 
 
-def _write_json(path: Optional[str], payload) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(text)
+def _write_csv(path: Optional[str], header: Sequence[str], columns) -> None:
+    """Write equal-length columns, _CSV_CHUNK_ROWS rows at a time.  A column
+    is a numpy array or a sized iterable of Python scalars (tuple, list,
+    range, dict view); each value is written as the repr of a Python float
+    (shortest round trip) or int, so a numpy scalar must not reach repr."""
+    n = len(columns[0])
+    if any(len(c) != n for c in columns):
+        raise ValueError("CSV columns must have equal lengths")
+    iters = [None if isinstance(c, np.ndarray) else iter(c) for c in columns]
+    with _open_output(path) as fh:
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, n, _CSV_CHUNK_ROWS):
+            size = min(_CSV_CHUNK_ROWS, n - lo)
+            chunk = [c[lo:lo + size].tolist() if it is None else list(islice(it, size))
+                     for c, it in zip(columns, iters)]
+            fh.writelines([",".join(map(repr, row)) + "\n" for row in zip(*chunk)])
+
+
+def _is_finite_json(value) -> bool:
+    try:
+        json.dumps(value, allow_nan=False)
+    except ValueError:
+        return False
+    return True
+
+
+def _write_json(path: Optional[str], payload: Dict[str, object]) -> None:
+    if not _is_finite_json(payload):
+        bad = [k for k, v in sorted(payload.items()) if not _is_finite_json(v)]
+        raise PreconditionError(f"{', '.join(bad)}: not finite; no output written")
+    with _open_output(path) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _sidecar(path: Optional[str], command: str, resolved: Dict[str, object],
@@ -213,20 +222,24 @@ def _sidecar(path: Optional[str], command: str, resolved: Dict[str, object],
 def _parse_grid(spec: str) -> np.ndarray:
     """'start:stop:step' (inclusive), 'a,b,c', or a single number.
 
-    Grid points are generated in exact decimal arithmetic so that e.g.
-    -0.9:0.9:0.1 contains 0.5 itself, not 0.4999999999999996."""
+    Over a common denominator d the bounds are integers a, b, c; there are
+    trunc((b - a) / c) + 1 points, and point i is the correctly rounded
+    (a + i c) / d, the bits of float(Fraction).  So -0.9:0.9:0.1 contains
+    0.5 itself, not 0.4999999999999996."""
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
             raise ValueError("grid must be 'start:stop:step'")
         try:
-            start, stop, step = (Fraction(p) for p in parts)
+            bounds = [Fraction(p) for p in parts]
         except (ValueError, ZeroDivisionError):
             raise ValueError("grid bounds must be decimal numbers") from None
-        if step <= 0:
+        if bounds[2] <= 0:
             raise ValueError("grid step must be positive")
-        n = int((stop - start) / step)
-        return np.array([float(start + i * step) for i in range(n + 1)])
+        d = math.lcm(*(f.denominator for f in bounds))
+        a, b, c = (f.numerator * (d // f.denominator) for f in bounds)
+        n = (b - a) // c if b >= a else -((a - b) // c)
+        return np.array([(a + i * c) / d for i in range(n + 1)])
     if "," in spec:
         return np.array([float(p) for p in spec.split(",")])
     return np.array([float(spec)])
@@ -252,24 +265,20 @@ def _cmd_scgf(args) -> int:
     tol = res.get("tol", float, 1e-10)
     grid = _parse_grid(res.get("t", str, "-2:2:0.1"))
     output = res.get("output", str, None)
-    dyadic = all(i & (i - 1) == 0 for key, _ in obs.terms for i in key)
-    if dyadic:
+    if all(i & (i - 1) == 0 for key, _ in obs.terms for i in key):  # dyadic indices
         fstar = to_first_layer(obs)
         values, fprime, _, errs = ldp.scgf_values(fstar, params, grid, tol)
-        rows = [[grid[i], values[i], fprime[i], errs[i]] for i in range(grid.size)]
-        _write_csv(output, ["t", "F", "Fprime", "trunc_err"], rows)
+        _write_csv(output, ["t", "F", "Fprime", "trunc_err"], [grid, values, fprime, errs])
         _sidecar(output, "scgf", res.resolved,
                  {"observable": str(obs), "max_trunc_err": repr(float(np.max(errs)))})
         return 0
     # non-dyadic indices: multi-prime route, single tilt, series table output
     if grid.size != 1:
-        raise ValueError(
-            "observables with non-dyadic indices use the smooth-number series; "
-            "pass a single --t value"
-        )
+        raise ValueError("observables with non-dyadic indices use the smooth-number "
+                         "series; pass a single --t value")
     value, rows = multiprime.kie_pressure(obs, params, float(grid[0]), tol)
     _write_csv(output, ["j", "n_j", "w_j", "Psi_j", "partial_sum", "tail_bound"],
-               [[r.j, r.n_j, r.w_j, r.psi_j, r.partial_sum, r.tail_bound] for r in rows])
+               list(zip(*map(astuple, rows))))
     _sidecar(output, "scgf", res.resolved,
              {"observable": str(obs), "value": repr(float(value)),
               "tail_bound": repr(float(rows[-1].tail_bound))})
@@ -285,7 +294,7 @@ def _cmd_rate(args) -> int:
     output = res.get("output", str, None)
     fstar = to_first_layer(obs)
     curve = ldp.rate_curve(fstar, params, xs, tol)
-    _write_csv(output, curve.csv_header(), curve.csv_rows())
+    _write_csv(output, curve.csv_header(), curve.csv_columns())
     _sidecar(output, "rate", res.resolved,
              {"observable": str(obs), "domain": [repr(d) for d in curve.domain]})
     return 0
@@ -395,8 +404,8 @@ def _cmd_kie_weights(args) -> int:
     output = res.get("output", str, None)
     basis = arith.PrimeBasis(primes)
     ws = arith.kie_weights(basis, tol)
-    rows = [[j, ws.smooth[j - 1], ws.weights[j]] for j in sorted(ws.weights)]
-    _write_csv(output, ["j", "n_j", "w_j"], rows)
+    J = ws.j_max
+    _write_csv(output, ["j", "n_j", "w_j"], [range(1, J + 1), ws.smooth[:J], ws.weights.values()])
     _sidecar(output, "kie-weights", res.resolved, {
         "kappa": repr(ws.kappa),
         "kappa_exact": str(ws.kappa_fraction),
@@ -520,31 +529,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(_preprocess(list(argv)))
     try:
         return args.func(args)
-    except ObservableSyntaxError as err:
-        _emit_error(2, err)
-        return 2
-    except InfeasibleSizeError as err:
-        _emit_error(4, err)
-        return 4
-    except PreconditionError as err:
-        _emit_error(3, err)
-        return 3
-    except (ValueError, OSError) as err:
-        _emit_error(2, err)
-        return 2
-    except ArithmeticError as err:
-        _emit_error(3, err)
-        return 3
-
-
-def _emit_error(code: int, err: Exception) -> None:
-    sys.stderr.write(
-        json.dumps(
-            {"error": {"code": code, "type": type(err).__name__, "message": str(err)}},
-            sort_keys=True,
-        )
-        + "\n"
-    )
+    except (ValueError, OSError, ArithmeticError) as err:
+        if isinstance(err, InfeasibleSizeError):
+            code = 4
+        elif isinstance(err, (PreconditionError, ArithmeticError)):
+            code = 3
+        else:  # usage errors, ObservableSyntaxError among them
+            code = 2
+        error = {"code": code, "type": type(err).__name__, "message": str(err)}
+        sys.stderr.write(json.dumps({"error": error}, sort_keys=True) + "\n")
+        return code
 
 
 if __name__ == "__main__":

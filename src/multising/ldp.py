@@ -150,9 +150,8 @@ class ScgfCurve:
     def csv_header(self) -> List[str]:
         return ["t", "F", "Fprime", "trunc_err"]
 
-    def csv_rows(self):
-        for i in range(self.grid.size):
-            yield [self.grid[i], self.F[i], self.Fprime[i], self.trunc_err[i]]
+    def csv_columns(self) -> Tuple[np.ndarray, ...]:
+        return (self.grid, self.F, self.Fprime, self.trunc_err)
 
 
 def scgf_curve(fstar: FirstLayerObservable, params, t_grid, tol: float = 1e-10) -> ScgfCurve:
@@ -177,9 +176,8 @@ class RateCurve:
     def csv_header(self) -> List[str]:
         return ["x", "I", "t_star", "domain_flag"]
 
-    def csv_rows(self):
-        for i in range(self.x.size):
-            yield [self.x[i], self.I[i], self.t_star[i], int(self.domain_flag[i])]
+    def csv_columns(self) -> Tuple[np.ndarray, ...]:
+        return (self.x, self.I, self.t_star, self.domain_flag)
 
 
 def legendre(curve: ScgfCurve, x: float) -> Tuple[float, float]:

@@ -11,6 +11,7 @@ smooth-number weight series, giving the pressure of any local observable.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -297,8 +298,12 @@ def kie_pressure(f: Observable, params: ModelParams, t: float, tol: float,
     with the exact remaining mass sum_{j>J} j w_j (mass identity).  That
     bound does not involve Psi, so the stopping index J is found first and
     every region j <= J is checked against the factor-width cap before any
-    Psi_j is computed; a tolerance past the cap fails at once.
+    Psi_j is computed; a tolerance past the cap fails at once.  A NaN or
+    infinite tilt is refused before J is chosen, and a Psi_j that is not
+    finite raises PreconditionError rather than entering the table.
     """
+    if not math.isfinite(t):
+        raise ValueError(f"tilt t must be finite, got {t!r}")
     if tol <= 0:
         raise ValueError("tol must be positive")
     model, fstar = extend_observable(f, PrimeBasis((base_prime,)), params)
@@ -330,6 +335,8 @@ def kie_pressure(f: Observable, params: ModelParams, t: float, tol: float,
     for j, n_j, w_j, tail in terms:
         region = Region(frozenset(points[:j]))
         psi = region_pressure(RegionPressureKey(region, fstar, t), model, cap=cap)
+        if not math.isfinite(psi):
+            raise PreconditionError(f"the region pressure Psi_{j} is {psi}, not finite")
         value += w_j * psi
         rows.append(SeriesRow(j, n_j, w_j, psi, value, tail))
     return value, rows

@@ -1,13 +1,15 @@
+import hashlib
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multising import cli
-from multising.errors import ObservableSyntaxError
+from multising import cli, gibbs
+from multising.errors import ObservableSyntaxError, PreconditionError
 from multising.observables import Observable
 
 
@@ -163,6 +165,22 @@ class TestScgfCommand:
         assert run_cli("scgf", "--beta", "1", "--t", t) == 2
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["code"] == 2 and "tilt" in err["message"]
+
+    @pytest.mark.parametrize("t", ["nan", "inf"])
+    def test_multiprime_non_finite_tilt_is_usage_error(self, capsys, t):
+        assert run_cli("scgf", "--beta", "1", "--f", "s[1]*s[3]", "--t", t) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["code"] == 2 and "tilt" in err["message"]
+
+    @pytest.mark.parametrize("model", [["--J", "25"], ["--J", "1", "--h", "400"]])
+    def test_multiprime_non_finite_table_exits_3(self, tmp_path, capsys, model):
+        # the transfer data break down there; no table with NaN rows is left
+        with np.errstate(all="ignore"):
+            code = run_cli("scgf", "--beta", "1", *model, "--f", "s[1]*s[3]", "--t", "0.1",
+                           "--tol", "0.05", "--output", str(tmp_path / "series.csv"))
+        assert code == 3
+        assert json.loads(capsys.readouterr().err)["error"]["code"] == 3
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestRateCommand:
@@ -325,3 +343,141 @@ class TestConfigFile:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("beta: 1.0\n")
         assert run_cli("entropy", "--config", str(cfg)) == 2
+
+
+def fraction_grid(spec):
+    """Reference grid: the count truncated toward zero, each point
+    float(Fraction)."""
+    start, stop, step = (Fraction(p) for p in spec.split(":"))
+    return np.array([float(start + i * step) for i in range(int((stop - start) / step) + 1)])
+
+
+class TestParseGrid:
+    @pytest.mark.parametrize("spec", ["-3:3:0.0002", "-0.9:0.9:0.1", "1e-3:2e-2:1e-3",
+                                      "1:0.9:0.5", "1:0:0.5", "0:0:1", "0:1:0.3",
+                                      "-2.5:7:0.75", "1e-20:3e-19:7e-21"])
+    def test_range_has_the_bits_of_fraction_points(self, spec):
+        got = cli._parse_grid(spec)
+        assert got.dtype == np.float64
+        assert got.tobytes() == fraction_grid(spec).tobytes()
+
+    def test_decimal_points_and_truncating_count(self):
+        assert 0.5 in cli._parse_grid("-0.9:0.9:0.1").tolist()
+        assert cli._parse_grid("1:0.9:0.5").tolist() == [1.0]
+        assert cli._parse_grid("1:0:0.5").size == 0
+        assert cli._parse_grid("0:0:1").tolist() == [0.0]
+        assert cli._parse_grid("0:1:0.3").tolist() == [0.0, 0.3, 0.6, 0.9]
+        assert cli._parse_grid("-3:3:0.0002").size == 30001
+
+    def test_list_and_single_value(self):
+        assert cli._parse_grid("0.1,-2,3e-4").tolist() == [0.1, -2.0, 3e-4]
+        assert cli._parse_grid("0.25").tolist() == [0.25]
+
+    @pytest.mark.parametrize("spec", ["1:2", "1:2:3:4", "a:1:0.1", "0:1:0", "0:1:-0.1",
+                                      "1/0:1:0.1", "x", "1,y", ""])
+    def test_bad_specs_raise_value_error(self, spec):
+        with pytest.raises(ValueError):
+            cli._parse_grid(spec)
+
+    def test_bad_spec_exits_2(self, capsys):
+        assert run_cli("scgf", "--t", "0:1:0") == 2
+        assert json.loads(capsys.readouterr().err)["error"]["code"] == 2
+
+
+def csv_reference(header, columns):
+    """The CSV contract, one row at a time."""
+    rows = zip(*[c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns])
+    lines = [",".join(header)] + [",".join(repr(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+class TestWriteCsv:
+    COLUMNS = [
+        np.array([0.1, -0.0, 1e-300, math.inf, -math.inf, math.nan, 2.0 / 3.0]),
+        np.arange(-3, 4),
+        range(1, 8),
+        tuple(3**k for k in range(0, 140, 20)),
+        {j: 1.0 / j for j in range(1, 8)}.values(),
+    ]
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7, 8192])
+    def test_columns_across_chunk_boundaries(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", chunk)
+        out = tmp_path / "t.csv"
+        header = ["a", "b", "c", "d", "e"]
+        cli._write_csv(str(out), header, self.COLUMNS)
+        text = out.read_text()
+        assert text == csv_reference(header, self.COLUMNS)
+        lines = text.splitlines()
+        assert lines[1] == "0.1,-3,1,1,1.0"
+        assert [line.split(",")[0] for line in lines[4:7]] == ["inf", "-inf", "nan"]
+        assert "np." not in text
+
+    def test_stdout_and_empty_table(self, capsys):
+        cli._write_csv(None, ["x", "y"], [np.array([0.5, 1.5]), (2, 3)])
+        assert capsys.readouterr().out == "x,y\n0.5,2\n1.5,3\n"
+        cli._write_csv(None, ["x"], [np.array([])])
+        assert capsys.readouterr().out == "x\n"
+
+    def test_unequal_columns_raise(self, tmp_path):
+        with pytest.raises(ValueError, match="equal"):
+            cli._write_csv(str(tmp_path / "t.csv"), ["a", "b"], [np.zeros(3), range(2)])
+        assert not (tmp_path / "t.csv").exists()
+
+
+class TestJsonOutput:
+    def test_non_finite_value_exits_3_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(gibbs, "free_energy", lambda *args, **kwargs: math.nan)
+        out = tmp_path / "fe.json"
+        assert run_cli("free-energy", "--output", str(out)) == 3
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["code"] == 3 and err["message"].startswith("free, minus, plus:")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_finite_list_entry_is_named(self, capsys):
+        with pytest.raises(PreconditionError, match="^a: not finite"):
+            cli._write_json(None, {"a": [1.0, -math.inf], "b": 2.0, "c": "nan"})
+        assert capsys.readouterr().out == ""
+
+
+# SHA-256 of the CSV and of its sidecar, with the output named out.csv in the
+# working directory (the sidecar echoes the output path and the package
+# version).  The values were computed with the row-list CSV writer and the
+# Fraction-per-point grid that the column writer and the integer grid
+# replaced; every CSV byte is part of the output contract.
+BYTE_IDENTITY = {
+    "readme-scgf": (
+        ["scgf", "--beta", "0", "--J", "1", "--h", "0", "--f", "s[1]*s[2]", "--t", "-3:3:0.1"],
+        "9480926c2fe19506f95ef0444bbf4fca7eda475361e5a50423519821838a032c",
+        "3864d20abff49ac2749f0b8d7f4fcf5b63e1412f2051eb7aef16eea44a6343ab",
+    ),
+    "readme-rate": (
+        ["rate", "--beta", "0", "--J", "1", "--h", "0", "--f", "s[1]*s[2]", "--x", "-0.9:0.9:0.05"],
+        "82b5ecf1235252d7d605d46ee735cf5eee56578e89bc2c8303da90984e5e1fbe",
+        "24f17ca409ca6453af6e674d701965046a769483cbb39b9081c0458b2a0c3cab",
+    ),
+    "readme-series": (
+        ["scgf", "--beta", "0", "--f", "s[1]*s[2] + s[1]*s[3]", "--t", "0.1", "--tol", "0.05"],
+        "124b4a8be599adffdc8c75942aeb0250fa2778fb5a20cb7e09f9afcda4f9f12e",
+        "a5b546e8fa82cc4d198edbf8c6c370e65a7eccba34ddfeb980628f14e9094052",
+    ),
+    "readme-kie-weights-2-3": (
+        ["kie-weights", "--primes", "2,3", "--tol", "1e-8"],
+        "91ca0dab789f5cd2e5ea700255b65ce1523a811192a8e20b2faabe575a60e086",
+        "dea935a06e4b917e643c23c291382e6b413433b2d31458488bf0ad0cd3b7a32a",
+    ),
+    "scgf-30001-tilts": (
+        ["scgf", "--beta", "1", "--J", "1", "--h", "0.3", "--t", "-3:3:0.0002"],
+        "a45adfae9b3189b55448ea90e46bf54337e4f501b93b0dbf19ea82fcbf38801d",
+        "ca5f3506a46ede878c481ccd6daf7626e422ad5b1ffc20c1be73dac5ef3cd922",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BYTE_IDENTITY))
+def test_outputs_are_byte_identical(tmp_path, monkeypatch, name):
+    argv, csv_sha, meta_sha = BYTE_IDENTITY[name]
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv, "--output", "out.csv") == 0
+    assert hashlib.sha256((tmp_path / "out.csv").read_bytes()).hexdigest() == csv_sha
+    assert hashlib.sha256((tmp_path / "out.csv.meta.json").read_bytes()).hexdigest() == meta_sha

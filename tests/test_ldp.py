@@ -93,8 +93,9 @@ class TestScgfCurve:
     def test_csv_schema(self):
         curve = ldp.scgf_curve(FS_BOND, P_UNIT, np.arange(-0.5, 0.51, 0.25), 1e-10)
         assert curve.csv_header() == ["t", "F", "Fprime", "trunc_err"]
-        rows = list(curve.csv_rows())
-        assert len(rows) == curve.grid.size and len(rows[0]) == 4
+        columns = curve.csv_columns()
+        assert len(columns) == 4 and all(len(c) == curve.grid.size for c in columns)
+        assert columns[0] is curve.grid and columns[1] is curve.F
 
     def test_derivative_matches_secants_to_second_order(self):
         step = 0.1
@@ -165,6 +166,8 @@ class TestLegendre:
         assert rc.I[0] == math.inf and rc.I[-1] == math.inf
         assert np.all(rc.I[1:4] >= 0.0)
         assert rc.csv_header() == ["x", "I", "t_star", "domain_flag"]
+        columns = rc.csv_columns()
+        assert len(columns) == 4 and columns[3].tolist() == [1, 0, 0, 0, 1]
         interior = rc.I[1:4]
         assert np.all(np.diff(rc.t_star[1:4]) > 0)
         assert interior[1] <= min(interior[0], interior[2])

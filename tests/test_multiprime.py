@@ -178,6 +178,21 @@ class TestKiePressure:
             assert abs(r.psi_j) <= r.j * 2.0 * (1 + 1e-12)
             assert abs(v - r.partial_sum) <= r.tail_bound + 1e-12
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tilt_is_refused(self, t):
+        # refused before the stopping index is sought, which a NaN tilt
+        # would never reach
+        with pytest.raises(ValueError, match="tilt") as info:
+            multiprime.kie_pressure(F_TWO, P_UNIT, t, 1e-10)
+        assert not isinstance(info.value, (InfeasibleSizeError, PreconditionError))
+
+    @pytest.mark.parametrize("params", [ModelParams(1.0, 25.0, 0.0), ModelParams(1.0, 1.0, 400.0)])
+    def test_non_finite_region_pressure_raises(self, params):
+        # the transfer data break down there; the series must not carry NaN
+        f = Observable.make([((1, 3), 1.0)])
+        with np.errstate(all="ignore"), pytest.raises(PreconditionError, match="Psi_"):
+            multiprime.kie_pressure(f, params, 0.1, 0.05)
+
 
 class TestFiniteVolume:
     def test_single_site(self):
