@@ -267,7 +267,7 @@ def _cmd_scgf(args) -> int:
     output = res.get("output", str, None)
     if all(i & (i - 1) == 0 for key, _ in obs.terms for i in key):  # dyadic indices
         fstar = to_first_layer(obs)
-        values, fprime, _, errs = ldp.scgf_values(fstar, params, grid, tol)
+        values, fprime, _, errs = ldp.scgf_values(fstar, params, grid, tol, order=1)
         _write_csv(output, ["t", "F", "Fprime", "trunc_err"], [grid, values, fprime, errs])
         _sidecar(output, "scgf", res.resolved,
                  {"observable": str(obs), "max_trunc_err": repr(float(np.max(errs)))})

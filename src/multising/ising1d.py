@@ -319,72 +319,103 @@ def _shift_predecessors(v: np.ndarray, w: int) -> np.ndarray:
 
 
 def tilted_prefix_pressures(k: int, fstar: FirstLayerObservable, t, params,
-                            w_max: int = _W_MAX):
+                            w_max: int = _W_MAX, *, order: int = 2):
     """P^i(t * f*) = log E exp(t S_i), S_i = sum_{j<=i} f* o theta_j, and its
-    first two t-derivatives, for i = 0..k, under the infinite chain (pi, Q).
+    first `order` t-derivatives, for i = 0..k, under the infinite chain
+    (pi, Q).
 
     One sliding-window transfer pass in forward mode.  Per window state it
-    carries the log of the tilted weight and the tilted conditional mean and
-    variance of S given that state.  A shift merges two predecessor states
-    by their weights; the tilt adds t f* to the log weight and f* to the
-    mean.  So dP^i = E_t S_i and d2P^i = Var_t S_i come out exactly, and in
-    log space no window weight underflows, however large |t|.
+    carries the log of the tilted weight, the tilted conditional mean of S
+    given that state and, at order 2, its conditional variance.  A shift
+    merges two predecessor states by their weights; the tilt adds t f* to
+    the log weight and f* to the mean.  So dP^i = E_t S_i and
+    d2P^i = Var_t S_i come out exactly, and in log space no window weight
+    underflows, however large |t|.  The variance channel costs about a third
+    of the pass, so callers that read no F'' pass order=1; the rate-function
+    Newton solve and the CLT variance need order 2.  P and dP do not depend
+    on the order, bit for bit.
 
-    Returns (P, dP, d2P), each of shape (k+1,) for scalar t and (k+1, len(t))
-    for a vector of tilts.
+    Returns (P, dP) at order 1 and (P, dP, d2P) at order 2, each of shape
+    (k+1,) for scalar t and (k+1, len(t)) for a vector of tilts.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
+    if order not in (1, 2):
+        raise ValueError(f"order must be 1 or 2, got {order!r}")
     w = _window_width(fstar, w_max)
     td = _as_transfer(params)
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    n = 1 << w
+    n, size = 1 << w, t_arr.size
+    half = n >> 1
     f = _window_values(fstar, w)[:, None]
     tf = f * t_arr[None, :]
     # successor weights: new slot b after prefix q costs Q(newest slot of q, b)
-    tops = (np.arange(n >> 1) >> (w - 2)) & 1
+    tops = (np.arange(half) >> (w - 2)) & 1
+    log_q = td.log_Q[tops].T[:, :, None]  # (2, n/2, 1), indexed [b, q, .]
     with np.errstate(divide="ignore"):
-        log_q = np.log(td.Q[tops].T)[:, :, None]  # (2, n/2, 1), indexed [b, q, .]
-        log_w = np.log(_window_init(td, w))[:, None] + np.zeros((1, t_arr.size))
-    mean = np.zeros((n, t_arr.size))
-    var = np.zeros((n, t_arr.size))
-    out = np.empty((3, k + 1, t_arr.size))
+        log_w = np.log(_window_init(td, w))[:, None] + np.zeros((1, size))
+    mean = np.zeros((n, size))
+    var = np.zeros((n, size))
+    out = np.empty((order + 1, k + 1, size))
+    # every step writes the state and scratch buffers in place, with the
+    # operations of the plain expressions in the same order, so the bits do
+    # not change and the views below stay valid for the whole pass (np.where
+    # and the reductions allocate: their out= forms are slower here)
+    (a0, a1), (m0, m1), (v0, v1) = (np.moveaxis(_shift_predecessors(x, w), 1, 0)
+                                    for x in (log_w, mean, var))
+    # the successor of prefix q by new slot b is state q + b n/2
+    succ = log_w.reshape(2, half, size)
+    gap, small, big, merged, mq, dm, vq, tmp = np.empty((8, half, size))
+    p, d = np.empty((2, n, size))
     for i in range(k + 1):
         if i:
-            a = _shift_predecessors(log_w, w)
-            m = _shift_predecessors(mean, w)
-            v = _shift_predecessors(var, w)
-            gap = a[:, 1] - a[:, 0]
-            small = np.exp(-np.abs(gap))
-            merged = np.maximum(a[:, 0], a[:, 1]) + np.log1p(small)
+            np.subtract(a1, a0, out=gap)
+            np.exp(np.negative(np.abs(gap, out=small), out=small), out=small)
+            np.maximum(a0, a1, out=merged)
+            merged += np.log1p(small, out=tmp)
             # weights of the two predecessors, each to full relative precision
-            big = 1.0 / (1.0 + small)
+            np.divide(1.0, np.add(1.0, small, out=big), out=big)
             small *= big
             later = gap > 0.0
             r0 = np.where(later, small, big)
             r1 = np.where(later, big, small)
-            dm = m[:, 1] - m[:, 0]
-            mq = r0 * m[:, 0] + r1 * m[:, 1]
-            vq = r0 * v[:, 0] + r1 * v[:, 1] + r0 * r1 * dm * dm
-            log_w = (log_q + merged[None]).reshape(n, -1)
-            mean = np.concatenate([mq, mq])
-            var = np.concatenate([vq, vq])
-        log_w = log_w + tf
-        mean = mean + f
+            np.multiply(r0, m0, out=mq)
+            mq += np.multiply(r1, m1, out=tmp)
+            if order == 2:
+                # vq = r0 v0 + r1 v1 + r0 r1 dm dm, dm = m1 - m0
+                np.subtract(m1, m0, out=dm)
+                np.multiply(r0, v0, out=vq)
+                vq += np.multiply(r1, v1, out=tmp)
+                np.multiply(r0, r1, out=tmp)
+                tmp *= dm
+                tmp *= dm
+                vq += tmp
+                var[:half] = vq
+                var[half:] = vq
+            np.add(log_q, merged[None], out=succ)
+            np.add(mq, f[:half], out=mean[:half])
+            np.add(mq, f[half:], out=mean[half:])
+        else:
+            mean += f
+        log_w += tf
         top = log_w.max(axis=0)
-        p = np.exp(log_w - top[None, :])
+        np.exp(np.subtract(log_w, top, out=p), out=p)
         z = p.sum(axis=0)
         p /= z
-        m1 = (p * mean).sum(axis=0)
-        d = mean - m1
-        out[0, i] = top + np.log(z)
-        out[1, i] = m1
-        out[2, i] = (p * (var + d * d)).sum(axis=0)
+        out[1, i] = (p * mean).sum(axis=0)
+        if order == 2:
+            # Var_t S = E_t (var + (mean - E_t S)^2)
+            np.subtract(mean, out[1, i], out=d)
+            d *= d
+            d += var
+            d *= p
+            out[2, i] = d.sum(axis=0)
+        np.add(top, np.log(z, out=z), out=out[0, i])
     if not np.all(np.isfinite(out)):
         raise PreconditionError("tilted pass is not finite; beta*(J,h) too large for the transfer data")
     if np.ndim(t) == 0:
         out = out[:, :, 0]
-    return out[0], out[1], out[2]
+    return tuple(out)
 
 
 def prefix_sum_range(k: int, fstar: FirstLayerObservable):

@@ -4,10 +4,14 @@ their Legendre-transform rate functions, and the Monte Carlo harness.
 For a first-layer observable f the SCGF is the weighted series
 F(t) = sum_k 2^{-(k+2)} P^k(t f*), with P^k the tilted layer pressures.  One
 forward-mode prefix pass gives P^k and its first two t-derivatives, so F, F'
-and F'' are all exact up to the series truncation.  The series are summed
+and F'' are all exact up to the series truncation.  The pass carries F''
+only at order 2, which the Newton solve of rate_curve, clt_variance and
+clt_mc_summary need; the SCGF curve, scgf, finite_pressure_exact and the
+CLI scgf run it at order 1 and read F and F' alone.  The series are summed
 by arith.dyadic_sum and truncated at the depth arith.dyadic_depth picks from
 the growths |P^k| <= (k+1) |t| sup|f*|, |dP^k| <= (k+1) sup|f*| and
-|d2P^k| <= (k+1)^2 sup|f*|^2.  The Legendre transform
+|d2P^k| <= (k+1)^2 sup|f*|^2, at either order, so F and F' do not depend on
+it.  The Legendre transform
 I(x) = sup_t (tx - F(t)) is the large-deviation rate of
 X_N = (1/N) sum_{i<=N} f(s_{i.}), and F''(0) is the CLT variance.
 """
@@ -67,36 +71,40 @@ def series_depth_for(fstar: FirstLayerObservable, t_max: float, tol: float) -> i
     return arith.dyadic_depth(tol, (s, s, 0.0), (sup * sup, 2 * sup * sup, sup * sup))
 
 
-def _series(fstar: FirstLayerObservable, td, t: np.ndarray, depth: int):
-    """F, F', F'' truncated after P^depth, and the tail bound of F, for a
-    1-d array of tilts."""
-    out = np.empty((4, t.size))
+def _series(fstar: FirstLayerObservable, td, t: np.ndarray, depth: int, *, order: int = 2):
+    """F, F' and (order 2) F'' truncated after P^depth, and the tail bound
+    of F, for a 1-d array of tilts; at order 1 the F'' slot is None."""
+    out = np.empty((order + 2, t.size))
     block = max(1, _BLOCK_ENTRIES >> max(max(fstar.widths), 2))
     for start in range(0, t.size, block):
         tb = t[start:start + block]
-        prefix = np.stack(tilted_prefix_pressures(depth, fstar, tb, td), axis=1)
+        prefix = np.stack(tilted_prefix_pressures(depth, fstar, tb, td, order=order), axis=1)
         s = np.abs(tb) * fstar.sup_bound
         values, tail = arith.dyadic_sum(prefix, (s, s, 0.0))
-        out[:3, start:start + block] = values
-        out[3, start:start + block] = tail
-    return out[0], out[1], out[2], out[3]
+        out[:-1, start:start + block] = values
+        out[-1, start:start + block] = tail
+    return out[0], out[1], (out[2] if order == 2 else None), out[-1]
 
 
-def scgf_values(fstar: FirstLayerObservable, params, t, tol: float = 1e-10):
+def scgf_values(fstar: FirstLayerObservable, params, t, tol: float = 1e-10, *, order: int = 2):
     """Vectorized SCGF on an array of tilts: returns (F, F', F'', trunc_err).
 
     The layer-pressure series is summed to the common depth
     series_depth_for(fstar, max |t|, tol); trunc_err bounds the truncation
-    error of F at each tilt, and the errors of F' and F'' are below tol."""
+    error of F at each tilt, and the errors of F' and F'' are below tol.
+    order=1 skips the variance channel of the prefix pass and returns None
+    in the F'' slot; F, F' and trunc_err are the same bits at either order,
+    since the depth always covers F''.  Only callers that read F'' need
+    order 2: the Newton solve of rate_curve, clt_variance, clt_mc_summary."""
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     t_max = float(np.max(np.abs(t_arr))) if t_arr.size else 0.0
     depth = series_depth_for(fstar, t_max, tol)
-    return _series(fstar, _as_transfer(params), t_arr, depth)
+    return _series(fstar, _as_transfer(params), t_arr, depth, order=order)
 
 
 def scgf(fstar: FirstLayerObservable, params, t: float, tol: float = 1e-10) -> Tuple[float, float]:
     """F(t) = sum_k P^k(t f*) / 2^{k+2} and its truncation-error bound."""
-    values, _, _, errs = scgf_values(fstar, params, t, tol)
+    values, _, _, errs = scgf_values(fstar, params, t, tol, order=1)
     return float(values[0]), float(errs[0])
 
 
@@ -156,7 +164,7 @@ class ScgfCurve:
 
 def scgf_curve(fstar: FirstLayerObservable, params, t_grid, tol: float = 1e-10) -> ScgfCurve:
     grid = np.asarray(t_grid, dtype=float)
-    values, fprime, _, errs = scgf_values(fstar, params, grid, tol)
+    values, fprime, _, errs = scgf_values(fstar, params, grid, tol, order=1)
     curve = ScgfCurve(grid=grid, F=values, Fprime=fprime, trunc_err=errs)
     curve.validate()
     return curve
@@ -279,7 +287,7 @@ def finite_pressure_exact(fstar: FirstLayerObservable, t: float, n: int, params)
         raise ValueError("volume must be in [1, 2^20]")
     counts = gibbs.layer_count_by_depth(n)
     p_max = max(counts)
-    prefix = tilted_prefix_pressures(p_max, fstar, t, params)[0]
+    prefix = tilted_prefix_pressures(p_max, fstar, t, params, order=1)[0]
     total = 0.0
     for p, c in sorted(counts.items()):
         total += c * float(prefix[p])

@@ -284,6 +284,35 @@ class TestTiltedPressure:
         e = np.exp(-2.0 * np.abs(t + bj))
         assert np.allclose(d2P[-1], (k + 1) * 4.0 * e / (1.0 + e) ** 2, rtol=1e-9, atol=0.0)
 
+    @pytest.mark.parametrize("fstar", [
+        F_SITE,
+        F_PAIR,
+        FirstLayerObservable.make([([0], 1.0), ([0, 2], 0.5)]),  # s[1] + 0.5*s[1]*s[4]
+        FirstLayerObservable.make([([0, 3], 1.0), ([1], -0.5)]),
+    ], ids=["width1", "width2", "width3", "width4"])
+    def test_first_order_is_second_order_without_variance(self, fstar):
+        t_grid = np.concatenate([np.linspace(-20.0, 20.0, 41), [-7.3, 0.0, 1e-3, 13.7]])
+        for params in (ModelParams(1.0, 1.0, 0.3), ModelParams(2.5, -0.7, -1.2)):
+            for t in (0.8, -20.0, t_grid):
+                first = ising1d.tilted_prefix_pressures(12, fstar, t, params, order=1)
+                second = ising1d.tilted_prefix_pressures(12, fstar, t, params, order=2)
+                assert len(first) == 2 and len(second) == 3
+                assert np.array_equal(first[0], second[0])
+                assert np.array_equal(first[1], second[1])
+
+    @pytest.mark.parametrize("order", [0, 3, -1])
+    def test_order_must_be_one_or_two(self, order):
+        with pytest.raises(ValueError, match="order"):
+            ising1d.tilted_prefix_pressures(2, F_PAIR, 0.5, ModelParams(1.0), order=order)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("params", [ModelParams(20.0, 1.0, 0.0), ModelParams(1.0, 1.0, 400.0)],
+                             ids=["bj20", "bh400"])
+    def test_finite_guard_at_both_orders(self, params, order):
+        # the transfer data are not finite at these points, so neither is P
+        with np.errstate(all="ignore"), pytest.raises(PreconditionError, match="not finite"):
+            ising1d.tilted_prefix_pressures(5, F_PAIR, 0.5, params, order=order)
+
     def test_window_cap(self):
         wide = FirstLayerObservable.make([([0, 13], 1.0)])
         with pytest.raises(InfeasibleSizeError):

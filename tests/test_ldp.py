@@ -97,6 +97,20 @@ class TestScgfCurve:
         assert len(columns) == 4 and all(len(c) == curve.grid.size for c in columns)
         assert columns[0] is curve.grid and columns[1] is curve.F
 
+    def test_first_order_curve_matches_second_order_values(self):
+        # 5,001 tilts of a width-4 observable span ten tilt blocks of the pass
+        fstar = to_first_layer(Observable.make([((1, 8), 1.0), ((2,), -0.5)]))
+        params = ModelParams(1.0, 1.0, 0.3)
+        grid = np.linspace(-3.0, 3.0, 5001)
+        assert grid.size > 2 * (ldp._BLOCK_ENTRIES >> max(fstar.widths))
+        curve = ldp.scgf_curve(fstar, params, grid)
+        F, fprime, fsecond, errs = ldp.scgf_values(fstar, params, grid, order=2)
+        assert np.array_equal(curve.F, F)
+        assert np.array_equal(curve.Fprime, fprime)
+        assert np.array_equal(curve.trunc_err, errs)
+        assert fsecond.shape == grid.shape
+        assert ldp.scgf_values(fstar, params, grid[:7], order=1)[2] is None
+
     def test_derivative_matches_secants_to_second_order(self):
         step = 0.1
         curve = ldp.scgf_curve(FS_BOND, P_UNIT, np.arange(-1.0, 1.001, step), 1e-12)
