@@ -49,7 +49,7 @@ def brute_log_partition(n_bonds: int, params: ModelParams, bc: str) -> float:
 def brute_region_pressure(points, fstar: FirstLayerObservable, t: float,
                           model: multiprime.ExtendedModel) -> float:
     """Enumerate every full line chain of the dependence set jointly and sum
-    configuration weights directly from pi and Q entries."""
+    configuration weights directly from log pi and log Q entries."""
     td = transfer(model.params)
     axis = model.base_axis
     sites = set()
@@ -77,9 +77,7 @@ def brute_region_pressure(points, fstar: FirstLayerObservable, t: float,
         for k, length in zip(keys, lens):
             chain = assign[pos : pos + length]
             pos += length
-            logp += math.log(td.pi[chain[0]])
-            for a, b in zip(chain, chain[1:]):
-                logp += math.log(td.Q[a, b])
+            logp += td.log_pi[chain[0]] + sum(td.log_Q[a, b] for a, b in zip(chain, chain[1:]))
             for s in lines[k]:
                 spin_at[s] = 1 - 2 * chain[s[axis]]
         tilt = const

@@ -453,8 +453,7 @@ def smb_estimate(n: int, params: ModelParams, count: int, seed: int) -> Tuple[fl
                   n - layers - leave - enter + mm, enter - mm,  # Q(+,+), Q(+,-)
                   leave - mm, mm], axis=1)                  # Q(-,+), Q(-,-)
     w = np.concatenate([td.log_pi, td.log_Q.ravel()])
-    # a type that never occurs adds 0, also where its log is not finite
-    values = -(k * np.where(k > 0, w, 0.0)).sum(axis=1) / n
+    values = -(k * w).sum(axis=1) / n
     mean = float(values.mean())
     if count > 1:
         stderr = float(values.std(ddof=1) / math.sqrt(count))

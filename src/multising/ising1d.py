@@ -2,9 +2,10 @@
 
 The chain on sites 0..n has Boltzmann weight exp(beta * (J * sum s_i s_{i+1}
 + h * sum s_i [+ boundary term])).  Its transfer matrix K(a, b) =
-exp(beta * (J a b + h b)) has explicit Perron data; the induced Markov chain
-(pi, Q) is the infinite-volume layer measure with free boundary at the left
-end.  Spin indexing everywhere: index 0 is +1, index 1 is -1.
+exp(beta * (J a b + h b)) induces the Markov chain (pi, Q), the infinite-volume
+layer measure with free boundary at the left end; transfer and log_q_power
+give log Q, log pi and log Q^n in closed form, finite wherever beta*(J, h) is.
+Spin indexing everywhere: index 0 is +1, index 1 is -1.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ __all__ = [
     "log_partition_scaled",
     "cylinder_logprob",
     "chain_marginal_logprob",
-    "q_power",
+    "log_q_power",
+    "log_site_law",
     "marginal_entropies",
     "marginal_entropy",
     "tilted_prefix_pressures",
@@ -37,6 +39,7 @@ __all__ = [
 
 SPINS = (1, -1)
 BOUNDARY_CONDITIONS = ("free", "plus", "minus")
+_LOG2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -56,66 +59,55 @@ class ModelParams:
 
 @dataclass(frozen=True, eq=False)
 class TransferData:
-    """Transfer matrix K, Perron pair (lam, e_tilde), Markov data (Q, pi)."""
+    """log Q, log pi (finite) and their exps Q, pi (entries may underflow)."""
 
     params: ModelParams
-    K: np.ndarray
-    lam: float
-    e_tilde: np.ndarray
-    Q: np.ndarray
-    pi: np.ndarray
     log_Q: np.ndarray
     log_pi: np.ndarray
+    Q: np.ndarray
+    pi: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "_qpow", {0: np.eye(2), 1: self.Q})
+
+def _softplus(x: float) -> float:  # log(1 + e^x)
+    return max(x, 0.0) + math.log1p(math.exp(-abs(x)))
+
+
+def _log1mexp(y: float) -> float:  # log(1 - e^{-y}) for y > 0
+    return math.log(-math.expm1(-y)) if y < _LOG2 else math.log1p(-math.exp(-y))
 
 
 def transfer(params: ModelParams) -> TransferData:
-    """Closed-form Perron data of the 2x2 transfer matrix.
-
-    lam = e^{bJ} cosh(bh) + sqrt(e^{2bJ} sinh^2(bh) + e^{-2bJ}); the right
-    eigenvector is proportional to (K(+,-), lam - K(+,+)), strictly positive.
-    The initial law pi is the limiting marginal of the first chain spin,
-    pi(a) proportional to e^{bh s_a} e_tilde(a).
-    """
-    b, J, h = params.beta, params.J, params.h
-    bJ, bh = b * J, b * h
-    K = np.empty((2, 2))
-    try:
-        for ia, sa in enumerate(SPINS):
-            for ib, sb in enumerate(SPINS):
-                K[ia, ib] = math.exp(bJ * sa * sb + bh * sb)
-    except OverflowError:
-        raise PreconditionError("transfer matrix overflow; |beta*(J,h)| too large") from None
-    if not np.all(np.isfinite(K)):
-        raise PreconditionError("transfer matrix overflow; |beta*(J,h)| too large")
-    lam = math.exp(bJ) * math.cosh(bh) + math.hypot(
-        math.exp(bJ) * math.sinh(bh), math.exp(-bJ)
-    )
-    # solve (K - lam) v = 0 from the row whose diagonal sits farther from
-    # lam; the other choice cancels catastrophically for strong fields
-    if K[0, 0] <= K[1, 1]:
-        v = np.array([K[0, 1], lam - K[0, 0]])
+    """Closed-form log Markov data of K(a, c) = exp(A ac + B c), A = beta*J,
+    B = beta*h.  With b = |B| and u = asinh(e^{2A} sinh b), lam - K_big =
+    e^{-A-u} and lam - K_small = e^{-A+u}, so no nearly equal numbers are
+    subtracted: for s the spin the field favours, Q(s, s) = sigma(x_s) with
+    x_s = 2A + b + u, Q(-s, -s) = sigma(x_o) with x_o = 2A - b - u, sigma
+    the logistic function, and pi(s)/pi(-s) = e^{b + u}.  Past
+    e^{2A} sinh b = 1, x_o = -2b - g - c, g = log sinh b - b and
+    c = u - log(e^{2A} sinh b), stays exact where 2A and u nearly cancel."""
+    A, B = params.beta * params.J, params.beta * params.h
+    b = abs(B)
+    if b == 0.0:
+        u, x_o = 0.0, 2.0 * A
     else:
-        v = np.array([lam - K[1, 1], K[1, 0]])
-    e_tilde = v / math.sqrt(v @ v)
-    Q = K * e_tilde[None, :] / (lam * e_tilde[:, None])
-    # normalize both components: forming the smaller one as 1 minus the
-    # other cancels
-    lp = bh * np.array(SPINS, dtype=float)
-    pi = np.exp(lp - lp.max()) * e_tilde
-    pi /= pi.sum()
-    return TransferData(
-        params=params,
-        K=K,
-        lam=lam,
-        e_tilde=e_tilde,
-        Q=Q,
-        pi=pi,
-        log_Q=np.log(Q),
-        log_pi=np.log(pi),
-    )
+        g = _log1mexp(2.0 * b) - _LOG2
+        lz = 2.0 * A + b + g
+        if lz <= 0.0:
+            u = math.asinh(math.exp(lz))
+            x_o = (2.0 * A - b) - u
+        else:
+            c = math.log1p(math.sqrt(1.0 + math.exp(-2.0 * lz)))
+            u = lz + c
+            x_o = -2.0 * b - g - c
+    x_s = (2.0 * A + b) + u
+    log_Q = -np.array([[_softplus(-x_s), _softplus(x_s)], [_softplus(x_o), _softplus(-x_o)]])
+    log_pi = -np.array([_softplus(-(b + u)), _softplus(b + u)])
+    if B < 0.0:  # the field favours the minus spin, index 1
+        log_Q, log_pi = log_Q[::-1, ::-1].copy(), log_pi[::-1].copy()
+    if not (np.all(np.isfinite(log_Q)) and np.all(np.isfinite(log_pi))):
+        raise PreconditionError("transfer data not finite; |beta*(J,h)| too large")
+    return TransferData(params=params, log_Q=log_Q, log_pi=log_pi,
+                        Q=np.exp(log_Q), pi=np.exp(log_pi))
 
 
 def _as_transfer(obj) -> TransferData:
@@ -124,20 +116,50 @@ def _as_transfer(obj) -> TransferData:
     return transfer(obj)
 
 
-def q_power(tdata: TransferData, n: int) -> np.ndarray:
-    """Q^n with caching on the TransferData instance."""
-    cache = tdata._qpow
-    if n not in cache:
-        cache[n] = np.linalg.matrix_power(tdata.Q, n)
-    return cache[n]
+def _logaddexp(a: float, b: float) -> float:
+    if a < b:
+        a, b = b, a
+    return a + math.log1p(math.exp(b - a))
+
+
+def log_q_power(td: TransferData, n: int) -> np.ndarray:
+    """log Q^n for n >= 0 by the two-state form Q^n(a, b) = mu(b) +
+    rho^n (delta_ab - mu(b)), mu the stationary law.  rho = det Q has the
+    sign of A = beta*J; log|rho| = log Q(+,+) Q(-,-) (1 - e^{-4A}) or
+    log Q(+,-) Q(-,+) (1 - e^{4A}) is exact however close rho is to 0 or
+    +-1.  For rho^n >= 0 the diagonal sums positive terms and the
+    off-diagonal is mu(b) (1 - |rho|^n), or n m mu(b) with m = 1 - |rho|
+    where |rho|^n is within 1e-200 of 1.  An odd power of a negative rho is
+    Q times the even power below it."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    lq = td.log_Q
+    if n <= 1:
+        return lq.copy() if n else np.array([[0.0, -math.inf], [-math.inf, 0.0]])
+    A = td.params.beta * td.params.J
+    if A < 0.0 and n % 2:
+        return np.logaddexp.reduce(lq[:, :, None] + log_q_power(td, n - 1)[None], axis=1)
+    k = 0 if A >= 0.0 else 1
+    log_rho_n = n * (lq[0, k] + lq[1, 1 - k] + _log1mexp(4.0 * abs(A))) if A else -math.inf
+    if log_rho_n < -1e-200:
+        log_gap = _log1mexp(-log_rho_n)  # log(1 - |rho|^n)
+    else:  # log(n m)
+        log_gap = math.log(n) + _logaddexp(lq[0, 1 - k], lq[1, k])
+    # mu(+) = 1 / (1 + Q(+,-)/Q(-,+)), exact where the two logs are equal
+    log_mu = (-_softplus(lq[0, 1] - lq[1, 0]), -_softplus(lq[1, 0] - lq[0, 1]))
+    return np.array([[_logaddexp(log_mu[0], log_mu[1] + log_rho_n), log_mu[1] + log_gap],
+                     [log_mu[0] + log_gap, _logaddexp(log_mu[1], log_mu[0] + log_rho_n)]])
+
+
+def log_site_law(td: TransferData, n: int) -> np.ndarray:
+    """log (pi Q^n): the log law of chain site n."""
+    return np.logaddexp.reduce(td.log_pi[:, None] + log_q_power(td, n), axis=0)
 
 
 def _spin_index(value: int) -> int:
-    if value == 1:
-        return 0
-    if value == -1:
-        return 1
-    raise ValueError(f"spin value must be +1 or -1, got {value!r}")
+    if value not in SPINS:
+        raise ValueError(f"spin value must be +1 or -1, got {value!r}")
+    return SPINS.index(value)
 
 
 # ---------------------------------------------------------------------------
@@ -178,12 +200,6 @@ def log_partition_scaled(n_bonds: int, bond: float, field: float, right_bc: str 
     return float(log_partition_prefix(n_bonds, bond, field, right_bc, bc_bond)[-1])
 
 
-def _logaddexp(a: float, b: float) -> float:
-    if a < b:
-        a, b = b, a
-    return a + math.log1p(math.exp(b - a))
-
-
 def log_partition(n_bonds: int, params: ModelParams, right_bc: str = "free",
                   bc_coupling: str = "J") -> float:
     """log Z of the chain on sites 0..n_bonds.
@@ -195,31 +211,22 @@ def log_partition(n_bonds: int, params: ModelParams, right_bc: str = "free",
     if bc_coupling not in ("J", "1"):
         raise ValueError("bc_coupling must be 'J' or '1'")
     jbc = params.J if bc_coupling == "J" else 1.0
-    return log_partition_scaled(
-        n_bonds,
-        params.beta * params.J,
-        params.beta * params.h,
-        right_bc,
-        params.beta * jbc,
-    )
+    return log_partition_scaled(n_bonds, params.beta * params.J, params.beta * params.h,
+                                right_bc, params.beta * jbc)
 
 
 def cylinder_logprob(values, params) -> float:
     """log of the infinite-volume chain probability of (s_0, ..., s_k):
     log pi(s_0) + sum log Q(s_i, s_{i+1}) (empty sum for a single spin)."""
-    td = _as_transfer(params)
     idx = [_spin_index(v) for v in values]
     if not idx:
         raise ValueError("cylinder must be non-empty")
-    lp = td.log_pi[idx[0]]
-    for a, b in zip(idx, idx[1:]):
-        lp += td.log_Q[a, b]
-    return float(lp)
+    return chain_marginal_logprob(range(len(idx)), idx, params)
 
 
 def chain_marginal_logprob(positions, spin_indices, params) -> float:
     """log P(X_{v_1}=s_1, ..., X_{v_m}=s_m) for the chain (pi, Q), with the
-    unspecified intermediate sites summed out through matrix powers.
+    unspecified intermediate sites summed out through powers of Q.
 
     positions must be strictly increasing nonnegative integers; spin_indices
     are 0/1 per the package spin-index convention.
@@ -230,12 +237,9 @@ def chain_marginal_logprob(positions, spin_indices, params) -> float:
         raise ValueError("at least one position required")
     if any(b <= a for a, b in zip(positions, positions[1:])):
         raise ValueError("positions must be strictly increasing")
-    first = td.pi @ q_power(td, positions[0])
-    lp = math.log(first[spin_indices[0]])
-    for (va, ia), (vb, ib) in zip(
-        zip(positions, spin_indices), zip(positions[1:], spin_indices[1:])
-    ):
-        lp += math.log(q_power(td, vb - va)[ia, ib])
+    lp = float(log_site_law(td, positions[0])[spin_indices[0]])
+    for va, vb, ia, ib in zip(positions, positions[1:], spin_indices, spin_indices[1:]):
+        lp += float(log_q_power(td, vb - va)[ia, ib])
     return lp
 
 
@@ -304,14 +308,6 @@ def _window_values(fstar: FirstLayerObservable, w: int) -> np.ndarray:
     return vals
 
 
-def _window_init(td: TransferData, w: int) -> np.ndarray:
-    bits = _window_bits(w)
-    p = td.pi[bits[:, 0]]
-    for j in range(w - 1):
-        p = p * td.Q[bits[:, j], bits[:, j + 1]]
-    return p
-
-
 def _shift_predecessors(v: np.ndarray, w: int) -> np.ndarray:
     # state index = sum_j bit_j 2^j; a shift drops slot 0, so the states
     # 2q and 2q+1 share the successor prefix q (slots 1..w-1)
@@ -352,8 +348,10 @@ def tilted_prefix_pressures(k: int, fstar: FirstLayerObservable, t, params,
     # successor weights: new slot b after prefix q costs Q(newest slot of q, b)
     tops = (np.arange(half) >> (w - 2)) & 1
     log_q = td.log_Q[tops].T[:, :, None]  # (2, n/2, 1), indexed [b, q, .]
-    with np.errstate(divide="ignore"):
-        log_w = np.log(_window_init(td, w))[:, None] + np.zeros((1, size))
+    # window states start at log pi(slot 0) + sum_j log Q(slot j, slot j+1)
+    bits = _window_bits(w)
+    log_w = td.log_pi[bits[:, 0]] + td.log_Q[bits[:, :-1], bits[:, 1:]].sum(axis=1)
+    log_w = log_w[:, None] + np.zeros((1, size))
     mean = np.zeros((n, size))
     var = np.zeros((n, size))
     out = np.empty((order + 1, k + 1, size))
@@ -412,7 +410,7 @@ def tilted_prefix_pressures(k: int, fstar: FirstLayerObservable, t, params,
             out[2, i] = d.sum(axis=0)
         np.add(top, np.log(z, out=z), out=out[0, i])
     if not np.all(np.isfinite(out)):
-        raise PreconditionError("tilted pass is not finite; beta*(J,h) too large for the transfer data")
+        raise PreconditionError("tilted pass is not finite; the tilt is too large")
     if np.ndim(t) == 0:
         out = out[:, :, 0]
     return tuple(out)

@@ -22,7 +22,7 @@ import numpy as np
 from . import arith
 from .arith import PrimeBasis, Region
 from .errors import InfeasibleSizeError, PreconditionError
-from .ising1d import ModelParams, TransferData, q_power, transfer
+from .ising1d import ModelParams, TransferData, log_q_power, log_site_law, transfer
 from .observables import FirstLayerObservable, Observable
 
 __all__ = [
@@ -254,8 +254,8 @@ def region_pressure(key: RegionPressureKey, model: ExtendedModel,
     if not plan.scopes:
         return psi
     td = model.transfer()
-    log_q = {gap: np.log(q_power(td, gap)) for gap in set(plan.links)}
-    tables = [np.log(td.pi @ q_power(td, v0)) for v0 in plan.starts]
+    log_q = {gap: log_q_power(td, gap) for gap in set(plan.links)}
+    tables = [log_site_law(td, v0) for v0 in plan.starts]
     tables += [log_q[gap] for gap in plan.links]
     for size, coeff in plan.monomials:
         table = np.full((), t * coeff)

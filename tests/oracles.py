@@ -1,9 +1,12 @@
 """Brute-force oracles shared by the unit tests.
 
-Everything here enumerates configurations directly; no transfer algebra is
+Everything here enumerates configurations directly or evaluates the naive
+Perron formulas in high-precision decimal arithmetic; no transfer algebra is
 shared with the implementations under test.
 """
 
+import decimal
+import functools
 import itertools
 import math
 
@@ -67,6 +70,50 @@ def finite_volume_cylinder_logprob(values, n, params):
     return log_num - log_den
 
 
+def _reference_transfer_at(A, B, digits):
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        ctx.Emax, ctx.Emin = decimal.MAX_EMAX, decimal.MIN_EMIN
+        ea, eb = decimal.Decimal(A).exp(), decimal.Decimal(B).exp()
+        K = [[ea * eb, 1 / (ea * eb)], [eb / ea, ea / eb]]  # K(a, b) = e^{A ab + B b}
+        lam = (K[0][0] + K[1][1]) / 2 + (((K[0][0] - K[1][1]) / 2) ** 2 + K[0][1] * K[1][0]).sqrt()
+        # right eigenvector from the first row of (K - lam) e = 0, as it stands
+        e = (K[0][1], lam - K[0][0])
+        if e[1] <= 0:
+            return None
+        q = [K[i][j] * e[j] / (lam * e[i]) for i in range(2) for j in range(2)]
+        w = (eb * e[0], e[1] / eb)  # e^{B s_a} e(a)
+        probs = q + [w[0] / (w[0] + w[1]), w[1] / (w[0] + w[1])]
+    with decimal.localcontext() as ctx:
+        # the ratios are exact to `digits`; their logs are needed to 50
+        ctx.prec = 50
+        ctx.Emax, ctx.Emin = decimal.MAX_EMAX, decimal.MIN_EMIN
+        return [(+x).ln() for x in probs]
+
+
+@functools.lru_cache(maxsize=None)
+def reference_transfer(A, B):
+    """(log Q, log pi) at beta*J = A and beta*h = B from the naive Perron
+    formulas, lam - K(+,+) included, in decimal arithmetic.
+
+    The subtraction cancels up to (4|A| + 2|B|)/ln 10 digits, so the
+    precision starts at 60 + 2(|A| + |B|)/ln 10 digits and doubles until two
+    evaluations agree to 1e-25 (relative beyond magnitude 1).
+    """
+    digits = 60 + int(2 * (abs(A) + abs(B)) / math.log(10))
+    prev = _reference_transfer_at(A, B, digits)
+    while True:
+        digits *= 2
+        cur = _reference_transfer_at(A, B, digits)
+        if prev is not None and cur is not None and all(
+            abs(x - y) <= decimal.Decimal("1e-25") * max(1, abs(y)) for x, y in zip(prev, cur)
+        ):
+            v = np.array([float(x) for x in cur])
+            v.flags.writeable = False  # shared by the cache
+            return v[:4].reshape(2, 2), v[4:]
+        prev = cur
+
+
 def multiplicative_log_partition(n, params, bc="free", bc_coupling="J"):
     """Direct enumeration of the volume [1, 2n] under the multiplicative
     Hamiltonian with the given boundary condition."""
@@ -85,7 +132,7 @@ def multiplicative_log_partition(n, params, bc="free", bc_coupling="J"):
 
 def tilted_pressure_by_enumeration(k, fstar, t, params):
     """P^k(t f*) by enumerating all chains of length k + width and weighting
-    by exact cylinder probabilities pi * prod Q."""
+    by exact cylinder log-probabilities log pi + sum log Q."""
     from multising.ising1d import transfer
 
     td = transfer(params)
@@ -93,9 +140,9 @@ def tilted_pressure_by_enumeration(k, fstar, t, params):
     length = k + w
     vals = []
     for chain in itertools.product((0, 1), repeat=length):
-        logp = math.log(td.pi[chain[0]])
+        logp = float(td.log_pi[chain[0]])
         for a, b in zip(chain, chain[1:]):
-            logp += math.log(td.Q[a, b])
+            logp += float(td.log_Q[a, b])
         spins = [1 - 2 * c for c in chain]
         total = 0.0
         for i in range(k + 1):
@@ -115,9 +162,8 @@ def enumerated_region_pressure(key, model):
 
     Lines coupled by no common tilt monomial factor out, so only each
     coupled component is enumerated jointly.  Within a line, unassigned gaps
-    are summed by matrix powers of Q.
+    are summed by numpy matrix powers of Q, not by the package's closed form.
     """
-    from multising.ising1d import q_power
     from multising.numutil import RunningLogSum
 
     region, fstar, t = key.region, key.fstar, key.t
@@ -158,6 +204,16 @@ def enumerated_region_pressure(key, model):
         components.setdefault(find(li), []).append(li)
 
     td = model.transfer()
+
+    def log_q_power(n):
+        # an entry that underflows to 0 reads as -inf, its exact log in doubles
+        with np.errstate(divide="ignore"):
+            return np.log(np.linalg.matrix_power(td.Q, n))
+
+    def log_site_law(n):
+        with np.errstate(divide="ignore"):
+            return np.log(td.pi @ np.linalg.matrix_power(td.Q, n))
+
     for comp in components.values():
         comp_sites = sorted(sid for li in comp for _, sid in lines[line_keys[li]])
         local = {sid: b for b, sid in enumerate(comp_sites)}
@@ -174,9 +230,9 @@ def enumerated_region_pressure(key, model):
             for li in comp:
                 entries = lines[line_keys[li]]
                 v0, sid0 = entries[0]
-                logp = logp + np.log(td.pi @ q_power(td, v0))[bits[local[sid0]]]
+                logp = logp + log_site_law(v0)[bits[local[sid0]]]
                 for (va, sa), (vb, sb) in zip(entries, entries[1:]):
-                    logp = logp + np.log(q_power(td, vb - va))[bits[local[sa]], bits[local[sb]]]
+                    logp = logp + log_q_power(vb - va)[bits[local[sa]], bits[local[sb]]]
             tilt = np.zeros(idx.size)
             for bit_ids, coeff in comp_monos:
                 prod = 1.0 - 2.0 * bits[bit_ids[0]]

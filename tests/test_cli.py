@@ -8,9 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multising import cli, gibbs
+from multising import arith, cli, gibbs, multiprime
+from multising.arith import PrimeBasis
 from multising.errors import ObservableSyntaxError, PreconditionError
+from multising.ising1d import ModelParams
+from multising.multiprime import RegionPressureKey
 from multising.observables import Observable
+
+import oracles
 
 
 class TestParseObservable:
@@ -172,15 +177,30 @@ class TestScgfCommand:
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["code"] == 2 and "tilt" in err["message"]
 
-    @pytest.mark.parametrize("model", [["--J", "25"], ["--J", "1", "--h", "400"]])
+    @pytest.mark.parametrize("model", [["--J", "1e308"], ["--J", "1", "--h", "1e308"]])
     def test_multiprime_non_finite_table_exits_3(self, tmp_path, capsys, model):
-        # the transfer data break down there; no table with NaN rows is left
-        with np.errstate(all="ignore"):
-            code = run_cli("scgf", "--beta", "1", *model, "--f", "s[1]*s[3]", "--t", "0.1",
-                           "--tol", "0.05", "--output", str(tmp_path / "series.csv"))
+        # 2 beta*J or beta*h overflows, so the transfer data do not exist;
+        # no table with NaN rows is left
+        code = run_cli("scgf", "--beta", "1", *model, "--f", "s[1]*s[3]", "--t", "0.1",
+                       "--tol", "0.05", "--output", str(tmp_path / "series.csv"))
         assert code == 3
         assert json.loads(capsys.readouterr().err)["error"]["code"] == 3
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("model", [["--J", "25"], ["--J", "1", "--h", "400"]])
+    def test_multiprime_table_at_strong_coupling_and_field(self, tmp_path, model):
+        # Q(+,-) is about e^{-50} at --J 25; pi(-) is about e^{-800} at --h 400
+        out = tmp_path / "series.csv"
+        assert run_cli("scgf", "--beta", "1", *model, "--f", "s[1]*s[3]", "--t", "0.1",
+                       "--tol", "0.05", "--output", str(out)) == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+        assert np.all(np.isfinite(rows))
+        params = ModelParams(1.0, float(model[1]), float(model[3]) if len(model) > 2 else 0.0)
+        model_d, fstar = multiprime.extend_observable(Observable.make([((1, 3), 1.0)]),
+                                                      PrimeBasis((2,)), params)
+        for j, psi in zip(rows[:, 0].astype(int), rows[:, 3]):
+            key = RegionPressureKey(arith.canonical_region(model_d.basis, int(j)), fstar, 0.1)
+            assert psi == pytest.approx(oracles.enumerated_region_pressure(key, model_d), abs=1e-12)
 
 
 class TestRateCommand:
@@ -444,7 +464,9 @@ class TestJsonOutput:
 # working directory (the sidecar echoes the output path and the package
 # version).  The values were computed with the row-list CSV writer and the
 # Fraction-per-point grid that the column writer and the integer grid
-# replaced; every CSV byte is part of the output contract.
+# replaced; every CSV byte is part of the output contract.  The
+# scgf-30001-tilts CSV was re-pinned when transfer moved to closed-form logs:
+# its F and F' moved by at most 8.9e-16 and 5.6e-16.
 BYTE_IDENTITY = {
     "readme-scgf": (
         ["scgf", "--beta", "0", "--J", "1", "--h", "0", "--f", "s[1]*s[2]", "--t", "-3:3:0.1"],
@@ -468,7 +490,7 @@ BYTE_IDENTITY = {
     ),
     "scgf-30001-tilts": (
         ["scgf", "--beta", "1", "--J", "1", "--h", "0.3", "--t", "-3:3:0.0002"],
-        "a45adfae9b3189b55448ea90e46bf54337e4f501b93b0dbf19ea82fcbf38801d",
+        "31796fdd7e7c54e5e965a67383a4d7e186793a12fc9c7f255902fd2b1ef40737",
         "ca5f3506a46ede878c481ccd6daf7626e422ad5b1ffc20c1be73dac5ef3cd922",
     ),
 }

@@ -129,6 +129,14 @@ class TestKsEntropy:
         assert gibbs.ks_entropy(p, "formula") == pytest.approx(math.log(2), abs=1e-14)
         assert gibbs.ks_entropy(p, "series", 1e-12) == pytest.approx(math.log(2), abs=1e-10)
 
+    @pytest.mark.parametrize("bj", [20.0, 25.0, 100.0, 700.0])
+    def test_low_temperature_closed_form(self, bj):
+        # Q(+,-) is e^{-2 beta J} down to e^{-1400}
+        p = ModelParams(1.0, bj, 0.0)
+        closed = gibbs.ks_entropy(p, "closed_h0")
+        assert gibbs.ks_entropy(p, "series") == pytest.approx(closed, abs=1e-12)
+        assert gibbs.ks_entropy(p, "formula") == pytest.approx(closed, abs=1e-12)
+
     def test_mode_agreement_on_grid(self):
         for bj in (0.0, 0.5, 1.5, 3.0):
             p = ModelParams(1.0, bj, 0.0)
@@ -351,10 +359,35 @@ class TestSmb:
         assert se == pytest.approx(values.std(ddof=1) / math.sqrt(count), abs=1e-12)
 
     def test_finite_where_the_chain_has_impossible_transitions(self):
-        # at beta*J = 25 the transfer data carry -inf and nan logs for
-        # transitions the sampler never takes; they must not reach the mean
-        mean, se = gibbs.smb_estimate(64, ModelParams(25.0, 1.0, 0.0), 10, 1)
-        assert math.isfinite(mean) and math.isfinite(se)
+        # at beta*J = 25 a flip has probability 2e-22, which the sampler
+        # never draws, yet its log must stay finite; each draw's
+        # log-probability is summed here from the decimal reference
+        n, count, seed = 64, 10, 1
+        log_q, log_pi = oracles.reference_transfer(25.0, 0.0)
+        cfg = gibbs.sample(n, ModelParams(25.0, 1.0, 0.0), count, seed).configurations
+        values = []
+        for row in cfg:
+            lp = 0.0
+            for r in range(1, n + 1, 2):
+                chain = [0 if row[site - 1] == 1 else 1 for site in range(r, n + 1) if
+                         site % r == 0 and (site // r) & (site // r - 1) == 0]
+                lp += log_pi[chain[0]] + sum(log_q[a, b] for a, b in zip(chain, chain[1:]))
+            values.append(-lp / n)
+        mean, se = gibbs.smb_estimate(n, ModelParams(25.0, 1.0, 0.0), count, seed)
+        assert mean == pytest.approx(np.mean(values), abs=1e-12)
+        assert se == pytest.approx(np.std(values, ddof=1) / math.sqrt(count), abs=1e-12)
+
+    def test_strong_coupling_sampler(self):
+        # beta*J = 25, h = 0: the first spin of each layer is a fair coin
+        # and the chain almost never flips
+        params, n, count = ModelParams(25.0, 1.0, 0.0), 64, 2000
+        cfg = gibbs.sample(n, params, count, 7).configurations
+        freq = float(np.mean(cfg[:, 0] == 1))
+        assert abs(freq - 0.5) <= 4 * math.sqrt(0.25 / count)
+        mean, se = gibbs.smb_estimate(n, params, count, 7)
+        # every draw has the same log-probability, so se is 0 up to rounding;
+        # 1e-12 is the truncation bound of the entropy series
+        assert abs(mean - gibbs.ks_entropy(params, "series", 1e-12)) <= 5 * se + 1e-12
 
     def test_rejects_empty_batches(self):
         with pytest.raises(ValueError):

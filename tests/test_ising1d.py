@@ -22,11 +22,13 @@ params_st = st.builds(
 
 class TestTransfer:
     def test_zero_field_closed_forms(self):
-        td = transfer(ModelParams(1.3, 0.8, 0.0))
         bj = 1.3 * 0.8
-        assert td.lam == pytest.approx(math.exp(bj) + math.exp(-bj), rel=1e-14)
-        assert td.e_tilde == pytest.approx([1 / math.sqrt(2)] * 2, rel=1e-14)
+        td = transfer(ModelParams(1.3, 0.8, 0.0))
+        alpha = 1.0 / (1.0 + math.exp(-2.0 * bj))
+        assert td.Q == pytest.approx(np.array([[alpha, 1 - alpha], [1 - alpha, alpha]]), rel=1e-14)
+        assert td.log_Q[0, 1] == pytest.approx(-math.log1p(math.exp(2.0 * bj)), rel=1e-14)
         assert td.pi[0] == pytest.approx(0.5, abs=1e-15)
+        assert td.log_pi[1] == pytest.approx(-math.log(2.0), rel=1e-15)
 
     def test_infinite_temperature_transitions(self):
         td = transfer(ModelParams(0.0, 1.0, 0.7))
@@ -39,17 +41,32 @@ class TestTransfer:
     @settings(max_examples=150, deadline=None)
     @given(params_st)
     def test_perron_and_markov_invariants(self, params):
+        # Q(a, b) = K(a, b) e(b) / (lam e(a)) for the Perron pair (lam, e) of
+        # K(a, b) = exp(A ab + B b): the gauge e cancels from the cycle ratio
+        # and from Q(+,+)/Q(-,-), and pi(a) is proportional to e^{B s_a} e(a)
         td = transfer(params)
-        scale = max(1.0, td.lam)
-        assert np.max(np.abs(td.K @ td.e_tilde - td.lam * td.e_tilde)) <= 1e-14 * scale
+        A, B = params.beta * params.J, params.beta * params.h
+        lq, lp = td.log_Q, td.log_pi
+        assert lq[0, 1] + lq[1, 0] - lq[0, 0] - lq[1, 1] == pytest.approx(-4 * A, abs=1e-12)
+        assert lq[0, 0] - lq[1, 1] == pytest.approx(2 * B, abs=1e-12)
+        assert lp[0] - lp[1] == pytest.approx(lq[0, 0] - lq[0, 1] - 2 * A, abs=1e-12)
+        assert np.array_equal(td.Q, np.exp(lq)) and np.array_equal(td.pi, np.exp(lp))
         assert np.all(td.Q > 0)
         assert np.max(np.abs(td.Q.sum(axis=1) - 1.0)) <= 1e-14
         assert td.pi.sum() == pytest.approx(1.0, abs=1e-14)
         assert np.all(td.pi > 0)
 
     def test_overflow_guard(self):
-        with pytest.raises(PreconditionError):
-            transfer(ModelParams(400.0, 2.0, 0.0))
+        # K itself overflows at beta*J = 800, its logs do not
+        td = transfer(ModelParams(400.0, 2.0, 0.0))
+        assert td.log_Q[0, 1] == pytest.approx(-1600.0, rel=1e-15)
+        assert td.log_Q[0, 0] == 0.0 and td.Q[0, 1] == 0.0
+        assert np.array_equal(td.log_pi, np.full(2, -math.log(2.0)))
+        # the guard still fires where beta*J, 2 beta*J or beta*h overflows
+        for params in (ModelParams(1e200, 1e200, 0.0), ModelParams(1.0, 1e308, 0.0),
+                       ModelParams(1.0, 1.0, 1e308), ModelParams(1e200, 0.0, -1e200)):
+            with pytest.raises(PreconditionError, match="transfer"):
+                transfer(params)
 
     def test_pi_small_component_matches_symmetric_form(self):
         # pi(-) ~ 1e-4 here: forming it as 1 - pi(+) lost 5.6e-12 relative.
@@ -65,6 +82,36 @@ class TestTransfer:
         pi /= pi.sum()
         got = transfer(ModelParams(beta, J, h)).pi
         assert np.max(np.abs(got / pi - 1.0)) <= 1e-13
+
+
+class TestLogQPower:
+    @settings(max_examples=150, deadline=None)
+    @given(params_st, st.integers(0, 60))
+    def test_matches_numpy_matrix_power(self, params, n):
+        td = transfer(params)
+        with np.errstate(divide="ignore"):  # Q^0 has zero entries
+            want = np.log(np.linalg.matrix_power(td.Q, n))
+        got = ising1d.log_q_power(td, n)
+        finite = np.isfinite(want)
+        assert np.array_equal(np.isfinite(got), finite)
+        err = np.abs(got[finite] - want[finite])
+        assert np.all(err <= 1e-12 * np.maximum(1.0, np.abs(want[finite])))
+        site = np.log(td.pi @ np.linalg.matrix_power(td.Q, n))
+        assert ising1d.log_site_law(td, n) == pytest.approx(site, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("bj", [-3.0, 3.0])
+    def test_both_signs_of_rho_and_parities(self, bj):
+        # rho = det Q has the sign of beta*J; odd powers of a negative rho
+        # take one step of Q after the even power
+        td = transfer(ModelParams(1.0, bj, 0.4))
+        want = np.eye(2)
+        for n in range(9):
+            assert np.allclose(np.exp(ising1d.log_q_power(td, n)), want, rtol=1e-13, atol=0.0)
+            want = want @ td.Q
+
+    def test_negative_power_is_refused(self):
+        with pytest.raises(ValueError):
+            ising1d.log_q_power(transfer(ModelParams(1.0)), -1)
 
 
 class TestLogPartition:
@@ -309,9 +356,14 @@ class TestTiltedPressure:
     @pytest.mark.parametrize("params", [ModelParams(20.0, 1.0, 0.0), ModelParams(1.0, 1.0, 400.0)],
                              ids=["bj20", "bh400"])
     def test_finite_guard_at_both_orders(self, params, order):
-        # the transfer data are not finite at these points, so neither is P
+        # Q(+,-) is about e^{-40} at bj20; pi(-) is about e^{-800} at bh400
+        out = ising1d.tilted_prefix_pressures(5, F_PAIR, 0.5, params, order=order)
+        assert all(np.all(np.isfinite(x)) for x in out)
+        want = oracles.tilted_pressure_by_enumeration(5, F_PAIR, 0.5, params)
+        assert out[0][-1] == pytest.approx(want, rel=1e-12, abs=1e-12)
+        # the guard still fires where P itself overflows
         with np.errstate(all="ignore"), pytest.raises(PreconditionError, match="not finite"):
-            ising1d.tilted_prefix_pressures(5, F_PAIR, 0.5, params, order=order)
+            ising1d.tilted_prefix_pressures(5, F_PAIR, 1e308, params, order=order)
 
     def test_window_cap(self):
         wide = FirstLayerObservable.make([([0, 13], 1.0)])

@@ -186,12 +186,18 @@ class TestKiePressure:
             multiprime.kie_pressure(F_TWO, P_UNIT, t, 1e-10)
         assert not isinstance(info.value, (InfeasibleSizeError, PreconditionError))
 
-    @pytest.mark.parametrize("params", [ModelParams(1.0, 25.0, 0.0), ModelParams(1.0, 1.0, 400.0)])
+    @pytest.mark.parametrize("params", [ModelParams(1.0, 1e308, 0.0), ModelParams(1.0, 1.0, 1e308)])
     def test_non_finite_region_pressure_raises(self, params):
-        # the transfer data break down there; the series must not carry NaN
+        # 2 beta*J or beta*h overflows, so the transfer data do not exist;
+        # the series must not carry NaN
         f = Observable.make([((1, 3), 1.0)])
-        with np.errstate(all="ignore"), pytest.raises(PreconditionError, match="Psi_"):
+        with pytest.raises(PreconditionError, match="not finite"):
             multiprime.kie_pressure(f, params, 0.1, 0.05)
+
+    def test_non_finite_psi_is_refused(self, monkeypatch):
+        monkeypatch.setattr(multiprime, "region_pressure", lambda *a, **k: math.nan)
+        with pytest.raises(PreconditionError, match="Psi_1"):
+            multiprime.kie_pressure(Observable.make([((1, 3), 1.0)]), P_UNIT, 0.1, 0.05)
 
 
 class TestFiniteVolume:
