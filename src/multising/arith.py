@@ -15,7 +15,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import islice
 from typing import Callable, Dict, Iterator, List, Tuple
 
 import numpy as np
@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 LOG2 = math.log(2.0)
+_MAX_WEIGHT_TERMS = 10_000_000  # kie_weights refuses a longer series
 
 def _is_prime(n: int) -> bool:
     if n < 2:
@@ -80,15 +81,10 @@ class PrimeBasis:
         return len(self.primes)
 
     def kappa_fraction(self) -> Fraction:
-        """Density of integers coprime to the basis, by inclusion-exclusion:
-        1 - 1/p_1 - 1/p_2 + 1/(p_1 p_2) - ... = prod(1 - 1/p_i)."""
-        total = Fraction(0)
-        for k in range(self.dim + 1):
-            for subset in combinations(self.primes, k):
-                prod = 1
-                for p in subset:
-                    prod *= p
-                total += Fraction((-1) ** k, prod)
+        """Density of integers coprime to the basis: prod(1 - 1/p_i)."""
+        total = Fraction(1)
+        for p in self.primes:
+            total *= Fraction(p - 1, p)
         return total
 
     @property
@@ -102,12 +98,6 @@ class LayerIndex:
 
     r: int
     exponents: Tuple[int, ...]
-
-    def value(self, basis: PrimeBasis) -> int:
-        v = self.r
-        for p, x in zip(basis.primes, self.exponents):
-            v *= p**x
-        return v
 
 
 @dataclass(frozen=True)
@@ -348,24 +338,6 @@ class WeightSeries:
     def j_max(self) -> int:
         return len(self.weights)
 
-    def tail_bound(self, j_last: int) -> float:
-        """Conservative upper bound on sum_{j > j_last} j * w_j."""
-        return _weight_tail_bound(j_last, self.basis.dim, self.kappa)
-
-    def mass_tail(self, j_last: int) -> float:
-        """Exact tail sum_{j > j_last} j * w_j via the mass identity
-        sum_j j * w_j = 1 (Abel summation of the telescoping weights)."""
-        if j_last >= len(self.smooth):
-            raise ValueError("tail requested beyond the enumerated range")
-        kf = self.kappa_fraction
-        partial = Fraction(0)
-        for j in range(1, j_last + 1):
-            partial += j * kf * Fraction(
-                self.smooth[j] - self.smooth[j - 1],
-                self.smooth[j - 1] * self.smooth[j],
-            )
-        return float(1 - partial)
-
     def sum_weights(self) -> float:
         return math.fsum(self.weights.values())
 
@@ -373,26 +345,24 @@ class WeightSeries:
         return math.fsum(j * w for j, w in self.weights.items())
 
 
-def kie_weights(basis: PrimeBasis, tolerance: float, max_terms: int = 10_000_000) -> WeightSeries:
+def kie_weights(basis: PrimeBasis, tolerance: float) -> WeightSeries:
     """Enumerate the weight series up to the first J at which the
     conservative bound on the remaining mass sum_{j>J} j * w_j drops below
     `tolerance`.  The bound decreases in J, so J is found by bisection
-    before any weight is formed."""
+    before any weight is formed; a J past _MAX_WEIGHT_TERMS is refused."""
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    if max_terms < 1:
-        raise ValueError("max_terms must be >= 1")
     kappa_fr = basis.kappa_fraction()
 
     def below(j: int) -> bool:
         return _weight_tail_bound(j, basis.dim, float(kappa_fr)) < tolerance
 
-    if not below(max_terms):
+    if not below(_MAX_WEIGHT_TERMS):
         raise InfeasibleSizeError(
-            f"the weight series needs more than max_terms={max_terms} terms "
+            f"the weight series needs more than {_MAX_WEIGHT_TERMS} terms "
             f"(cap) to reach tolerance {tolerance:g}"
         )
-    lo, hi = 0, max_terms  # J lies in (lo, hi]
+    lo, hi = 0, _MAX_WEIGHT_TERMS  # J lies in (lo, hi]
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if below(mid):

@@ -268,20 +268,21 @@ def _cmd_scgf(args) -> int:
     if all(i & (i - 1) == 0 for key, _ in obs.terms for i in key):  # dyadic indices
         fstar = to_first_layer(obs)
         values, fprime, _, errs = ldp.scgf_values(fstar, params, grid, tol, order=1)
+        # the bounds are >= 0, so an empty grid reads 0.0
+        extra = {"observable": str(obs), "max_trunc_err": repr(float(np.max(errs, initial=0.0)))}
         _write_csv(output, ["t", "F", "Fprime", "trunc_err"], [grid, values, fprime, errs])
-        _sidecar(output, "scgf", res.resolved,
-                 {"observable": str(obs), "max_trunc_err": repr(float(np.max(errs)))})
+        _sidecar(output, "scgf", res.resolved, extra)
         return 0
     # non-dyadic indices: multi-prime route, single tilt, series table output
     if grid.size != 1:
         raise ValueError("observables with non-dyadic indices use the smooth-number "
                          "series; pass a single --t value")
     value, rows = multiprime.kie_pressure(obs, params, float(grid[0]), tol)
+    extra = {"observable": str(obs), "value": repr(float(value)),
+             "tail_bound": repr(float(rows[-1].tail_bound))}
     _write_csv(output, ["j", "n_j", "w_j", "Psi_j", "partial_sum", "tail_bound"],
                list(zip(*map(astuple, rows))))
-    _sidecar(output, "scgf", res.resolved,
-             {"observable": str(obs), "value": repr(float(value)),
-              "tail_bound": repr(float(rows[-1].tail_bound))})
+    _sidecar(output, "scgf", res.resolved, extra)
     return 0
 
 

@@ -20,8 +20,10 @@ from . import arith
 from .errors import PreconditionError
 from .ising1d import (
     BOUNDARY_CONDITIONS,
+    _BC_SIGN,
     ModelParams,
     _as_transfer,
+    _boundary_coupling,
     chain_marginal_logprob,
     log_partition_prefix,
     marginal_entropies,
@@ -121,21 +123,11 @@ def joint_law_logprobs(sites, params) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _bc_sign(bc: str) -> float:
-    return {"free": 0.0, "plus": 1.0, "minus": -1.0}[bc]
-
-
 def _isolated_site_log_weight(params: ModelParams, bc: str, jbc: float) -> float:
     # odd sites in (N, 2N] are interaction-free; under plus/minus boundary
     # conditions they still couple to the boundary configuration.
-    x = abs(params.beta * (params.h + _bc_sign(bc) * jbc))
+    x = abs(params.beta * (params.h + _BC_SIGN[bc] * jbc))
     return x + math.log1p(math.exp(-2.0 * x))
-
-
-def _resolve_jbc(params: ModelParams, bc_coupling: str) -> float:
-    if bc_coupling not in ("J", "1"):
-        raise ValueError("bc_coupling must be 'J' or '1'")
-    return params.J if bc_coupling == "J" else 1.0
 
 
 def layer_count_by_depth(n: int) -> Dict[int, int]:
@@ -159,7 +151,7 @@ def finite_volume_log_partition(n: int, params: ModelParams, bc: str = "free",
     """
     if bc not in BOUNDARY_CONDITIONS:
         raise ValueError(f"unknown boundary condition {bc!r}")
-    jbc = _resolve_jbc(params, bc_coupling)
+    jbc = _boundary_coupling(params, bc_coupling)
     counts = layer_count_by_depth(n)
     log_z = log_partition_prefix(max(counts) + 1, params.beta * params.J,
                                  params.beta * params.h, bc, params.beta * jbc)
@@ -182,7 +174,7 @@ def free_energy(bc: str, params: ModelParams, tol: float = 1e-10,
     """
     if bc not in BOUNDARY_CONDITIONS:
         raise ValueError(f"unknown boundary condition {bc!r}")
-    jbc = _resolve_jbc(params, bc_coupling)
+    jbc = _boundary_coupling(params, bc_coupling)
     bond = params.beta * params.J
     field = params.beta * params.h
     bcb = params.beta * jbc if bc != "free" else 0.0

@@ -19,7 +19,6 @@ from .errors import InfeasibleSizeError, PreconditionError
 from .observables import FirstLayerObservable
 
 __all__ = [
-    "SPINS",
     "BOUNDARY_CONDITIONS",
     "ModelParams",
     "TransferData",
@@ -27,7 +26,6 @@ __all__ = [
     "log_partition",
     "log_partition_prefix",
     "log_partition_scaled",
-    "cylinder_logprob",
     "chain_marginal_logprob",
     "log_q_power",
     "log_site_law",
@@ -37,8 +35,9 @@ __all__ = [
     "prefix_sum_range",
 ]
 
-SPINS = (1, -1)
-BOUNDARY_CONDITIONS = ("free", "plus", "minus")
+# sign of the field a plus/minus boundary puts on the last spin
+_BC_SIGN = {"free": 0.0, "plus": 1.0, "minus": -1.0}
+BOUNDARY_CONDITIONS = tuple(_BC_SIGN)
 _LOG2 = math.log(2.0)
 
 
@@ -156,12 +155,6 @@ def log_site_law(td: TransferData, n: int) -> np.ndarray:
     return np.logaddexp.reduce(td.log_pi[:, None] + log_q_power(td, n), axis=0)
 
 
-def _spin_index(value: int) -> int:
-    if value not in SPINS:
-        raise ValueError(f"spin value must be +1 or -1, got {value!r}")
-    return SPINS.index(value)
-
-
 # ---------------------------------------------------------------------------
 # Partition functions and finite-volume quantities.
 # ---------------------------------------------------------------------------
@@ -181,7 +174,8 @@ def log_partition_prefix(n_bonds: int, bond: float, field: float, right_bc: str 
         raise ValueError("n_bonds must be >= 0")
     if right_bc not in BOUNDARY_CONDITIONS:
         raise ValueError(f"unknown boundary condition {right_bc!r}")
-    shift = {"free": 0.0, "plus": bc_bond, "minus": -bc_bond}[right_bc]
+    sign = _BC_SIGN[right_bc]
+    shift = sign * bc_bond if sign else 0.0  # 0 * inf would be nan
     out = np.empty(n_bonds + 1)
     # log-weights of the last spin being + and -
     lp, lm = field, -field
@@ -208,20 +202,16 @@ def log_partition(n_bonds: int, params: ModelParams, right_bc: str = "free",
     model coupling J by default, or 1 with bc_coupling="1" (the two agree in
     the J=1 normalization).
     """
-    if bc_coupling not in ("J", "1"):
-        raise ValueError("bc_coupling must be 'J' or '1'")
-    jbc = params.J if bc_coupling == "J" else 1.0
+    jbc = _boundary_coupling(params, bc_coupling)
     return log_partition_scaled(n_bonds, params.beta * params.J, params.beta * params.h,
                                 right_bc, params.beta * jbc)
 
 
-def cylinder_logprob(values, params) -> float:
-    """log of the infinite-volume chain probability of (s_0, ..., s_k):
-    log pi(s_0) + sum log Q(s_i, s_{i+1}) (empty sum for a single spin)."""
-    idx = [_spin_index(v) for v in values]
-    if not idx:
-        raise ValueError("cylinder must be non-empty")
-    return chain_marginal_logprob(range(len(idx)), idx, params)
+def _boundary_coupling(params: ModelParams, bc_coupling: str) -> float:
+    # J_bc of the plus/minus boundary term: the model J, or 1
+    if bc_coupling not in ("J", "1"):
+        raise ValueError("bc_coupling must be 'J' or '1'")
+    return params.J if bc_coupling == "J" else 1.0
 
 
 def chain_marginal_logprob(positions, spin_indices, params) -> float:
@@ -279,16 +269,16 @@ def _window_bits(w: int) -> np.ndarray:
     return (np.arange(n)[:, None] >> np.arange(w)[None, :]) & 1
 
 
-def _window_width(fstar: FirstLayerObservable, w_max: int) -> int:
+def _window_width(fstar: FirstLayerObservable) -> int:
     # a width-1 observable rides a two-site window, so that one shift rule
     # (drop the oldest slot, weight the new one by Q from the newest) covers
     # every width
     if fstar.dim != 1:
         raise PreconditionError("layer pressure requires a one-dimensional observable")
     w = fstar.width
-    if w > w_max:
+    if w > _W_MAX:
         raise InfeasibleSizeError(
-            f"window width {w} exceeds the exact-transfer cap {w_max}"
+            f"window width {w} exceeds the exact-transfer cap {_W_MAX}"
         )
     return max(w, 2)
 
@@ -314,8 +304,8 @@ def _shift_predecessors(v: np.ndarray, w: int) -> np.ndarray:
     return v.reshape(v.shape[:-2] + (1 << (w - 1), 2) + v.shape[-1:])
 
 
-def tilted_prefix_pressures(k: int, fstar: FirstLayerObservable, t, params,
-                            w_max: int = _W_MAX, *, order: int = 2):
+def tilted_prefix_pressures(k: int, fstar: FirstLayerObservable, t, params, *,
+                            order: int = 2):
     """P^i(t * f*) = log E exp(t S_i), S_i = sum_{j<=i} f* o theta_j, and its
     first `order` t-derivatives, for i = 0..k, under the infinite chain
     (pi, Q).
@@ -338,7 +328,7 @@ def tilted_prefix_pressures(k: int, fstar: FirstLayerObservable, t, params,
         raise ValueError("k must be >= 0")
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order!r}")
-    w = _window_width(fstar, w_max)
+    w = _window_width(fstar)
     td = _as_transfer(params)
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     n, size = 1 << w, t_arr.size
@@ -426,7 +416,7 @@ def prefix_sum_range(k: int, fstar: FirstLayerObservable):
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    w = _window_width(fstar, _W_MAX)
+    w = _window_width(fstar)
     f = _window_values(fstar, w)
     f = np.stack([f, -f])[:, :, None]
     best = f

@@ -141,7 +141,7 @@ class ScgfCurve:
     Fprime: np.ndarray
     trunc_err: np.ndarray
 
-    def validate(self, convexity_slack: float = 1e-9) -> None:
+    def validate(self) -> None:
         g = self.grid
         if np.any(np.diff(g) <= 0):
             raise ValueError("grid must be strictly increasing")
@@ -150,7 +150,7 @@ class ScgfCurve:
             raise ValueError("F(0) must vanish")
         if g.size >= 3:
             second = np.diff(self.F, 2)
-            if np.any(second < -convexity_slack * np.maximum(1.0, np.abs(self.F[1:-1]))):
+            if np.any(second < -1e-9 * np.maximum(1.0, np.abs(self.F[1:-1]))):
                 raise ValueError("curve is not convex")
         if np.any(np.diff(self.Fprime) < -1e-9):
             raise ValueError("derivative is not increasing")

@@ -38,6 +38,7 @@ __all__ = [
 
 WIDTH_CAP = 22  # sites spanned by the largest intermediate factor: 2^22 doubles, 32 MB
 _MAX_TERMS = 100_000  # smooth-number series terms
+_BASE = PrimeBasis((2,))  # the model's own prime: its chains run along powers of 2
 
 
 def _prime_factors(n: int) -> Dict[int, int]:
@@ -56,19 +57,14 @@ def _prime_factors(n: int) -> Dict[int, int]:
 @dataclass(frozen=True, eq=False)
 class ExtendedModel:
     """Merged prime basis, the axis carrying the chain interaction, and the
-    chain parameters.  All other axes are interaction-free, so the layer
-    measure is a product of independent chains along base_axis lines."""
+    chain parameters with their transfer data.  All other axes are
+    interaction-free, so the layer measure is a product of independent
+    chains along base_axis lines."""
 
     basis: PrimeBasis
     base_axis: int
     params: ModelParams
-
-    def transfer(self) -> TransferData:
-        td = getattr(self, "_td", None)
-        if td is None:
-            td = transfer(self.params)
-            object.__setattr__(self, "_td", td)
-        return td
+    td: TransferData
 
 
 @dataclass(frozen=True)
@@ -108,7 +104,7 @@ def extend_observable(f: Observable, base_basis: PrimeBasis,
         pairs.append((offsets, coeff))
     fstar = FirstLayerObservable.make(pairs, dim=dim)
     model = ExtendedModel(basis=basis, base_axis=merged.index(base_basis.primes[0]),
-                          params=params)
+                          params=params, td=transfer(params))
     return model, fstar
 
 
@@ -137,10 +133,10 @@ class _Plan:
 
 
 @lru_cache(maxsize=512)
-def _plan(points: frozenset, fstar: FirstLayerObservable, axis: int, cap: int) -> _Plan:
+def _plan(points: frozenset, fstar: FirstLayerObservable, axis: int) -> _Plan:
     """Build the factor graph of the region and a greedy min-fill
     elimination order, refusing it if some intermediate factor would span
-    more than `cap` sites.  Symbolic only: no table is formed here."""
+    more than WIDTH_CAP sites.  Symbolic only: no table is formed here."""
     monos: Dict[Tuple[Tuple[int, ...], ...], float] = {}
     for x in points:
         for offs, coeff in fstar.terms:
@@ -188,10 +184,10 @@ def _plan(points: frozenset, fstar: FirstLayerObservable, axis: int, cap: int) -
             continue
         del current[v]
         nb = adj[v]
-        if len(nb) + 1 > cap:
+        if len(nb) + 1 > WIDTH_CAP:
             raise InfeasibleSizeError(
                 f"eliminating the {n} sites of the dependence set needs a factor "
-                f"over {len(nb) + 1} sites (cap {cap}); an exact contraction is "
+                f"over {len(nb) + 1} sites (cap {WIDTH_CAP}); an exact contraction is "
                 "infeasible, use a looser tolerance or a Monte Carlo estimate"
             )
         inputs = tuple(sorted(holders[v]))
@@ -230,8 +226,7 @@ def _log_sum_exp(a: np.ndarray, axis: int) -> np.ndarray:
         return np.log(a.sum(axis=axis)) + np.squeeze(m, axis)
 
 
-def region_pressure(key: RegionPressureKey, model: ExtendedModel,
-                    cap: int = WIDTH_CAP) -> float:
+def region_pressure(key: RegionPressureKey, model: ExtendedModel) -> float:
     """Psi = log E exp(t * sum_{x in region} f*(theta_x .)) under the
     product-of-lines layer measure, exactly.
 
@@ -242,18 +237,18 @@ def region_pressure(key: RegionPressureKey, model: ExtendedModel,
     are summed out one at a time in a greedy min-fill order, so the cost
     follows the width of the factor graph rather than |S|; lines coupled by
     no monomial separate by themselves.  An order whose largest
-    intermediate factor spans more than `cap` sites (2^cap entries) is
-    refused before any table is formed.
+    intermediate factor spans more than WIDTH_CAP sites (2^WIDTH_CAP entries)
+    is refused before any table is formed.
     """
     region, fstar, t = key.region, key.fstar, key.t
     dim = model.basis.dim
     if fstar.dim != dim or (region.points and region.dim != dim):
         raise ValueError("region / observable dimension mismatch with the model")
     psi = t * sum(c for offs, c in fstar.terms if not offs) * region.cardinality
-    plan = _plan(region.points, fstar, model.base_axis, cap)
+    plan = _plan(region.points, fstar, model.base_axis)
     if not plan.scopes:
         return psi
-    td = model.transfer()
+    td = model.td
     log_q = {gap: log_q_power(td, gap) for gap in set(plan.links)}
     tables = [log_site_law(td, v0) for v0 in plan.starts]
     tables += [log_q[gap] for gap in plan.links]
@@ -287,8 +282,8 @@ class SeriesRow:
     tail_bound: float
 
 
-def kie_pressure(f: Observable, params: ModelParams, t: float, tol: float,
-                 base_prime: int = 2, cap: int = WIDTH_CAP) -> Tuple[float, List[SeriesRow]]:
+def kie_pressure(f: Observable, params: ModelParams, t: float,
+                 tol: float) -> Tuple[float, List[SeriesRow]]:
     """Pressure of a local observable under the multiplicative measure via
     the smooth-number series kappa * sum_j (1/n_j - 1/n_{j+1}) Psi_j.
 
@@ -306,7 +301,7 @@ def kie_pressure(f: Observable, params: ModelParams, t: float, tol: float,
         raise ValueError(f"tilt t must be finite, got {t!r}")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    model, fstar = extend_observable(f, PrimeBasis((base_prime,)), params)
+    model, fstar = extend_observable(f, _BASE, params)
     sup = fstar.sup_bound
     kappa_fr = model.basis.kappa_fraction()
     mass = Fraction(0)
@@ -324,7 +319,7 @@ def kie_pressure(f: Observable, params: ModelParams, t: float, tol: float,
             )
     for j in range(len(terms), 0, -1):  # the widest region first
         try:
-            _plan(frozenset(points[:j]), fstar, model.base_axis, cap)
+            _plan(frozenset(points[:j]), fstar, model.base_axis)
         except InfeasibleSizeError as err:
             raise InfeasibleSizeError(
                 f"reaching tol={tol:g} takes the series terms j <= {len(terms)}, "
@@ -334,7 +329,7 @@ def kie_pressure(f: Observable, params: ModelParams, t: float, tol: float,
     rows: List[SeriesRow] = []
     for j, n_j, w_j, tail in terms:
         region = Region(frozenset(points[:j]))
-        psi = region_pressure(RegionPressureKey(region, fstar, t), model, cap=cap)
+        psi = region_pressure(RegionPressureKey(region, fstar, t), model)
         if not math.isfinite(psi):
             raise PreconditionError(f"the region pressure Psi_{j} is {psi}, not finite")
         value += w_j * psi
@@ -342,22 +337,19 @@ def kie_pressure(f: Observable, params: ModelParams, t: float, tol: float,
     return value, rows
 
 
-def finite_pressure_exact_d(f: Observable, t: float, n: int, params: ModelParams,
-                            base_prime: int = 2, cap: int = WIDTH_CAP) -> float:
+def finite_pressure_exact_d(f: Observable, t: float, n: int, params: ModelParams) -> float:
     """(1/n) sum over layers r <= n of the exact region pressure of the layer
     region; the finite-volume counterpart of kie_pressure, used for
     convergence diagnostics and as the authoritative fallback."""
     if n < 1:
         raise ValueError("volume must be >= 1")
-    model, fstar = extend_observable(f, PrimeBasis((base_prime,)), params)
+    model, fstar = extend_observable(f, _BASE, params)
     partition = arith.layer_partition(n, model.basis)
     cache: Dict[frozenset, float] = {}
     total = 0.0
     for region in partition.values():
         if region.points not in cache:
-            cache[region.points] = region_pressure(
-                RegionPressureKey(region, fstar, t), model, cap=cap
-            )
+            cache[region.points] = region_pressure(RegionPressureKey(region, fstar, t), model)
         total += cache[region.points]
     return total / n
 

@@ -97,13 +97,13 @@ def reference_transfer(A, B):
     formulas, lam - K(+,+) included, in decimal arithmetic.
 
     The subtraction cancels up to (4|A| + 2|B|)/ln 10 digits, so the
-    precision starts at 60 + 2(|A| + |B|)/ln 10 digits and doubles until two
+    precision starts at 60 digits beyond that and grows by half until two
     evaluations agree to 1e-25 (relative beyond magnitude 1).
     """
-    digits = 60 + int(2 * (abs(A) + abs(B)) / math.log(10))
+    digits = 60 + int((4 * abs(A) + 2 * abs(B)) / math.log(10))
     prev = _reference_transfer_at(A, B, digits)
     while True:
-        digits *= 2
+        digits = digits * 3 // 2
         cur = _reference_transfer_at(A, B, digits)
         if prev is not None and cur is not None and all(
             abs(x - y) <= decimal.Decimal("1e-25") * max(1, abs(y)) for x, y in zip(prev, cur)
@@ -203,7 +203,7 @@ def enumerated_region_pressure(key, model):
     for li in range(len(line_keys)):
         components.setdefault(find(li), []).append(li)
 
-    td = model.transfer()
+    td = model.td
 
     def log_q_power(n):
         # an entry that underflows to 0 reads as -inf, its exact log in doubles

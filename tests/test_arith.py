@@ -16,6 +16,10 @@ B23 = PrimeBasis((2, 3))
 B235 = PrimeBasis((2, 3, 5))
 
 
+def layer_value(li, basis):
+    return li.r * math.prod(p**x for p, x in zip(basis.primes, li.exponents))
+
+
 def trial_division_decompose(i, primes):
     exps = []
     for p in primes:
@@ -42,10 +46,11 @@ class TestPrimeBasis:
 
     def test_kappa_inclusion_exclusion_matches_product(self):
         for basis in (B2, B23, B235, PrimeBasis((3, 7, 11))):
-            prod = Fraction(1)
-            for p in basis.primes:
-                prod *= Fraction(p - 1, p)
-            assert basis.kappa_fraction() == prod
+            total = Fraction(0)
+            for k in range(basis.dim + 1):
+                for subset in itertools.combinations(basis.primes, k):
+                    total += Fraction((-1) ** k, math.prod(subset))
+            assert basis.kappa_fraction() == total
 
     def test_kappa_23_is_one_third(self):
         assert B23.kappa_fraction() == Fraction(1, 3)
@@ -67,7 +72,7 @@ class TestDecompose:
     def test_reconstruction(self, i):
         for basis in (B2, B23, B235):
             li = arith.decompose(i, basis)
-            assert li.value(basis) == i
+            assert layer_value(li, basis) == i
             for p in basis.primes:
                 assert li.r % p != 0
 
@@ -132,7 +137,7 @@ class TestLayerPartition:
                 assert region.is_lower_set()
                 total += region.cardinality
                 for x in region.points:
-                    values.add(arith.LayerIndex(r, x).value(basis))
+                    values.add(layer_value(arith.LayerIndex(r, x), basis))
             assert total == n
             assert values == set(range(1, n + 1))
 
@@ -265,16 +270,19 @@ class TestKieWeights:
             assert arith.smooth_numbers(basis, 1) == [1]
 
     def test_conservative_tail_bounds_exact_tail(self):
+        # the exact tail sum_{j > J} j w_j is 1 minus the partial mass
         for basis in (B2, B23):
             ws = arith.kie_weights(basis, 1e-6)
-            for j in (1, 2, 5, ws.j_max - 1):
-                assert ws.tail_bound(j) >= ws.mass_tail(j) - 1e-12
+            n, kf = ws.smooth, ws.kappa_fraction
+            for j_last in (1, 2, 5, ws.j_max - 1):
+                mass = sum(j * kf * Fraction(n[j] - n[j - 1], n[j - 1] * n[j])
+                           for j in range(1, j_last + 1))
+                bound = arith._weight_tail_bound(j_last, basis.dim, ws.kappa)
+                assert bound >= float(1 - mass) - 1e-12
 
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
             arith.kie_weights(B2, 0.0)
-        with pytest.raises(ValueError):
-            arith.kie_weights(B2, 0.1, max_terms=0)
 
     @pytest.mark.parametrize("basis", [B2, B23, B235, PrimeBasis((3, 7))])
     def test_weights_are_the_rounded_fractions(self, basis):
@@ -285,8 +293,12 @@ class TestKieWeights:
     @pytest.mark.parametrize("tol", [0.3, 1e-3, 1e-8])
     def test_stops_at_first_bound_below_tolerance(self, tol):
         ws = arith.kie_weights(B235, tol)
-        assert ws.truncation_tail == ws.tail_bound(ws.j_max) < tol
-        assert ws.tail_bound(ws.j_max - 1) >= tol
+
+        def bound(j):
+            return arith._weight_tail_bound(j, B235.dim, ws.kappa)
+
+        assert ws.truncation_tail == bound(ws.j_max) < tol
+        assert bound(ws.j_max - 1) >= tol
         assert len(ws.smooth) == ws.j_max + 1
 
     def test_unreachable_tolerance_is_a_cap_error(self):

@@ -117,6 +117,19 @@ class TestScgfCommand:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("command, flag, header", [
+        ("scgf", "--t", "t,F,Fprime,trunc_err"),
+        ("rate", "--x", "x,I,t_star,domain_flag"),
+    ])
+    def test_empty_grid_writes_header_and_sidecar(self, tmp_path, command, flag, header):
+        out = tmp_path / "empty.csv"
+        assert run_cli(command, "--f", "s[1]*s[2]", flag, "1:0:0.5", "--output", str(out)) == 0
+        assert out.read_text() == header + "\n"
+        meta = json.loads((tmp_path / "empty.csv.meta.json").read_text())
+        assert meta["command"] == command
+        if command == "scgf":
+            assert meta["max_trunc_err"] == "0.0"
+
     def test_exact_slope_at_zero_tilt(self, tmp_path):
         # at h = 0 the bonds are iid with mean tanh(beta J); F'(0) is exact
         # even though the truncation bound of F vanishes at t = 0

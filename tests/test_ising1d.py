@@ -159,21 +159,27 @@ class TestLogPartition:
         )
 
 
+def _cylinder_logprob(values, params):
+    """log P(s_0..s_k = values) under the chain, as a chain marginal."""
+    idx = [0 if v == 1 else 1 for v in values]
+    return ising1d.chain_marginal_logprob(range(len(idx)), idx, params)
+
+
 class TestCylinders:
     def test_single_spin_symmetric(self):
-        assert ising1d.cylinder_logprob([1], ModelParams(1.0, 1.0, 0.0)) == pytest.approx(
+        assert _cylinder_logprob([1], ModelParams(1.0, 1.0, 0.0)) == pytest.approx(
             math.log(0.5), abs=1e-14
         )
 
     def test_pair_value(self):
         p = ModelParams(1.0, 1.0, 0.0)
-        lp = ising1d.cylinder_logprob([1, 1], p)
+        lp = _cylinder_logprob([1, 1], p)
         assert lp == pytest.approx(math.log(0.5 * 0.8807970779778823), abs=1e-9)
 
     def test_infinite_temperature_product(self):
         p = ModelParams(0.0, 1.0, 0.9)
         for values in ([1], [1, -1, 1], [-1] * 5):
-            assert ising1d.cylinder_logprob(values, p) == pytest.approx(
+            assert _cylinder_logprob(values, p) == pytest.approx(
                 -len(values) * math.log(2), abs=1e-12
             )
 
@@ -190,7 +196,7 @@ class TestCylinders:
         for n in (150, 300, 600):
             worst = 0.0
             for values in cylinders:
-                exact = ising1d.cylinder_logprob(values, params)
+                exact = _cylinder_logprob(values, params)
                 fin = oracles.finite_volume_cylinder_logprob(values, n, params)
                 worst = max(worst, abs(math.exp(exact) - math.exp(fin)))
             if prev is not None:
@@ -223,7 +229,7 @@ class TestMarginalEntropy:
             total = 0.0
             for pattern in range(1 << (k + 1)):
                 values = [1 - 2 * ((pattern >> j) & 1) for j in range(k + 1)]
-                lp = ising1d.cylinder_logprob(values, p)
+                lp = _cylinder_logprob(values, p)
                 total -= math.exp(lp) * lp
             assert ising1d.marginal_entropy(k, p) == pytest.approx(total, abs=1e-12)
             assert prefix[k] == pytest.approx(total, abs=1e-12)

@@ -92,8 +92,8 @@ class TestRegionPressure:
         region = arith.canonical_region(model.basis, 30)
         key = RegionPressureKey(region, fstar, 0.5)
         assert math.isfinite(multiprime.region_pressure(key, model))
-        with pytest.raises(InfeasibleSizeError, match="cap 5"):
-            multiprime.region_pressure(key, model, cap=5)
+        plan = multiprime._plan(region.points, fstar, model.base_axis)
+        assert max(len(union) for _, union, _ in plan.steps) == 6
         wide = RegionPressureKey(arith.canonical_region(model.basis, 600), fstar, 0.5)
         with pytest.raises(InfeasibleSizeError, match="cap 22"):
             multiprime.region_pressure(wide, model)
