@@ -212,7 +212,7 @@ def criterion_kie_weights() -> Tuple[bool, str]:
     """d=1 weights exactly 1/2^(j+1); mass identities within 1e-8 for bases
     {2}, {2,3}, {2,3,5}; kappa({2,3}) = 1/3 exactly."""
     ws1 = arith.kie_weights(PrimeBasis((2,)), 1e-8)
-    exact_d1 = all(w == 0.5 ** (j + 1) for j, w in ws1.weights.items())
+    exact_d1 = all(w == 0.5 ** (j + 1) for j, w in enumerate(ws1.weights, 1))
     kappa_23 = PrimeBasis((2, 3)).kappa_fraction() == Fraction(1, 3)
     worst_mass = 0.0
     terms = {}

@@ -6,12 +6,13 @@ geometric-progression layers; the counting measures of those layers converge
 to explicit weight series (the dyadic 1/2^{p+2} weights for basis {2}, and
 the smooth-number series kappa * (1/n_j - 1/n_{j+1}) for general bases).
 Everything here is exact integer / rational arithmetic; floating point enters
-only when a weight is finally materialized.
+only when a weight is finally materialized.  kie_weights keeps the smooth
+numbers n_1 .. n_{J+1} as exact ints and the weights as one float64 array of
+length J, weights[j - 1] = w_j, each a correctly rounded integer division.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -239,27 +240,43 @@ def dyadic_sum(prefix, growth):
 # ---------------------------------------------------------------------------
 
 
-def _smooth_stream(basis: PrimeBasis) -> Iterator[int]:
-    """The basis-smooth numbers 1 = n_1 < n_2 < ... by a heap merge of the
-    prime multiples.  m is multiplied only by the primes up to its smallest
-    prime factor, so every number enters the heap once, as (n / q) * q with
-    q the smallest prime factor of n."""
-    heap = [1]
-    while True:
-        m = heapq.heappop(heap)
-        yield m
-        for p in basis.primes:
-            heapq.heappush(heap, m * p)
-            if m % p == 0:
-                break
-
-
 def smooth_numbers(basis: PrimeBasis, count: int) -> List[int]:
     """First `count` integers whose prime factors all lie in the basis,
-    in increasing order (n_1 = 1)."""
+    in increasing order (n_1 = 1).  Every smooth n <= X is enumerated with
+    integer products and comparisons; log X starts at the lattice-point
+    estimate (count d! prod log p_i)^{1/d} - sum log p_i / 2 and grows by 5%
+    while fewer than `count` numbers are <= X."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    return list(islice(_smooth_stream(basis), count))
+    logs = [math.log(p) for p in basis.primes]
+    d = basis.dim
+    log_x = max(1.0, (count * math.factorial(d) * math.prod(logs)) ** (1 / d) - sum(logs) / 2)
+    while True:
+        shift = max(0, math.ceil(log_x / LOG2) - 53)  # keep exp in range
+        limit = int(math.exp(log_x - shift * LOG2)) << shift
+        found = [1]  # every smooth m <= limit, prime by prime; drops a short list
+        for p in basis.primes:
+            grown = []
+            for m in found:
+                while m <= limit:
+                    grown.append(m)
+                    m *= p
+            found = grown
+        if len(found) >= count:
+            break
+        log_x *= 1.05
+    found.sort()
+    del found[count:]
+    return found
+
+
+def _smooth_stream(basis: PrimeBasis) -> Iterator[int]:
+    """The basis-smooth numbers 1 = n_1 < n_2 < ..., read from blocks of
+    smooth_numbers that double in length from 64."""
+    done, count = 0, 64
+    while True:
+        yield from islice(smooth_numbers(basis, count), done, None)
+        done, count = count, 2 * count
 
 
 def canonical_region(basis: PrimeBasis, cardinality: int) -> Region:
@@ -319,15 +336,17 @@ def iter_kie_weights(basis: PrimeBasis) -> Iterator[Tuple[int, int, int, float]]
 class WeightSeries:
     """Truncated smooth-number weight series for a prime basis.
 
-    weights[j] = kappa * (1/n_j - 1/n_{j+1}) is the limiting frequency (per
-    unit volume) of layers whose region has cardinality j.  Mass identities:
-    sum_j w_j = kappa and sum_j j * w_j = 1, both up to the declared tail.
+    weights is a float64 array of length J with weights[j - 1] = w_j =
+    kappa * (1/n_j - 1/n_{j+1}), the limiting frequency (per unit volume) of
+    layers whose region has cardinality j; smooth holds n_1 .. n_{J+1}.
+    Mass identities: sum_j w_j = kappa and sum_j j * w_j = 1, both up to the
+    declared tail.
     """
 
     basis: PrimeBasis
     kappa_fraction: Fraction
     smooth: Tuple[int, ...]  # n_1 .. n_{J+1}
-    weights: Dict[int, float]
+    weights: np.ndarray  # w_1 .. w_J
     truncation_tail: float
 
     @property
@@ -339,18 +358,19 @@ class WeightSeries:
         return len(self.weights)
 
     def sum_weights(self) -> float:
-        return math.fsum(self.weights.values())
+        return math.fsum(self.weights)
 
     def sum_j_weights(self) -> float:
-        return math.fsum(j * w for j, w in self.weights.items())
+        return math.fsum(np.arange(1, self.j_max + 1) * self.weights)
 
 
 def kie_weights(basis: PrimeBasis, tolerance: float) -> WeightSeries:
     """Enumerate the weight series up to the first J at which the
     conservative bound on the remaining mass sum_{j>J} j * w_j drops below
     `tolerance`.  The bound decreases in J, so J is found by bisection
-    before any weight is formed; a J past _MAX_WEIGHT_TERMS is refused."""
-    if tolerance <= 0:
+    before any weight is formed; a J past _MAX_WEIGHT_TERMS is refused.
+    Each weight is the correctly rounded division of iter_kie_weights."""
+    if not tolerance > 0:
         raise ValueError("tolerance must be positive")
     kappa_fr = basis.kappa_fraction()
 
@@ -369,14 +389,10 @@ def kie_weights(basis: PrimeBasis, tolerance: float) -> WeightSeries:
             hi = mid
         else:
             lo = mid
-    smooth: List[int] = []
-    weights: Dict[int, float] = {}
-    for j, n_j, n_next, w_j in iter_kie_weights(basis):
-        smooth.append(n_j)
-        weights[j] = w_j
-        if j == hi:
-            smooth.append(n_next)
-            break
+    smooth = smooth_numbers(basis, hi + 1)
+    a, b = kappa_fr.numerator, kappa_fr.denominator
+    pairs = zip(smooth, islice(smooth, 1, None))
+    weights = np.fromiter((a * (m - n) / (b * n * m) for n, m in pairs), dtype=float, count=hi)
     return WeightSeries(
         basis=basis,
         kappa_fraction=kappa_fr,

@@ -175,7 +175,9 @@ def _write_csv(path: Optional[str], header: Sequence[str], columns) -> None:
     """Write equal-length columns, _CSV_CHUNK_ROWS rows at a time.  A column
     is a numpy array or a sized iterable of Python scalars (tuple, list,
     range, dict view); each value is written as the repr of a Python float
-    (shortest round trip) or int, so a numpy scalar must not reach repr."""
+    (shortest round trip) or int, so a numpy scalar must not reach repr.
+    A chunk is formatted column by column and joined into rows by zip, so
+    no Python code runs per row."""
     n = len(columns[0])
     if any(len(c) != n for c in columns):
         raise ValueError("CSV columns must have equal lengths")
@@ -184,9 +186,9 @@ def _write_csv(path: Optional[str], header: Sequence[str], columns) -> None:
         fh.write(",".join(header) + "\n")
         for lo in range(0, n, _CSV_CHUNK_ROWS):
             size = min(_CSV_CHUNK_ROWS, n - lo)
-            chunk = [c[lo:lo + size].tolist() if it is None else list(islice(it, size))
+            chunk = [c[lo:lo + size].tolist() if it is None else islice(it, size)
                      for c, it in zip(columns, iters)]
-            fh.writelines([",".join(map(repr, row)) + "\n" for row in zip(*chunk)])
+            fh.write("\n".join(map(",".join, zip(*[map(repr, c) for c in chunk]))) + "\n")
 
 
 def _is_finite_json(value) -> bool:
@@ -406,7 +408,7 @@ def _cmd_kie_weights(args) -> int:
     basis = arith.PrimeBasis(primes)
     ws = arith.kie_weights(basis, tol)
     J = ws.j_max
-    _write_csv(output, ["j", "n_j", "w_j"], [range(1, J + 1), ws.smooth[:J], ws.weights.values()])
+    _write_csv(output, ["j", "n_j", "w_j"], [range(1, J + 1), ws.smooth[:J], ws.weights])
     _sidecar(output, "kie-weights", res.resolved, {
         "kappa": repr(ws.kappa),
         "kappa_exact": str(ws.kappa_fraction),

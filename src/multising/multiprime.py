@@ -299,7 +299,7 @@ def kie_pressure(f: Observable, params: ModelParams, t: float,
     """
     if not math.isfinite(t):
         raise ValueError(f"tilt t must be finite, got {t!r}")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     model, fstar = extend_observable(f, _BASE, params)
     sup = fstar.sup_bound

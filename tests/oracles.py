@@ -1,16 +1,33 @@
 """Brute-force oracles shared by the unit tests.
 
-Everything here enumerates configurations directly or evaluates the naive
-Perron formulas in high-precision decimal arithmetic; no transfer algebra is
-shared with the implementations under test.
+Everything here enumerates configurations directly, evaluates the naive
+Perron formulas in high-precision decimal arithmetic, or generates smooth
+numbers by a heap merge; no transfer algebra or bounded enumeration is shared
+with the implementations under test.
 """
 
 import decimal
 import functools
+import heapq
 import itertools
 import math
 
 import numpy as np
+
+
+def smooth_numbers_by_heap(primes):
+    """The primes-smooth numbers 1 = n_1 < n_2 < ... by a heap merge of the
+    prime multiples.  m is multiplied only by the primes up to its smallest
+    prime factor, so every number enters the heap once, as (n / q) * q with
+    q the smallest prime factor of n."""
+    heap = [1]
+    while True:
+        m = heapq.heappop(heap)
+        yield m
+        for p in primes:
+            heapq.heappush(heap, m * p)
+            if m % p == 0:
+                break
 
 
 def chain_spins(n_sites):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 from multising import arith
 from multising.arith import PrimeBasis, Region
 from multising.errors import InfeasibleSizeError, PreconditionError
+
+import oracles
 
 B2 = PrimeBasis((2,))
 B23 = PrimeBasis((2, 3))
@@ -237,6 +240,17 @@ class TestSmoothNumbers:
         assert got == sorted(want)
         assert all(trial_division_decompose(m, basis.primes)[0] == 1 for m in got)
 
+    @pytest.mark.parametrize("primes", [(2,), (2, 3), (2, 3, 5), (3, 7), (2, 3, 5, 7)])
+    def test_matches_heap_merge(self, primes):
+        # counts straddle the 64-number first block of the stream, its
+        # doublings and the 5% regrowth of the enumeration bound
+        counts = [1, 2, 63, 64, 65, 128, 129, 5000] + [186_713] * (primes == (2, 3, 5))
+        want = list(itertools.islice(oracles.smooth_numbers_by_heap(primes), max(counts)))
+        basis = PrimeBasis(primes)
+        for count in counts:
+            assert arith.smooth_numbers(basis, count) == want[:count]
+        assert list(itertools.islice(arith._smooth_stream(basis), max(counts))) == want
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=1, max_value=60))
     def test_canonical_region_cardinality(self, j):
@@ -249,14 +263,14 @@ class TestKieWeights:
     def test_dyadic_weights_exact(self):
         ws = arith.kie_weights(B2, 1e-8)
         assert ws.kappa_fraction == Fraction(1, 2)
-        for j, w in ws.weights.items():
+        for j, w in enumerate(ws.weights, 1):
             assert w == 0.5 ** (j + 1)
 
     def test_smooth_pair_weights(self):
         ws = arith.kie_weights(B23, 1e-4)
         assert ws.smooth[:6] == (1, 2, 3, 4, 6, 8)
-        assert ws.weights[1] == float(Fraction(1, 6))
-        assert ws.weights[2] == float(Fraction(1, 18))
+        assert ws.weights[0] == float(Fraction(1, 6))
+        assert ws.weights[1] == float(Fraction(1, 18))
 
     def test_mass_identities(self):
         for basis in (B2, B23, B235):
@@ -279,6 +293,21 @@ class TestKieWeights:
                            for j in range(1, j_last + 1))
                 bound = arith._weight_tail_bound(j_last, basis.dim, ws.kappa)
                 assert bound >= float(1 - mass) - 1e-12
+
+    def test_peak_memory_of_the_bench_size_series(self):
+        # 186,712 weights with n_j near 1e48 keep about 11 MiB: the exact
+        # ints, one tuple of them and one float64 array; a dict of the weights
+        # or a second live list of the numbers would pass 24 MiB
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            ws = arith.kie_weights(B235, 1e-8)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert ws.j_max == 186_712
+        assert peak <= 24 * 2**20
 
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):

@@ -190,6 +190,15 @@ class TestScgfCommand:
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["code"] == 2 and "tilt" in err["message"]
 
+    @pytest.mark.parametrize("route", [["kie-weights", "--primes", "2,3"],
+                                       ["scgf", "--f", "s[1]*s[3]", "--t", "0.1"],
+                                       ["scgf", "--f", "s[1]*s[2]", "--t", "0.1"]])
+    @pytest.mark.parametrize("tol", ["nan", "0"])
+    def test_tolerance_that_is_not_positive_is_usage_error(self, capsys, route, tol):
+        assert run_cli(*route, "--tol", tol) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["code"] == 2 and "must be positive" in err["message"]
+
     @pytest.mark.parametrize("model", [["--J", "1e308"], ["--J", "1", "--h", "1e308"]])
     def test_multiprime_non_finite_table_exits_3(self, tmp_path, capsys, model):
         # 2 beta*J or beta*h overflows, so the transfer data do not exist;
@@ -452,6 +461,22 @@ class TestWriteCsv:
         cli._write_csv(None, ["x"], [np.array([])])
         assert capsys.readouterr().out == "x\n"
 
+    @pytest.mark.parametrize("rows", [0, 1, 8191, 8192, 8193, 16385])
+    def test_row_counts_around_the_chunk_size(self, tmp_path, rows):
+        assert cli._CSV_CHUNK_ROWS == 8192
+        rng = np.random.default_rng(rows)
+        columns = [
+            rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows),
+            rng.integers(-2**62, 2**62, rows),
+            tuple(7 ** (k % 200) for k in range(rows)),
+            range(rows, 2 * rows),
+            {k: 1.0 / (k + 1) for k in range(rows)}.values(),
+        ]
+        out = tmp_path / "t.csv"
+        header = ["a", "b", "c", "d", "e"]
+        cli._write_csv(str(out), header, columns)
+        assert out.read_text() == csv_reference(header, columns)
+
     def test_unequal_columns_raise(self, tmp_path):
         with pytest.raises(ValueError, match="equal"):
             cli._write_csv(str(tmp_path / "t.csv"), ["a", "b"], [np.zeros(3), range(2)])
@@ -479,7 +504,10 @@ class TestJsonOutput:
 # Fraction-per-point grid that the column writer and the integer grid
 # replaced; every CSV byte is part of the output contract.  The
 # scgf-30001-tilts CSV was re-pinned when transfer moved to closed-form logs:
-# its F and F' moved by at most 8.9e-16 and 5.6e-16.
+# its F and F' moved by at most 8.9e-16 and 5.6e-16.  The kie-weights-2-3-5
+# (186,712 rows) and kie-weights-2-deep (n_j of up to 304 digits) values were
+# computed with the heap-merge smooth stream and the dict of weights that the
+# bounded enumeration and the weight array replaced.
 BYTE_IDENTITY = {
     "readme-scgf": (
         ["scgf", "--beta", "0", "--J", "1", "--h", "0", "--f", "s[1]*s[2]", "--t", "-3:3:0.1"],
@@ -500,6 +528,16 @@ BYTE_IDENTITY = {
         ["kie-weights", "--primes", "2,3", "--tol", "1e-8"],
         "91ca0dab789f5cd2e5ea700255b65ce1523a811192a8e20b2faabe575a60e086",
         "dea935a06e4b917e643c23c291382e6b413433b2d31458488bf0ad0cd3b7a32a",
+    ),
+    "kie-weights-2-3-5": (
+        ["kie-weights", "--primes", "2,3,5", "--tol", "1e-8"],
+        "7555d6e0e14d514ad9ede9d4266880c90f8e339eb938c46f0837f81d6926e9b6",
+        "d72ff3fd7a82737bb197a533df81e88133d06ffeb89f4ac59e323d761e7713b7",
+    ),
+    "kie-weights-2-deep": (
+        ["kie-weights", "--primes", "2", "--tol", "1e-300"],
+        "f686fd181bc7def063857e5c5cfe3dbf24019c8101dc8289780fe8d15ff2a6a2",
+        "17d4b2bbfaf354de43788c6a4199949fe1de1f8e6f3807efa65445ea446b4bdc",
     ),
     "scgf-30001-tilts": (
         ["scgf", "--beta", "1", "--J", "1", "--h", "0.3", "--t", "-3:3:0.0002"],
