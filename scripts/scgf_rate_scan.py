@@ -10,7 +10,7 @@ import argparse
 import numpy as np
 
 from multising import ldp
-from multising.cli import _write_csv, parse_observable
+from multising.cli import parse_observable, write_csv
 from multising.ising1d import ModelParams
 from multising.observables import to_first_layer
 
@@ -32,11 +32,11 @@ def main():
     fstar = to_first_layer(parse_observable(args.f))
     grid = np.arange(-args.t_max, args.t_max + args.t_step / 2, args.t_step)
     curve = ldp.scgf_curve(fstar, params, grid, args.tol)
-    _write_csv(f"{args.out_prefix}_scgf.csv", curve.csv_header(), curve.csv_columns())
+    write_csv(f"{args.out_prefix}_scgf.csv", curve.csv_header(), curve.csv_columns())
 
     xs = np.linspace(curve.Fprime[0], curve.Fprime[-1], args.x_points + 2)[1:-1]
     rate = ldp.rate_curve(fstar, params, xs, args.tol)
-    _write_csv(f"{args.out_prefix}_rate.csv", rate.csv_header(), rate.csv_columns())
+    write_csv(f"{args.out_prefix}_rate.csv", rate.csv_header(), rate.csv_columns())
     print(f"wrote {args.out_prefix}_scgf.csv ({grid.size} points) and "
           f"{args.out_prefix}_rate.csv ({xs.size} points)")
 

@@ -335,11 +335,11 @@ def criterion_legendre() -> Tuple[bool, str]:
     I(0.5) = 0.13081 +- 1e-4 for beta=0, f=s1*s2."""
     params = ModelParams(0.0, 1.0, 0.0)
     fstar = to_first_layer(F_BOND)
-    x0 = float(ldp.scgf_values(fstar, params, 0.0, 1e-12, order=1)[1][0])
+    x0 = float(ldp.scgf_values(fstar, params, 0.0, 1e-12)[1][0])
     xs = np.linspace(-0.9, 0.9, 19)
     rc = ldp.rate_curve(fstar, params, np.concatenate([[x0, 0.5], xs]), 1e-12)
     i0, i_half = rc.I[0], rc.I[1]
-    F_star = ldp.scgf_values(fstar, params, rc.t_star[2:], 1e-12, order=1)[0]
+    F_star = ldp.scgf_values(fstar, params, rc.t_star[2:], 1e-12)[0]
     worst_residual = float(np.max(np.abs(F_star + rc.I[2:] - rc.t_star[2:] * xs)))
     ok = bool(i0 <= 1e-10 and worst_residual <= 1e-9 and abs(i_half - 0.13081) <= 1e-4)
     return ok, (

@@ -171,7 +171,7 @@ def _open_output(path: Optional[str]):
     return nullcontext(sys.stdout) if path is None else open(path, "w", encoding="ascii")
 
 
-def _write_csv(path: Optional[str], header: Sequence[str], columns) -> None:
+def write_csv(path: Optional[str], header: Sequence[str], columns) -> None:
     """Write equal-length columns, _CSV_CHUNK_ROWS rows at a time.  A column
     is a numpy array or a sized iterable of Python scalars (tuple, list,
     range, dict view); each value is written as the repr of a Python float
@@ -269,10 +269,10 @@ def _cmd_scgf(args) -> int:
     output = res.get("output", str, None)
     if all(i & (i - 1) == 0 for key, _ in obs.terms for i in key):  # dyadic indices
         fstar = to_first_layer(obs)
-        values, fprime, _, errs = ldp.scgf_values(fstar, params, grid, tol, order=1)
+        values, fprime, errs = ldp.scgf_values(fstar, params, grid, tol)
         # the bounds are >= 0, so an empty grid reads 0.0
         extra = {"observable": str(obs), "max_trunc_err": repr(float(np.max(errs, initial=0.0)))}
-        _write_csv(output, ["t", "F", "Fprime", "trunc_err"], [grid, values, fprime, errs])
+        write_csv(output, ["t", "F", "Fprime", "trunc_err"], [grid, values, fprime, errs])
         _sidecar(output, "scgf", res.resolved, extra)
         return 0
     # non-dyadic indices: multi-prime route, single tilt, series table output
@@ -282,7 +282,7 @@ def _cmd_scgf(args) -> int:
     value, rows = multiprime.kie_pressure(obs, params, float(grid[0]), tol)
     extra = {"observable": str(obs), "value": repr(float(value)),
              "tail_bound": repr(float(rows[-1].tail_bound))}
-    _write_csv(output, ["j", "n_j", "w_j", "Psi_j", "partial_sum", "tail_bound"],
+    write_csv(output, ["j", "n_j", "w_j", "Psi_j", "partial_sum", "tail_bound"],
                list(zip(*map(astuple, rows))))
     _sidecar(output, "scgf", res.resolved, extra)
     return 0
@@ -297,7 +297,7 @@ def _cmd_rate(args) -> int:
     output = res.get("output", str, None)
     fstar = to_first_layer(obs)
     curve = ldp.rate_curve(fstar, params, xs, tol)
-    _write_csv(output, curve.csv_header(), curve.csv_columns())
+    write_csv(output, curve.csv_header(), curve.csv_columns())
     _sidecar(output, "rate", res.resolved,
              {"observable": str(obs), "domain": [repr(d) for d in curve.domain]})
     return 0
@@ -408,7 +408,7 @@ def _cmd_kie_weights(args) -> int:
     basis = arith.PrimeBasis(primes)
     ws = arith.kie_weights(basis, tol)
     J = ws.j_max
-    _write_csv(output, ["j", "n_j", "w_j"], [range(1, J + 1), ws.smooth[:J], ws.weights])
+    write_csv(output, ["j", "n_j", "w_j"], [range(1, J + 1), ws.smooth[:J], ws.weights])
     _sidecar(output, "kie-weights", res.resolved, {
         "kappa": repr(ws.kappa),
         "kappa_exact": str(ws.kappa_fraction),

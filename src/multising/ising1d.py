@@ -32,6 +32,7 @@ __all__ = [
     "marginal_entropies",
     "marginal_entropy",
     "tilted_prefix_pressures",
+    "prefix_variances",
     "prefix_sum_range",
 ]
 
@@ -304,30 +305,22 @@ def _shift_predecessors(v: np.ndarray, w: int) -> np.ndarray:
     return v.reshape(v.shape[:-2] + (1 << (w - 1), 2) + v.shape[-1:])
 
 
-def tilted_prefix_pressures(k: int, fstar: FirstLayerObservable, t, params, *,
-                            order: int = 2):
+def tilted_prefix_pressures(k: int, fstar: FirstLayerObservable, t, params):
     """P^i(t * f*) = log E exp(t S_i), S_i = sum_{j<=i} f* o theta_j, and its
-    first `order` t-derivatives, for i = 0..k, under the infinite chain
-    (pi, Q).
+    t-derivative, for i = 0..k, under the infinite chain (pi, Q).
 
     One sliding-window transfer pass in forward mode.  Per window state it
-    carries the log of the tilted weight, the tilted conditional mean of S
-    given that state and, at order 2, its conditional variance.  A shift
-    merges two predecessor states by their weights; the tilt adds t f* to
-    the log weight and f* to the mean.  So dP^i = E_t S_i and
-    d2P^i = Var_t S_i come out exactly, and in log space no window weight
-    underflows, however large |t|.  The variance channel costs about a third
-    of the pass, so callers that read no F'' pass order=1; the rate-function
-    Newton solve and the CLT variance need order 2.  P and dP do not depend
-    on the order, bit for bit.
+    carries the log of the tilted weight and the tilted conditional mean of
+    S given that state.  A shift merges two predecessor states by their
+    weights; the tilt adds t f* to the log weight and f* to the mean.  So
+    dP^i = E_t S_i comes out exactly, and in log space no window weight
+    underflows, however large |t|.
 
-    Returns (P, dP) at order 1 and (P, dP, d2P) at order 2, each of shape
-    (k+1,) for scalar t and (k+1, len(t)) for a vector of tilts.
+    Returns (P, dP), each of shape (k+1,) for scalar t and (k+1, len(t)) for
+    a vector of tilts.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    if order not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {order!r}")
     w = _window_width(fstar)
     td = _as_transfer(params)
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
@@ -343,18 +336,15 @@ def tilted_prefix_pressures(k: int, fstar: FirstLayerObservable, t, params, *,
     log_w = td.log_pi[bits[:, 0]] + td.log_Q[bits[:, :-1], bits[:, 1:]].sum(axis=1)
     log_w = log_w[:, None] + np.zeros((1, size))
     mean = np.zeros((n, size))
-    var = np.zeros((n, size))
-    out = np.empty((order + 1, k + 1, size))
-    # every step writes the state and scratch buffers in place, with the
-    # operations of the plain expressions in the same order, so the bits do
-    # not change and the views below stay valid for the whole pass (np.where
-    # and the reductions allocate: their out= forms are slower here)
-    (a0, a1), (m0, m1), (v0, v1) = (np.moveaxis(_shift_predecessors(x, w), 1, 0)
-                                    for x in (log_w, mean, var))
+    out = np.empty((2, k + 1, size))
+    # every step writes the state and scratch buffers in place, so the views
+    # below stay valid for the whole pass (np.where and the reductions
+    # allocate: their out= forms are slower here)
+    (a0, a1), (m0, m1) = (np.moveaxis(_shift_predecessors(x, w), 1, 0) for x in (log_w, mean))
     # the successor of prefix q by new slot b is state q + b n/2
     succ = log_w.reshape(2, half, size)
-    gap, small, big, merged, mq, dm, vq, tmp = np.empty((8, half, size))
-    p, d = np.empty((2, n, size))
+    gap, small, big, merged, mq, tmp = np.empty((6, half, size))
+    p = np.empty((n, size))
     for i in range(k + 1):
         if i:
             np.subtract(a1, a0, out=gap)
@@ -365,21 +355,8 @@ def tilted_prefix_pressures(k: int, fstar: FirstLayerObservable, t, params, *,
             np.divide(1.0, np.add(1.0, small, out=big), out=big)
             small *= big
             later = gap > 0.0
-            r0 = np.where(later, small, big)
-            r1 = np.where(later, big, small)
-            np.multiply(r0, m0, out=mq)
-            mq += np.multiply(r1, m1, out=tmp)
-            if order == 2:
-                # vq = r0 v0 + r1 v1 + r0 r1 dm dm, dm = m1 - m0
-                np.subtract(m1, m0, out=dm)
-                np.multiply(r0, v0, out=vq)
-                vq += np.multiply(r1, v1, out=tmp)
-                np.multiply(r0, r1, out=tmp)
-                tmp *= dm
-                tmp *= dm
-                vq += tmp
-                var[:half] = vq
-                var[half:] = vq
+            np.multiply(np.where(later, small, big), m0, out=mq)
+            mq += np.multiply(np.where(later, big, small), m1, out=tmp)
             np.add(log_q, merged[None], out=succ)
             np.add(mq, f[:half], out=mean[:half])
             np.add(mq, f[half:], out=mean[half:])
@@ -391,19 +368,43 @@ def tilted_prefix_pressures(k: int, fstar: FirstLayerObservable, t, params, *,
         z = p.sum(axis=0)
         p /= z
         out[1, i] = (p * mean).sum(axis=0)
-        if order == 2:
-            # Var_t S = E_t (var + (mean - E_t S)^2)
-            np.subtract(mean, out[1, i], out=d)
-            d *= d
-            d += var
-            d *= p
-            out[2, i] = d.sum(axis=0)
         np.add(top, np.log(z, out=z), out=out[0, i])
     if not np.all(np.isfinite(out)):
         raise PreconditionError("tilted pass is not finite; the tilt is too large")
     if np.ndim(t) == 0:
         out = out[:, :, 0]
     return tuple(out)
+
+
+def prefix_variances(k: int, fstar: FirstLayerObservable, params) -> np.ndarray:
+    """Var S_i = d2P^i at t = 0, for i = 0..k, by a linear-domain pass that
+    carries a_j, the law of window j, and m_j(x) = E[S_j - E S_j; X_j = x].
+    With P the window transition, g = f* on the window states and
+    d_j = g - E g_j: a_{j+1} = a_j P, m_{j+1} = m_j P + d_{j+1} a_{j+1} and
+    Var S_j = Var S_{j-1} + a_j.d_j^2 + 2 (m_{j-1} P).d_j.  a_0 = pi Q...Q,
+    since pi is not Q-stationary at h != 0.  Centred terms keep a nearly
+    deterministic chain's relative precision; the error is of order
+    eps (k+1)^2 sup|f*|^2."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    w = _window_width(fstar)
+    td = _as_transfer(params)
+    half = 1 << (w - 1)
+    g, bits = _window_values(fstar, w), _window_bits(w)
+    a = td.pi[bits[:, 0]] * td.Q[bits[:, :-1], bits[:, 1:]].prod(axis=1)
+    q_succ = td.Q[(np.arange(half) >> (w - 2)) & 1].T
+
+    def shift(v):  # (v P)(q + b n/2) = (v(2q) + v(2q+1)) Q(newest slot of q, b)
+        return (q_succ * v.reshape(half, 2).sum(axis=1)).ravel()
+
+    var, m = np.zeros(k + 2), np.zeros(1 << w)
+    for i in range(k + 1):
+        if i:
+            a, m = shift(a), shift(m)
+        d = g - a @ g
+        var[i + 1] = var[i] + (a * d) @ d + 2.0 * (m @ d)
+        m += d * a
+    return var[1:]
 
 
 def prefix_sum_range(k: int, fstar: FirstLayerObservable):

@@ -1,19 +1,16 @@
 """Scaled cumulant generating functions of multiplicative ergodic averages,
 their Legendre-transform rate functions, and the Monte Carlo harness.
 
-For a first-layer observable f the SCGF is the weighted series
-F(t) = sum_k 2^{-(k+2)} P^k(t f*), with P^k the tilted layer pressures.  One
-forward-mode prefix pass gives P^k and its first two t-derivatives, so F, F'
-and F'' are all exact up to the series truncation.  The pass carries F''
-only at order 2, which the Newton solve of rate_curve, clt_variance and
-clt_mc_summary need; the SCGF curve, scgf, finite_pressure_exact and the
-CLI scgf run it at order 1 and read F and F' alone.  The series are summed
-by arith.dyadic_sum and truncated at the depth arith.dyadic_depth picks from
-the growths |P^k| <= (k+1) |t| sup|f*|, |dP^k| <= (k+1) sup|f*| and
-|d2P^k| <= (k+1)^2 sup|f*|^2, at either order, so F and F' do not depend on
-it.  The Legendre transform
+For a first-layer observable f the SCGF is F(t) = sum_k 2^{-(k+2)} P^k(t f*),
+P^k the tilted layer pressures.  One forward-mode prefix pass gives P^k and
+dP^k, so F and F' are exact up to the series truncation; rate_curve solves
+F'(t*) = x on it by a bracketed secant.  The CLT variance F''(0) sums Var S_k
+from the linear pass ising1d.prefix_variances.  Every series is summed by
+arith.dyadic_sum to the depth arith.dyadic_depth picks from the growths
+(k+1) |t| sup|f*| of P^k, (k+1) sup|f*| of dP^k and (k+1)^2 sup|f*|^2 of
+d2P^k; the depth covers the F'' growth also where only F and F' are summed.
 I(x) = sup_t (tx - F(t)) is the large-deviation rate of
-X_N = (1/N) sum_{i<=N} f(s_{i.}), and F''(0) is the CLT variance.
+X_N = (1/N) sum_{i<=N} f(s_{i.}).
 """
 
 from __future__ import annotations
@@ -31,6 +28,7 @@ from .ising1d import (
     _as_transfer,
     log_partition_prefix,
     prefix_sum_range,
+    prefix_variances,
     tilted_prefix_pressures,
 )
 from .observables import FirstLayerObservable, Observable, to_first_layer
@@ -56,7 +54,7 @@ __all__ = [
 # window-state entries per tilt block of the prefix pass: bounds the memory
 # of wide grids and keeps the per-step arrays in cache
 _BLOCK_ENTRIES = 1 << 13
-_NEWTON_MAX_ITER = 200
+_SOLVE_MAX_ITER = 200
 
 
 def series_depth_for(fstar: FirstLayerObservable, t_max: float, tol: float) -> int:
@@ -71,40 +69,36 @@ def series_depth_for(fstar: FirstLayerObservable, t_max: float, tol: float) -> i
     return arith.dyadic_depth(tol, (s, s, 0.0), (sup * sup, 2 * sup * sup, sup * sup))
 
 
-def _series(fstar: FirstLayerObservable, td, t: np.ndarray, depth: int, *, order: int = 2):
-    """F, F' and (order 2) F'' truncated after P^depth, and the tail bound
-    of F, for a 1-d array of tilts; at order 1 the F'' slot is None."""
-    out = np.empty((order + 2, t.size))
+def _series(fstar: FirstLayerObservable, td, t: np.ndarray, depth: int):
+    """F and F' truncated after P^depth, and the tail bound of F, for a 1-d
+    array of tilts."""
+    out = np.empty((3, t.size))
     block = max(1, _BLOCK_ENTRIES >> max(max(fstar.widths), 2))
     for start in range(0, t.size, block):
         tb = t[start:start + block]
-        prefix = np.stack(tilted_prefix_pressures(depth, fstar, tb, td, order=order), axis=1)
+        prefix = np.stack(tilted_prefix_pressures(depth, fstar, tb, td), axis=1)
         s = np.abs(tb) * fstar.sup_bound
         values, tail = arith.dyadic_sum(prefix, (s, s, 0.0))
         out[:-1, start:start + block] = values
         out[-1, start:start + block] = tail
-    return out[0], out[1], (out[2] if order == 2 else None), out[-1]
+    return tuple(out)
 
 
-def scgf_values(fstar: FirstLayerObservable, params, t, tol: float = 1e-10, *, order: int = 2):
-    """Vectorized SCGF on an array of tilts: returns (F, F', F'', trunc_err).
+def scgf_values(fstar: FirstLayerObservable, params, t, tol: float = 1e-10):
+    """Vectorized SCGF on an array of tilts: returns (F, F', trunc_err).
 
     The layer-pressure series is summed to the common depth
     series_depth_for(fstar, max |t|, tol); trunc_err bounds the truncation
-    error of F at each tilt, and the errors of F' and F'' are below tol.
-    order=1 skips the variance channel of the prefix pass and returns None
-    in the F'' slot; F, F' and trunc_err are the same bits at either order,
-    since the depth always covers F''.  Only callers that read F'' need
-    order 2: the Newton solve of rate_curve, clt_variance, clt_mc_summary."""
+    error of F at each tilt, and the error of F' is below tol."""
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     t_max = float(np.max(np.abs(t_arr))) if t_arr.size else 0.0
     depth = series_depth_for(fstar, t_max, tol)
-    return _series(fstar, _as_transfer(params), t_arr, depth, order=order)
+    return _series(fstar, _as_transfer(params), t_arr, depth)
 
 
 def scgf(fstar: FirstLayerObservable, params, t: float, tol: float = 1e-10) -> Tuple[float, float]:
     """F(t) = sum_k P^k(t f*) / 2^{k+2} and its truncation-error bound."""
-    values, _, _, errs = scgf_values(fstar, params, t, tol, order=1)
+    values, _, errs = scgf_values(fstar, params, t, tol)
     return float(values[0]), float(errs[0])
 
 
@@ -164,7 +158,7 @@ class ScgfCurve:
 
 def scgf_curve(fstar: FirstLayerObservable, params, t_grid, tol: float = 1e-10) -> ScgfCurve:
     grid = np.asarray(t_grid, dtype=float)
-    values, fprime, _, errs = scgf_values(fstar, params, grid, tol, order=1)
+    values, fprime, errs = scgf_values(fstar, params, grid, tol)
     curve = ScgfCurve(grid=grid, F=values, Fprime=fprime, trunc_err=errs)
     curve.validate()
     return curve
@@ -202,42 +196,55 @@ def legendre(curve: ScgfCurve, x: float) -> Tuple[float, float]:
     return (0.0 if -1e-10 < val < 0.0 else val), t_star
 
 
-def _newton_tilts(fstar, td, xs: np.ndarray, t: np.ndarray, depth: int):
+def _secant_tilts(fstar, td, xs: np.ndarray, t: np.ndarray, depth: int):
     """Solve F'(t) = x for every x at once, F truncated after P^depth, by
-    Newton steps safeguarded with a bracket.  While a side of the bracket is
-    still open, a step is at most max(1, |t|) long, so that the flat tail of
-    a steep F' cannot throw t far out; a step that leaves a closed bracket is
-    replaced by bisection.  Starts from t; every x must lie inside the range
-    of F'.  Returns (t*, t* x - F(t*))."""
+    secant steps safeguarded with a bracket; the slope is 1 on the first
+    step.  While a side of the bracket is still open, a step is at most
+    max(1, |t|) long, so that the flat tail of a steep F' cannot throw t far
+    out; a step that leaves a closed bracket is replaced by bisection.
+    After the first step, where the secant of the last two iterates is not
+    finite and positive, as where F' is flat to rounding, the step is the
+    full max(1, |t|) while the bracket is open, so |t| grows geometrically,
+    and bisection once it is closed.  Starts from t; every x must lie
+    inside the range of F'.  Returns (t*, t* x - F(t*))."""
     t = t.copy()
     value = np.empty(xs.size)
     lo = np.full(xs.size, -math.inf)
     hi = np.full(xs.size, math.inf)
+    t_prev, g_prev = np.full((2, xs.size), math.nan)
     active = np.arange(xs.size)
-    for _ in range(_NEWTON_MAX_ITER):
+    for _ in range(_SOLVE_MAX_ITER):
         if not active.size:
             return t, value
         ta, xa = t[active], xs[active]
-        F, fprime, fsecond, _ = _series(fstar, td, ta, depth)
+        F, fprime, _ = _series(fstar, td, ta, depth)
         value[active] = ta * xa - F
         g = fprime - xa
         la = np.where(g < 0.0, ta, lo[active])
         ha = np.where(g < 0.0, hi[active], ta)
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(g == 0.0, 0.0, g / fsecond)
-        # F is quadratic near t*: after a step below 1e-8, t - step is exact
-        # to rounding and t x - F(t) short of I by F'' step^2 / 2 at most
-        converged = np.abs(step) <= 1e-8 * np.maximum(1.0, np.abs(ta))
-        # a bracket a few ulps wide is as far as rounding lets F' resolve t*
-        pinned = (ha - la) <= 4e-16 * np.maximum(1.0, np.abs(ta))
+            slope = (g - g_prev[active]) / (ta - t_prev[active])
+            secant = np.isfinite(slope) & (slope > 0.0)
+            # the stand-in slope 0 makes an infinite step: cut to reach in an
+            # open bracket, and out of a closed one, so bisection
+            step = np.where(g == 0.0, 0.0, g / np.where(
+                secant, slope, np.where(np.isnan(t_prev[active]), 1.0, 0.0)))
         reach = np.maximum(1.0, np.abs(ta))
+        # the error of t - step is of order the product of the errors of the
+        # last two iterates, |step| and |step| + |t - t_prev|: below that of a
+        # Newton step of 1e-8 reach, and t x - F(t) is short of I by
+        # F'' step^2 / 2 at most; a step of the stand-in slope tells nothing
+        near = np.abs(step) * (np.abs(step) + np.abs(ta - t_prev[active])) <= (1e-8 * reach) ** 2
+        converged = (g == 0.0) | (secant & near)
+        # a bracket a few ulps wide is as far as rounding lets F' resolve t*
+        pinned = (ha - la) <= 4e-16 * reach
         is_open = np.isinf(la) | np.isinf(ha)
         nxt = ta - np.where(is_open, np.clip(step, -reach, reach), step)
-        with np.errstate(invalid="ignore"):
-            inside = (nxt > la) & (nxt < ha)
+        inside = (nxt > la) & (nxt < ha)
         fallback = np.where(is_open, ta, 0.5 * (la + ha))
         t[active] = np.where(converged | inside, nxt, np.where(pinned, ta, fallback))
         lo[active], hi[active] = la, ha
+        t_prev[active], g_prev[active] = ta, g
         active = active[~(converged | pinned)]
     raise PreconditionError("rate function solve did not converge")
 
@@ -248,8 +255,8 @@ def rate_curve(fstar: FirstLayerObservable, params, x_values, tol: float = 1e-10
     The range of F' is (lo, hi) with lo, hi the limits of F'(t) as
     t -> -inf, +inf, computed exactly from the extreme window-path sums.  x
     outside the open range gets I = inf, t* = nan and domain flag 1.  The
-    series depth covers the truncation of F' and F'', and is raised to cover
-    that of F at the largest |t*| found, so I is within tol."""
+    series depth covers the truncation of F', and is raised to cover that of
+    F at the largest |t*| found, so I is within tol."""
     td = _as_transfer(params)
     xs = np.asarray(x_values, dtype=float)
     t = np.zeros(xs.size)
@@ -259,7 +266,7 @@ def rate_curve(fstar: FirstLayerObservable, params, x_values, tol: float = 1e-10
         ranges = np.stack(prefix_sum_range(depth, fstar), axis=1)
         domain = tuple(float(v) for v in arith.dyadic_sum(ranges, (sup, sup, 0.0))[0])
         interior = (xs > domain[0]) & (xs < domain[1])
-        t_in, value = _newton_tilts(fstar, td, xs[interior], t[interior], depth)
+        t_in, value = _secant_tilts(fstar, td, xs[interior], t[interior], depth)
         t[interior] = t_in
         t_max = float(np.max(np.abs(t_in))) if t_in.size else 0.0
         need = series_depth_for(fstar, t_max, tol)
@@ -275,8 +282,12 @@ def rate_curve(fstar: FirstLayerObservable, params, x_values, tol: float = 1e-10
 
 
 def clt_variance(fstar: FirstLayerObservable, params, tol: float = 1e-12) -> float:
-    """F''(0), exact up to the series truncation (below tol)."""
-    return float(scgf_values(fstar, params, 0.0, tol)[2][0])
+    """F''(0) = sum_k 2^{-(k+2)} Var S_k to the depth series_depth_for(fstar,
+    0, tol).  The truncation bound, below tol, is absolute, not relative to
+    F''(0).  A negative sum is rounding and reads 0."""
+    sup = fstar.sup_bound
+    variances = prefix_variances(series_depth_for(fstar, 0.0, tol), fstar, params)
+    return max(float(arith.dyadic_sum(variances, (sup * sup, 2 * sup * sup, sup * sup))[0]), 0.0)
 
 
 def finite_pressure_exact(fstar: FirstLayerObservable, t: float, n: int, params) -> float:
@@ -287,7 +298,7 @@ def finite_pressure_exact(fstar: FirstLayerObservable, t: float, n: int, params)
         raise ValueError("volume must be in [1, 2^20]")
     counts = gibbs.layer_count_by_depth(n)
     p_max = max(counts)
-    prefix = tilted_prefix_pressures(p_max, fstar, t, params, order=1)[0]
+    prefix = tilted_prefix_pressures(p_max, fstar, t, params)[0]
     total = 0.0
     for p, c in sorted(counts.items()):
         total += c * float(prefix[p])
@@ -311,12 +322,12 @@ def multiplicative_average(batch: "gibbs.SampleBatch", f: Observable, n: int) ->
         if not key:
             x += coeff * n  # a constant contributes coeff at every shift
             continue
-        factors = sorted(key)
-        for start in range(1, n + 1, chunk):
-            i_vals = np.arange(start, min(n, start + chunk - 1) + 1)
-            prod = cfg[:, i_vals * factors[0] - 1]
-            for b in factors[1:]:
-                prod = prod * cfg[:, i_vals * b - 1]
+        # factor b at the shifts i = 1..n reads sites i b: a strided view
+        factors = [cfg[:, b - 1:n * b:b] for b in sorted(key)]
+        for lo in range(0, n, chunk):
+            prod = factors[0][:, lo:lo + chunk]
+            for column in factors[1:]:
+                prod = prod * column[:, lo:lo + chunk]
             x += coeff * prod.sum(axis=1, dtype=np.float64)
     return x / n
 
@@ -358,13 +369,12 @@ def clt_mc_summary(f: Observable, params, n: int, count: int, seed: int,
     fstar = to_first_layer(f)
     batch = gibbs.sample(n * f.max_site, params, count, seed)
     x_vals = multiplicative_average(batch, f, n)
-    _, fprime0, sigma2, _ = scgf_values(fstar, params, 0.0, tol)
     emp_mean = float(x_vals.mean())
     emp_var = float(x_vals.var(ddof=1))
     return {
         "emp_mean": emp_mean,
         "emp_se": float(x_vals.std(ddof=1) / math.sqrt(count)),
-        "fprime0": float(fprime0[0]),
+        "fprime0": float(scgf_values(fstar, params, 0.0, tol)[1][0]),
         "n_times_var": n * emp_var,
-        "sigma2": float(sigma2[0]),
+        "sigma2": clt_variance(fstar, params, tol),
     }

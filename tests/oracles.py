@@ -1,9 +1,10 @@
 """Brute-force oracles shared by the unit tests.
 
 Everything here enumerates configurations directly, evaluates the naive
-Perron formulas in high-precision decimal arithmetic, or generates smooth
-numbers by a heap merge; no transfer algebra or bounded enumeration is shared
-with the implementations under test.
+Perron formulas in high-precision decimal arithmetic, generates smooth
+numbers by a heap merge, or keeps an earlier route that the package replaced
+(the second-order tilted pass, the gathering multiplicative average); no
+bounded enumeration is shared with the implementations under test.
 """
 
 import decimal
@@ -171,6 +172,97 @@ def tilted_pressure_by_enumeration(k, fstar, t, params):
         vals.append(logp + t * total)
     m = max(vals)
     return m + math.log(sum(math.exp(v - m) for v in vals))
+
+
+def tilted_prefix_moments(k, fstar, t, params):
+    """(P, dP, d2P) of the tilted prefix pressures P^i(t f*), i = 0..k, each
+    of shape (k+1,) for scalar t and (k+1, len(t)) for a vector of tilts.
+
+    The forward-mode log-domain window pass of ising1d.tilted_prefix_pressures
+    in plain expressions, with the variance channel that the package no
+    longer carries: per window state the log tilted weight, the tilted
+    conditional mean of S and its conditional variance, so that
+    d2P^i = Var_t S_i.  The reference for ising1d.prefix_variances.
+    """
+    from multising.ising1d import transfer
+
+    td = transfer(params)
+    w = max(fstar.width, 2)
+    n, half = 1 << w, 1 << (w - 1)
+    bits = (np.arange(n)[:, None] >> np.arange(w)[None, :]) & 1
+    spins = 1.0 - 2.0 * bits
+    f = np.zeros(n)
+    for offsets, coeff in fstar.terms:
+        prod = np.full(n, coeff)
+        for (o,) in offsets:
+            prod = prod * spins[:, o]
+        f += prod
+    f = f[:, None]
+    t_in, t = t, np.atleast_1d(np.asarray(t, dtype=float))
+    log_q = td.log_Q[(np.arange(half) >> (w - 2)) & 1].T[:, :, None]  # [new slot, prefix]
+    log_w = td.log_pi[bits[:, 0]] + td.log_Q[bits[:, :-1], bits[:, 1:]].sum(axis=1)
+    log_w = log_w[:, None] + np.zeros((1, t.size))
+    mean = np.zeros((n, t.size))
+    var = np.zeros((n, t.size))
+    out = np.empty((3, k + 1, t.size))
+    for i in range(k + 1):
+        if i:
+            # window states 2q and 2q+1 shift into prefix q; prefix q and new
+            # slot b make state q + b n/2
+            a0, a1, m0, m1 = log_w[0::2], log_w[1::2], mean[0::2], mean[1::2]
+            gap = a1 - a0
+            small = np.exp(-np.abs(gap))
+            merged = np.maximum(a0, a1) + np.log1p(small)
+            big = 1.0 / (1.0 + small)
+            small = small * big
+            r0 = np.where(gap > 0.0, small, big)
+            r1 = np.where(gap > 0.0, big, small)
+            mq = r0 * m0 + r1 * m1
+            vq = r0 * var[0::2] + r1 * var[1::2] + r0 * r1 * (m1 - m0) * (m1 - m0)
+            log_w = (log_q + merged[None]).reshape(n, t.size)
+            mean = np.concatenate([mq, mq]) + f
+            var = np.concatenate([vq, vq])
+        else:
+            mean = mean + f
+        log_w = log_w + f * t[None, :]
+        top = log_w.max(axis=0)
+        p = np.exp(log_w - top)
+        z = p.sum(axis=0)
+        p = p / z
+        out[1, i] = (p * mean).sum(axis=0)
+        out[2, i] = (p * ((mean - out[1, i]) * (mean - out[1, i]) + var)).sum(axis=0)
+        out[0, i] = top + np.log(z)
+    if np.ndim(t_in) == 0:
+        out = out[:, :, 0]
+    return tuple(out)
+
+
+def clt_variance_by_second_order_pass(fstar, params, depth):
+    """F''(0) as the second-order pass gave it: d2P^k at t = 0 weighted by
+    2^-(k+2) and summed in order of k, for k = 0..depth."""
+    d2P = tilted_prefix_moments(depth, fstar, 0.0, params)[2]
+    return float(np.cumsum(np.ldexp(d2P, -np.arange(2, depth + 3)))[-1])
+
+
+def multiplicative_average_by_gather(batch, f, n):
+    """X_n(f) per replica, each factor read by fancy-index gathering the
+    columns i b - 1 of 4096 shifts i at a time: the reference for the
+    strided reads of ldp.multiplicative_average."""
+    cfg = batch.configurations
+    x = np.zeros(batch.count)
+    chunk = 4096
+    for key, coeff in f.terms:
+        if not key:
+            x += coeff * n
+            continue
+        factors = sorted(key)
+        for start in range(1, n + 1, chunk):
+            i_vals = np.arange(start, min(n, start + chunk - 1) + 1)
+            prod = cfg[:, i_vals * factors[0] - 1]
+            for b in factors[1:]:
+                prod = prod * cfg[:, i_vals * b - 1]
+            x += coeff * prod.sum(axis=1, dtype=np.float64)
+    return x / n
 
 
 def enumerated_region_pressure(key, model):

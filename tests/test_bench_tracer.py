@@ -26,7 +26,7 @@ def test_traced_series_and_tilted_pass():
         tracer.start()
         _, rows = multiprime.kie_pressure(f, ModelParams(1.0), 0.5, 0.03)
         ising1d.tilted_prefix_pressures(5, FirstLayerObservable.make([([0, 1], 1.0)]),
-                                        0.5, ModelParams(1.0), order=1)
+                                        0.5, ModelParams(1.0))
         tracer.stop()
         stats = tracer.take()
     finally:

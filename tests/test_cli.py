@@ -447,7 +447,7 @@ class TestWriteCsv:
         monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", chunk)
         out = tmp_path / "t.csv"
         header = ["a", "b", "c", "d", "e"]
-        cli._write_csv(str(out), header, self.COLUMNS)
+        cli.write_csv(str(out), header, self.COLUMNS)
         text = out.read_text()
         assert text == csv_reference(header, self.COLUMNS)
         lines = text.splitlines()
@@ -456,9 +456,9 @@ class TestWriteCsv:
         assert "np." not in text
 
     def test_stdout_and_empty_table(self, capsys):
-        cli._write_csv(None, ["x", "y"], [np.array([0.5, 1.5]), (2, 3)])
+        cli.write_csv(None, ["x", "y"], [np.array([0.5, 1.5]), (2, 3)])
         assert capsys.readouterr().out == "x,y\n0.5,2\n1.5,3\n"
-        cli._write_csv(None, ["x"], [np.array([])])
+        cli.write_csv(None, ["x"], [np.array([])])
         assert capsys.readouterr().out == "x\n"
 
     @pytest.mark.parametrize("rows", [0, 1, 8191, 8192, 8193, 16385])
@@ -474,12 +474,12 @@ class TestWriteCsv:
         ]
         out = tmp_path / "t.csv"
         header = ["a", "b", "c", "d", "e"]
-        cli._write_csv(str(out), header, columns)
+        cli.write_csv(str(out), header, columns)
         assert out.read_text() == csv_reference(header, columns)
 
     def test_unequal_columns_raise(self, tmp_path):
         with pytest.raises(ValueError, match="equal"):
-            cli._write_csv(str(tmp_path / "t.csv"), ["a", "b"], [np.zeros(3), range(2)])
+            cli.write_csv(str(tmp_path / "t.csv"), ["a", "b"], [np.zeros(3), range(2)])
         assert not (tmp_path / "t.csv").exists()
 
 
@@ -516,7 +516,7 @@ BYTE_IDENTITY = {
     ),
     "readme-rate": (
         ["rate", "--beta", "0", "--J", "1", "--h", "0", "--f", "s[1]*s[2]", "--x", "-0.9:0.9:0.05"],
-        "82b5ecf1235252d7d605d46ee735cf5eee56578e89bc2c8303da90984e5e1fbe",
+        "7d0901562283dbe480d8f4a845cc45666d8f7a6bc51211eefe26d80218c2b7cb",
         "24f17ca409ca6453af6e674d701965046a769483cbb39b9081c0458b2a0c3cab",
     ),
     "readme-series": (

@@ -246,6 +246,22 @@ F_PAIR = FirstLayerObservable.make([([0, 1], 1.0)])
 F_SITE = FirstLayerObservable.make([([0], 1.0)])
 
 
+def _first_order_is_finite(params):
+    # the tilted pass gives P and its first derivative
+    out = ising1d.tilted_prefix_pressures(5, F_PAIR, 0.5, params)
+    assert all(np.all(np.isfinite(x)) for x in out)
+    want = oracles.tilted_pressure_by_enumeration(5, F_PAIR, 0.5, params)
+    assert out[0][-1] == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def _second_order_is_finite(params):
+    # the second derivative d2P^i(0) = Var S_i comes from prefix_variances
+    got = ising1d.prefix_variances(5, F_PAIR, params)
+    assert np.all(np.isfinite(got))
+    want = oracles.tilted_prefix_moments(5, F_PAIR, 0.0, params)[2]
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
 class TestTiltedPressure:
     def test_zero_tilt(self):
         p = ModelParams(1.0, 1.0, 0.3)
@@ -261,7 +277,8 @@ class TestTiltedPressure:
                 for ti in t:
                     P = ising1d.tilted_prefix_pressures(k, fstar, ti, p)[0]
                     assert P[-1] == pytest.approx((k + 1) * math.log(math.cosh(ti)), abs=1e-11)
-            P, dP, d2P = ising1d.tilted_prefix_pressures(10, fstar, t, p)
+            P, dP = ising1d.tilted_prefix_pressures(10, fstar, t, p)
+            d2P = oracles.tilted_prefix_moments(10, fstar, t, p)[2]
             n = np.arange(1, 12)[:, None]
             assert np.allclose(P, n * np.log(np.cosh(t)), rtol=0.0, atol=1e-11)
             assert np.allclose(dP, n * np.tanh(t), rtol=0.0, atol=1e-12)
@@ -276,7 +293,8 @@ class TestTiltedPressure:
         assert abs(a - b) <= 1e-10 * max(1.0, abs(b))
         # the forward-mode derivatives against central differences
         h = 1e-4
-        _, dP, d2P = ising1d.tilted_prefix_pressures(k, fstar, t, params)
+        dP = ising1d.tilted_prefix_pressures(k, fstar, t, params)[1]
+        d2P = oracles.tilted_prefix_moments(k, fstar, t, params)[2]
         up = oracles.tilted_pressure_by_enumeration(k, fstar, t + h, params)
         dn = oracles.tilted_pressure_by_enumeration(k, fstar, t - h, params)
         scale = (k + 1) * fstar.sup_bound
@@ -294,7 +312,7 @@ class TestTiltedPressure:
 
     def test_prefix_pass_matches_individual(self):
         p = ModelParams(0.7, 1.0, -0.3)
-        pre, _, _ = ising1d.tilted_prefix_pressures(6, F_PAIR, 0.8, p)
+        pre, _ = ising1d.tilted_prefix_pressures(6, F_PAIR, 0.8, p)
         for k in range(7):
             assert pre[k] == pytest.approx(
                 ising1d.tilted_prefix_pressures(k, F_PAIR, 0.8, p)[0][-1], abs=1e-12
@@ -316,7 +334,8 @@ class TestTiltedPressure:
         f = FirstLayerObservable.make([([0], 1.0), ([1], -1.0)])
         p = ModelParams(0.5, 1.0, 0.1)
         t = np.array([50.0, 200.0, 1000.0, -1000.0])
-        P, dP, d2P = ising1d.tilted_prefix_pressures(3, f, t, p)
+        P, dP = ising1d.tilted_prefix_pressures(3, f, t, p)
+        d2P = oracles.tilted_prefix_moments(3, f, t, p)[2]
         for i, ti in enumerate(t):
             assert P[-1, i] == pytest.approx(
                 oracles.tilted_pressure_by_enumeration(3, f, float(ti), p), rel=1e-14)
@@ -327,7 +346,8 @@ class TestTiltedPressure:
         # lc = log cosh, for tilts far beyond where exp(t f*) underflows
         k, bj = 3, 3.5
         t = np.array([-274.0, -20.0, 20.0, 1e4])
-        P, dP, d2P = ising1d.tilted_prefix_pressures(k, F_PAIR, t, ModelParams(bj, 1.0, 0.0))
+        P, dP = ising1d.tilted_prefix_pressures(k, F_PAIR, t, ModelParams(bj, 1.0, 0.0))
+        d2P = oracles.tilted_prefix_moments(k, F_PAIR, t, ModelParams(bj, 1.0, 0.0))[2]
 
         def lc(u):
             return np.logaddexp(u, -u) - math.log(2.0)
@@ -344,39 +364,75 @@ class TestTiltedPressure:
         FirstLayerObservable.make([([0, 3], 1.0), ([1], -0.5)]),
     ], ids=["width1", "width2", "width3", "width4"])
     def test_first_order_is_second_order_without_variance(self, fstar):
+        # the package pass is the second-order reference pass without its
+        # variance channel, bit for bit, so the reference's d2P belongs to it
         t_grid = np.concatenate([np.linspace(-20.0, 20.0, 41), [-7.3, 0.0, 1e-3, 13.7]])
         for params in (ModelParams(1.0, 1.0, 0.3), ModelParams(2.5, -0.7, -1.2)):
             for t in (0.8, -20.0, t_grid):
-                first = ising1d.tilted_prefix_pressures(12, fstar, t, params, order=1)
-                second = ising1d.tilted_prefix_pressures(12, fstar, t, params, order=2)
+                first = ising1d.tilted_prefix_pressures(12, fstar, t, params)
+                second = oracles.tilted_prefix_moments(12, fstar, t, params)
                 assert len(first) == 2 and len(second) == 3
                 assert np.array_equal(first[0], second[0])
                 assert np.array_equal(first[1], second[1])
 
-    @pytest.mark.parametrize("order", [0, 3, -1])
-    def test_order_must_be_one_or_two(self, order):
-        with pytest.raises(ValueError, match="order"):
-            ising1d.tilted_prefix_pressures(2, F_PAIR, 0.5, ModelParams(1.0), order=order)
-
-    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("check", [_first_order_is_finite, _second_order_is_finite],
+                             ids=["1", "2"])
     @pytest.mark.parametrize("params", [ModelParams(20.0, 1.0, 0.0), ModelParams(1.0, 1.0, 400.0)],
                              ids=["bj20", "bh400"])
-    def test_finite_guard_at_both_orders(self, params, order):
+    def test_finite_guard_at_both_orders(self, params, check):
         # Q(+,-) is about e^{-40} at bj20; pi(-) is about e^{-800} at bh400
-        out = ising1d.tilted_prefix_pressures(5, F_PAIR, 0.5, params, order=order)
-        assert all(np.all(np.isfinite(x)) for x in out)
-        want = oracles.tilted_pressure_by_enumeration(5, F_PAIR, 0.5, params)
-        assert out[0][-1] == pytest.approx(want, rel=1e-12, abs=1e-12)
+        check(params)
         # the guard still fires where P itself overflows
         with np.errstate(all="ignore"), pytest.raises(PreconditionError, match="not finite"):
-            ising1d.tilted_prefix_pressures(5, F_PAIR, 1e308, params, order=order)
+            ising1d.tilted_prefix_pressures(5, F_PAIR, 1e308, params)
 
     def test_window_cap(self):
         wide = FirstLayerObservable.make([([0, 13], 1.0)])
         with pytest.raises(InfeasibleSizeError):
             ising1d.tilted_prefix_pressures(2, wide, 0.5, ModelParams(1.0))
+        with pytest.raises(InfeasibleSizeError):
+            ising1d.prefix_variances(2, wide, ModelParams(1.0))
 
     def test_rejects_multidimensional(self):
         f2 = FirstLayerObservable.make([([(0, 0), (1, 0)], 1.0)], dim=2)
         with pytest.raises(PreconditionError):
             ising1d.tilted_prefix_pressures(2, f2, 0.5, ModelParams(1.0))
+
+
+OBSERVABLES_UP_TO_WIDTH_4 = [
+    F_SITE,
+    F_PAIR,
+    FirstLayerObservable.make([([0], 1.0), ([0, 2], 0.5)]),
+    FirstLayerObservable.make([([0, 3], 1.0), ([1], -0.5), ([0, 1, 2], 2.0)]),
+]
+
+
+class TestPrefixVariances:
+    @settings(max_examples=40, deadline=None)
+    @given(params_st, st.integers(0, 12), st.sampled_from(OBSERVABLES_UP_TO_WIDTH_4))
+    def test_matches_second_order_pass(self, params, k, fstar):
+        got = ising1d.prefix_variances(k, fstar, params)
+        want = oracles.tilted_prefix_moments(k, fstar, 0.0, params)[2]
+        assert got.shape == (k + 1,)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_first_window_is_not_stationary(self):
+        # at h != 0 the chain starts in pi, not in the stationary law of Q,
+        # so window j's law moves with j; a pass that started in the
+        # stationary law would be off by 0.2 to 2 here
+        p = ModelParams(1.0, 1.0, 0.3)
+        td = transfer(p)
+        assert np.max(np.abs(td.pi @ td.Q - td.pi)) > 0.04
+        for fstar in OBSERVABLES_UP_TO_WIDTH_4:
+            want = oracles.tilted_prefix_moments(12, fstar, 0.0, p)[2]
+            assert np.max(np.abs(ising1d.prefix_variances(12, fstar, p) - want)) <= 1e-12
+
+    def test_infinite_temperature_closed_form(self):
+        # iid fair spins: the k+1 terms of S_k are uncorrelated with variance 1
+        for fstar in (F_SITE, F_PAIR):
+            v = ising1d.prefix_variances(10, fstar, ModelParams(0.0, 1.0, 0.0))
+            assert np.allclose(v, np.arange(1, 12), rtol=0.0, atol=1e-13)
+
+    def test_rejects_negative_depth(self):
+        with pytest.raises(ValueError):
+            ising1d.prefix_variances(-1, F_PAIR, ModelParams(1.0))

@@ -3,9 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from multising import gibbs, ldp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from multising import arith, gibbs, ldp
 from multising.ising1d import ModelParams
 from multising.observables import Observable, to_first_layer
+
+import oracles
 
 F_BOND = Observable.make([((1, 2), 1.0)])
 F_MAG = Observable.make([((1,), 1.0)])
@@ -27,14 +32,13 @@ class TestScgf:
             assert err == 0.0
 
     def test_infinite_temperature_closed_forms(self):
-        # F = log cosh t, F' = tanh t, F'' = sech^2 t, all exact from one pass
+        # F = log cosh t and F' = tanh t, both exact from one pass
         t = np.array([-2.5, -0.3, 0.0, 0.7, 3.0])
         for fstar in (FS_BOND, FS_MAG):
-            F, F1, F2, err = ldp.scgf_values(fstar, P_FREE, t, 1e-10)
+            F, F1, err = ldp.scgf_values(fstar, P_FREE, t, 1e-10)
             assert np.all(err < 1e-10)
             assert np.allclose(F, np.log(np.cosh(t)), rtol=0.0, atol=1e-10)
             assert np.allclose(F1, np.tanh(t), rtol=0.0, atol=1e-10)
-            assert np.allclose(F2, 1.0 / np.cosh(t) ** 2, rtol=0.0, atol=1e-10)
             for ti in t:
                 v, _ = ldp.scgf(fstar, P_FREE, float(ti), 1e-10)
                 assert v == pytest.approx(math.log(math.cosh(ti)), abs=1e-10)
@@ -98,18 +102,25 @@ class TestScgfCurve:
         assert columns[0] is curve.grid and columns[1] is curve.F
 
     def test_first_order_curve_matches_second_order_values(self):
-        # 5,001 tilts of a width-4 observable span ten tilt blocks of the pass
+        # 5,001 tilts of a width-4 observable span ten tilt blocks of the
+        # pass; the curve is the series of the second-order reference pass,
+        # bit for bit, summed to the same depth
         fstar = to_first_layer(Observable.make([((1, 8), 1.0), ((2,), -0.5)]))
         params = ModelParams(1.0, 1.0, 0.3)
         grid = np.linspace(-3.0, 3.0, 5001)
         assert grid.size > 2 * (ldp._BLOCK_ENTRIES >> max(fstar.widths))
         curve = ldp.scgf_curve(fstar, params, grid)
-        F, fprime, fsecond, errs = ldp.scgf_values(fstar, params, grid, order=2)
+        F, fprime, errs = ldp.scgf_values(fstar, params, grid)
         assert np.array_equal(curve.F, F)
         assert np.array_equal(curve.Fprime, fprime)
         assert np.array_equal(curve.trunc_err, errs)
-        assert fsecond.shape == grid.shape
-        assert ldp.scgf_values(fstar, params, grid[:7], order=1)[2] is None
+        depth = ldp.series_depth_for(fstar, 3.0, 1e-10)
+        P, dP, _ = oracles.tilted_prefix_moments(depth, fstar, grid, params)
+        s = np.abs(grid) * fstar.sup_bound
+        (want_F, want_fprime), want_errs = arith.dyadic_sum(np.stack([P, dP], axis=1), (s, s, 0.0))
+        assert np.array_equal(curve.F, want_F)
+        assert np.array_equal(curve.Fprime, want_fprime)
+        assert np.array_equal(curve.trunc_err, want_errs)
 
     def test_derivative_matches_secants_to_second_order(self):
         step = 0.1
@@ -144,7 +155,7 @@ class TestLegendre:
 
     def test_conjugate_recovers_curve(self):
         t = np.arange(-2.0, 2.01, 0.25)
-        F, x_star, _, _ = ldp.scgf_values(FS_BOND, P_FREE, t, 1e-12)
+        F, x_star, _ = ldp.scgf_values(FS_BOND, P_FREE, t, 1e-12)
         rc = ldp.rate_curve(FS_BOND, P_FREE, x_star, 1e-12)
         assert np.allclose(t * x_star - rc.I, F, rtol=0.0, atol=1e-10)
         assert np.allclose(rc.t_star, t, rtol=0.0, atol=1e-9)
@@ -201,6 +212,17 @@ class TestLegendre:
         assert np.allclose(rc.t_star, t_star, rtol=0.0, atol=1e-10)
         assert np.allclose(rc.I, t_star * xs - lc(t_star + bj) + lc(bj), rtol=0.0, atol=1e-10)
 
+    @pytest.mark.parametrize("bj", [25.0, 100.0, 400.0])
+    def test_fprime_flat_to_rounding_at_strong_coupling(self, bj):
+        # F'(t) = tanh(t + bJ) rounds to exactly +-1 for |t| well short of
+        # bJ, so the secant of two iterates there is 0 and the search has to
+        # widen geometrically to reach t* = atanh(x) - bJ; at bJ = 400,
+        # x = 0.05 needs the stopping rule to account for the previous step
+        xs = np.array([-0.99, -0.9, 0.05, 0.9, 0.99])
+        rc = ldp.rate_curve(FS_BOND, ModelParams(1.0, bj, 0.0), xs, 1e-11)
+        assert list(rc.domain_flag) == [0, 0, 0, 0, 0]
+        assert np.allclose(rc.t_star, np.arctanh(xs) - bj, rtol=0.0, atol=1e-10)
+
     def test_range_of_fprime_narrower_than_sup(self):
         # f* = s0 s1 + s0 takes values in [-2, 2], but along a path its sum
         # cannot fall faster than about -1 per site: the range of F' is
@@ -210,7 +232,7 @@ class TestLegendre:
         rc = ldp.rate_curve(fstar, P_FREE, xs, 1e-11)
         assert rc.domain == pytest.approx((-4.0 / 3.0, 2.0), abs=1e-10)
         assert list(rc.domain_flag) == [1, 0, 0, 0, 0]
-        _, fprime, _, _ = ldp.scgf_values(fstar, P_FREE, rc.t_star[1:], 1e-11)
+        _, fprime, _ = ldp.scgf_values(fstar, P_FREE, rc.t_star[1:], 1e-11)
         assert np.allclose(fprime, xs[1:], rtol=0.0, atol=1e-10)
         assert np.all(np.isfinite(rc.I[1:])) and np.all(rc.I[1:] >= 0.0)
 
@@ -232,6 +254,26 @@ class TestCltVariance:
     def test_nonnegative(self):
         for params in (P_UNIT, ModelParams(0.9, -1.2, 0.4)):
             assert ldp.clt_variance(FS_BOND, params) >= 0.0
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(-2, 2), st.floats(-2, 2), st.floats(-2, 2),
+           st.sampled_from([F_BOND, F_MAG, Observable.make([((1, 8), 1.0), ((2,), -0.5)]),
+                            Observable.make([((1, 4), 1.0), ((2,), 2.0)])]))
+    def test_matches_second_order_pass(self, beta, J, h, f):
+        fstar = to_first_layer(f)
+        params = ModelParams(beta, J, h)
+        want = oracles.clt_variance_by_second_order_pass(
+            fstar, params, ldp.series_depth_for(fstar, 0.0, 1e-12))
+        assert abs(ldp.clt_variance(fstar, params) - want) <= 1e-12
+
+    def test_nearly_frozen_chain_keeps_relative_precision(self):
+        # F''(0) is 7.7e-22 here: the bound is absolute, but the centred
+        # pass resolves it, as the log-domain second-order pass does
+        params = ModelParams(1.0, 25.0, 0.0)
+        want = oracles.clt_variance_by_second_order_pass(
+            FS_BOND, params, ldp.series_depth_for(FS_BOND, 0.0, 1e-12))
+        assert 7e-22 < want < 8e-22
+        assert ldp.clt_variance(FS_BOND, params) == pytest.approx(want, rel=1e-12)
 
 
 class TestFinitePressure:
@@ -274,6 +316,14 @@ class TestMonteCarloHarness:
             s = cfg[r]
             direct = sum(2.0 * s[i - 1] * s[2 * i - 1] - s[3 * i - 1] for i in range(1, 5))
             assert x[r] == pytest.approx(direct / 4, abs=1e-12)
+
+    def test_strided_reads_match_gathered_columns(self):
+        # n spans two 4096-shift chunks, the second one short
+        n = 5000
+        f = Observable.make([((1, 2), 2.5), ((3,), -0.75), ((), 1.25), ((1, 2, 4), 0.3)])
+        batch = gibbs.sample(n * f.max_site, ModelParams(0.7, 1.0, 0.2), 8, 5)
+        x = ldp.multiplicative_average(batch, f, n)
+        assert np.array_equal(x, oracles.multiplicative_average_by_gather(batch, f, n))
 
     def test_average_requires_volume(self):
         batch = gibbs.sample(4, P_UNIT, 3, 1)

@@ -18,6 +18,7 @@ BETA_J = [0.0, 3.0, 8.0, 12.0, 14.0, 20.0, 25.0, 100.0, 700.0, -30.0]
 BETA_H = [0.0, 1e-12, -1e-12, 1e-4, 0.3, 300.0, 360.0, 700.0, -700.0]
 GRID = list(itertools.product(BETA_J, BETA_H))
 F_PAIR = FirstLayerObservable.make([([0, 1], 1.0)])
+F_WIDTH_3 = FirstLayerObservable.make([([0], 1.0), ([0, 2], 0.5), ([1], -0.25)])
 F_SITES_1_3 = Observable.make([((1, 3), 1.0)])
 
 
@@ -100,6 +101,7 @@ PUBLIC_CALLS = {
     "marginal_entropies": lambda p: ising1d.marginal_entropies(6, p),
     "chain_marginal_logprob": lambda p: ising1d.chain_marginal_logprob([0, 3, 4], [0, 1, 1], p),
     "scgf": lambda p: ldp.scgf(F_PAIR, p, 0.5),
+    "clt_variance": lambda p: ldp.clt_variance(F_PAIR, p),
     "tilted_prefix_pressures": lambda p: ising1d.tilted_prefix_pressures(4, F_PAIR, -2.0, p),
     "free_energy": lambda p: gibbs.free_energy("plus", p),
     "smb_estimate": lambda p: gibbs.smb_estimate(32, p, 8, 1),
@@ -121,3 +123,15 @@ def test_entropy_routes_agree():
     for bj, bh in GRID:
         p = ModelParams(1.0, bj, bh)
         assert gibbs.ks_entropy(p, "formula") == pytest.approx(gibbs.ks_entropy(p, "series"), abs=1e-11)
+
+
+@pytest.mark.parametrize("bj", BETA_J)
+def test_clt_variance_matches_second_order_pass(bj):
+    # F''(0) from the linear moment pass against the log-domain pass with a
+    # variance channel, summed alike, down to the nearly frozen chains
+    for bh in BETA_H:
+        params = ModelParams(1.0, bj, bh)
+        for fstar in (F_PAIR, F_WIDTH_3):
+            want = oracles.clt_variance_by_second_order_pass(
+                fstar, params, ldp.series_depth_for(fstar, 0.0, 1e-12))
+            assert abs(ldp.clt_variance(fstar, params) - want) <= 1e-12, (bj, bh, fstar)
