@@ -10,6 +10,7 @@ weighted sums of per-layer chain quantities.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Tuple
@@ -275,10 +276,10 @@ _HEADER_V2 = struct.Struct("<4sIqqQddd")
 
 # Version of the map from (seed, replica, site) to uniforms, recorded in the
 # sample sidecar.  Batches drawn under another version are not reproduced.
-STREAM_VERSION = 2
+STREAM_VERSION = 3
 
-# Row chunks of the sampler, the SMB statistic and the CSV writer hold about
-# this many spins (one uniform each), which bounds their working memory.
+# Row chunks of the sampler, the SMB statistic and the file writers hold
+# about this many spins, which bounds their working memory.
 _CHUNK_SPINS = 1 << 20
 
 
@@ -286,12 +287,21 @@ _CHUNK_SPINS = 1 << 20
 class SampleBatch:
     """count independent draws of s_[1,N] under the infinite-volume measure.
 
-    Reproducible under stream version 2: the layers of psi2 depth p share one
-    Philox stream keyed by SeedSequence(entropy=seed, spawn_key=(2, p)), and
-    replica c consumes the c-th run of L_p (p+1) doubles of it, L_p being
-    the number of such layers.  So the batch is independent of evaluation
-    order and extends consistently when count grows.  The binary header's
-    version number is that of the file layout, not of the stream.
+    Reproducible under stream version 3.  The L_p layers of psi2 depth p
+    share the class stream Philox(SeedSequence(entropy=seed,
+    spawn_key=(3, p))): replica c reads its raw 64-bit words
+    [c W_p, (c+1) W_p), W_p = ceil((p+1) L_p / 4), as 16-bit lanes, least
+    significant first, and the first (p+1) L_p lanes are a[step, layer] in
+    C order.  A spin is minus where u = (a + v) / 2^16 is at least its
+    threshold theta, which a decides alone unless a = floor(2^16 theta) for
+    a threshold the spin is compared with (pi(+) at step 0, Q(+,+) or
+    Q(-,+) after it).  Only there is v drawn: one double per tied spin, in
+    (replica, step, layer) order, from the class's tie stream
+    spawn_key=(3, p, 1).  So the batch is independent of evaluation order
+    and of chunking, and extends consistently when count grows.  Batches
+    drawn under version 2 (one double per spin) are not reproduced.  The
+    binary header's version number is that of the file layout, not of the
+    stream.
     """
 
     N: int
@@ -309,32 +319,38 @@ class SampleBatch:
             raise ValueError(f"seed {self.seed} does not fit the unsigned 64-bit header field")
         header = _HEADER_V2.pack(_MAGIC, 2, self.N, self.count, self.seed,
                                  self.params.beta, self.params.J, self.params.h)
+        rows = max(1, _CHUNK_SPINS // self.N)
         with open(path, "wb") as fh:
             fh.write(header)
-            fh.write((self.configurations == 1).astype(np.uint8).tobytes())
+            for start in range(0, self.count, rows):
+                fh.write((self.configurations[start:start + rows] == 1).view(np.uint8))
 
     @classmethod
     def load_binary(cls, path) -> "SampleBatch":
         """Read a v2 file, or a v1 file, whose 48-byte header holds N, count,
         seed, beta, J and h as six doubles."""
         with open(path, "rb") as fh:
-            data = fh.read()
-        v2 = data[:4] == _MAGIC
-        if len(data) < (_HEADER_V2.size if v2 else 48):
-            raise ValueError("sample file is shorter than its header")
-        if v2:
-            _, version, n, count, seed, beta, J, h = _HEADER_V2.unpack_from(data)
-            if version != 2:
-                raise ValueError(f"unsupported sample file version {version}")
-            offset = _HEADER_V2.size
-        else:
-            n, count, seed, beta, J, h = struct.unpack_from("<6d", data)
-            n, count, seed = int(n), int(count), int(seed)
-            offset = 48
-        payload = np.frombuffer(data, dtype=np.uint8, offset=offset)
-        if payload.size != n * count:
-            raise ValueError("payload size does not match header")
-        configs = payload.reshape(count, n).astype(np.int8) * 2 - 1
+            head = fh.read(_HEADER_V2.size)
+            v2 = head[:4] == _MAGIC
+            if len(head) < (_HEADER_V2.size if v2 else 48):
+                raise ValueError("sample file is shorter than its header")
+            if v2:
+                _, version, n, count, seed, beta, J, h = _HEADER_V2.unpack(head)
+                if version != 2:
+                    raise ValueError(f"unsupported sample file version {version}")
+                offset = _HEADER_V2.size
+            else:
+                n, count, seed, beta, J, h = struct.unpack_from("<6d", head)
+                n, count, seed = int(n), int(count), int(seed)
+                offset = 48
+            if os.fstat(fh.fileno()).st_size - offset != n * count:
+                raise ValueError("payload size does not match header")
+            fh.seek(offset)
+            payload = np.fromfile(fh, dtype=np.uint8, count=n * count)
+        # 0x00 -> -1 and 0x01 -> +1 in place, as int8
+        configs = payload.view(np.int8).reshape(count, n)
+        configs *= 2
+        configs -= 1
         return cls(n, count, seed, ModelParams(beta, J, h), configs)
 
     def save_csv(self, path) -> None:
@@ -361,6 +377,21 @@ def _depth_classes(n: int) -> List[Tuple[int, np.ndarray]]:
             for p in layer_count_by_depth(n)]
 
 
+def _lane_split(theta: float) -> Tuple[int, float]:
+    """(A, f) with 2^16 theta = A + f and A = floor(2^16 theta), both exact.
+    A is a Python int: theta = 1.0 gives A = 65536, which no lane reaches."""
+    x = math.ldexp(theta, 16)
+    lane = math.floor(x)
+    return lane, x - lane
+
+
+def _at_least(a, v, theta: float):
+    """Whether u = (a + v) / 2^16 >= theta, for 16-bit lanes a and doubles
+    v in [0, 1): a decides alone unless a = A, and there v >= f decides."""
+    lane, frac = _lane_split(theta)
+    return (a > lane) | ((a == lane) & (v >= frac))
+
+
 def _class_blocks(classes, params, count: int,
                   seed: int) -> Iterator[Tuple[int, List[np.ndarray]]]:
     """Per chunk of consecutive replicas, its first replica and one
@@ -368,22 +399,44 @@ def _class_blocks(classes, params, count: int,
     of the j-th layer of the class in replica start + c.  Each step of the
     chain is one select over all (replica, layer) pairs of the class."""
     td = _as_transfer(params)
-    streams = [np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(entropy=seed, spawn_key=(STREAM_VERSION, p)))) for p, _ in classes]
     # tau_0 is minus where u >= pi(+), and a step from s is minus where
     # u >= Q(s, +): the select s ? (u >= Q(-,+)) : (u >= Q(+,+)) is taken as
     # (u >= Q(+,+)) ^ (s & flip), flip marking where the two comparisons differ
-    thresholds = np.full((classes[-1][0] + 1, 1), td.Q[0, 0])
-    thresholds[0] = td.pi[0]
+    first, stay, leave = float(td.pi[0]), float(td.Q[0, 0]), float(td.Q[1, 0])
+    lane0, lane_stay, lane_leave = (_lane_split(x)[0] for x in (first, stay, leave))
+    streams = [(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(STREAM_VERSION, p))),
+                np.random.Generator(np.random.Philox(
+                    np.random.SeedSequence(entropy=seed, spawn_key=(STREAM_VERSION, p, 1)))))
+               for p, _ in classes]
     n = sum((p + 1) * r.size for p, r in classes)
     chunk = max(1, _CHUNK_SPINS // n)
     for start in range(0, count, chunk):
         rows = min(chunk, count - start)
         blocks = []
-        for (p, r), stream in zip(classes, streams):
-            u = stream.random((rows, p + 1, r.size))
-            idx = u >= thresholds[:p + 1]
-            flip = idx[:, 1:] ^ (u[:, 1:] >= td.Q[1, 0])
+        for (p, r), (lanes, tie_stream) in zip(classes, streams):
+            # replica c reads the lanes of raw words [c W, (c+1) W), least
+            # significant first (a big-endian host swaps bytes), as
+            # (slot, layer) in C order
+            width = (p + 1) * r.size
+            words = lanes.random_raw(rows * -(-width // 4)).astype("<u8", copy=False)
+            a = words.view("<u2").reshape(rows, -1)[:, :width].reshape(rows, p + 1, r.size)
+            idx = np.empty(a.shape, dtype=bool)
+            tie = np.empty(a.shape, dtype=bool)
+            np.greater(a[:, 0], lane0, out=idx[:, 0])
+            np.equal(a[:, 0], lane0, out=tie[:, 0])
+            np.greater(a[:, 1:], lane_stay, out=idx[:, 1:])
+            np.equal(a[:, 1:], lane_stay, out=tie[:, 1:])
+            flip = a[:, 1:] > lane_leave
+            tie[:, 1:] |= a[:, 1:] == lane_leave
+            # one tie double per tied spin, in (replica, slot, layer) order
+            hits = np.flatnonzero(tie)
+            if hits.size:
+                c, i, j = np.unravel_index(hits, a.shape)
+                at, v = a[c, i, j], tie_stream.random(hits.size)
+                later = i > 0
+                idx[c, i, j] = np.where(later, _at_least(at, v, stay), _at_least(at, v, first))
+                flip[c[later], i[later] - 1, j[later]] = _at_least(at[later], v[later], leave)
+            flip ^= idx[:, 1:]
             for i in range(p):
                 idx[:, i + 1] ^= np.bitwise_and(flip[:, i], idx[:, i], out=flip[:, i])
             blocks.append(idx)

@@ -341,7 +341,7 @@ class TestSampleCommand:
         assert run_cli("sample", "--N", "8", "--count", "2", "--seed", "3",
                        "--format", "bin", "--output", str(out)) == 0
         meta = json.loads((tmp_path / "batch.bin.meta.json").read_text())
-        assert meta["stream_version"] == 2
+        assert meta["stream_version"] == 3
         assert (meta["N"], meta["count"], meta["seed"]) == (8, 2, 3)
 
     def test_large_seed_round_trip(self, tmp_path):

@@ -1,5 +1,7 @@
 import math
 import struct
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -267,6 +269,45 @@ class TestSampler:
         with pytest.raises(ValueError):
             SampleBatch.load_binary(path)
 
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_payload_of_the_wrong_size_is_a_value_error(self, tmp_path, extra):
+        batch = gibbs.sample(10, P_UNIT, 4, 1)
+        data = _whole_batch_binary(batch)
+        path = tmp_path / "batch.bin"
+        path.write_bytes(data[:extra] if extra < 0 else data + b"\x01")
+        with pytest.raises(ValueError, match="payload"):
+            SampleBatch.load_binary(path)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (37, 10), (5, 300)])
+    @pytest.mark.parametrize("chunk", [None, 25])
+    def test_binary_bytes_match_the_whole_batch_writer(self, tmp_path, monkeypatch, shape, chunk):
+        if chunk is not None:  # chunks of 25 spins: one row of 300, or two rows of 10
+            monkeypatch.setattr(gibbs, "_CHUNK_SPINS", chunk)
+        count, n = shape
+        cfg = np.where(np.random.default_rng(count * n).random(shape) < 0.5, -1, 1).astype(np.int8)
+        batch = SampleBatch(n, count, 3, ModelParams(0.8, 1.1, -0.2), cfg)
+        path = tmp_path / "batch.bin"
+        batch.save_binary(path)
+        assert path.read_bytes() == _whole_batch_binary(batch)
+        assert np.array_equal(SampleBatch.load_binary(path).configurations, cfg)
+
+    def test_load_binary_holds_one_byte_per_spin(self, tmp_path):
+        # a 4096 x 400 file: reading it whole and converting by copies
+        # needs about four times its payload
+        n, count = 4096, 400
+        path = tmp_path / "batch.bin"
+        gibbs.sample(n, P_UNIT, count, 2).save_binary(path)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            back = SampleBatch.load_binary(path)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert back.configurations.shape == (count, n)
+        assert peak <= n * count + 2**16
+
     def test_csv_export(self, tmp_path):
         batch = gibbs.sample(4, P_UNIT, 3, 5)
         path = tmp_path / "batch.csv"
@@ -291,37 +332,72 @@ class TestSampler:
 
 
 def _reference_sample(n, params, count, seed):
-    """Stream contract v2 site by site: the layers of depth p share the
-    stream SeedSequence(entropy=seed, spawn_key=(2, p)), and replica c reads
-    its run of L_p (p+1) doubles as (step i, layer j) in C order."""
+    """Stream contract v3 site by site.  The layers of depth p share the
+    class stream SeedSequence(entropy=seed, spawn_key=(3, p)); replica c
+    reads raw words [c W, (c+1) W), W = ceil((p+1) L_p / 4), as 16-bit lanes
+    taken least significant first, and lane i L_p + j is a for step i of
+    layer j.  A spin is tied where a = floor(2^16 theta) for a threshold it
+    may be compared with: pi(+) at step 0, Q(+,+) or Q(-,+) after it.  Each
+    tied spin, in (replica, step, layer) order, takes the next double v of
+    the tie stream spawn_key=(3, p, 1), and is decided by (a + v) / 2^16 >=
+    theta in exact rationals; an untied spin is decided by a alone.
+
+    Returns the configurations and the step of every tied spin."""
     td = ising1d.transfer(params)
+    first, stay, leave = (Fraction(float(x)) * 65536 for x in (td.pi[0], td.Q[0, 0], td.Q[1, 0]))
     cfg = np.empty((count, n), dtype=np.int8)
+    tie_steps = []
     for p in range(n.bit_length()):
         layers = [r for r in range(1, n + 1, 2) if r << p <= n < r << (p + 1)]
-        ss = np.random.SeedSequence(entropy=seed, spawn_key=(2, p))
-        u = np.random.Generator(np.random.Philox(ss)).random((count, p + 1, len(layers)))
+        if not layers:
+            continue
+        width = (p + 1) * len(layers)
+        run = -(-width // 4)
+        words = np.random.Philox(np.random.SeedSequence(
+            entropy=seed, spawn_key=(3, p))).random_raw(count * run).tolist()
+        tie_stream = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(entropy=seed, spawn_key=(3, p, 1))))
         for c in range(count):
+            lanes = [words[c * run + k // 4] >> (16 * (k % 4)) & 0xFFFF for k in range(width)]
+            a = [lanes[i * len(layers):(i + 1) * len(layers)] for i in range(p + 1)]
+            v = {}
+            for i in range(p + 1):
+                lanes_at = {math.floor(first)} if i == 0 else {math.floor(stay), math.floor(leave)}
+                for j in range(len(layers)):
+                    if a[i][j] in lanes_at:
+                        v[i, j] = Fraction(tie_stream.random())
+                        tie_steps.append(i)
             for j, r in enumerate(layers):
-                s = int(u[c, 0, j] >= td.pi[0])
-                cfg[c, r - 1] = 1 - 2 * s
-                for i in range(1, p + 1):
-                    s = int(u[c, i, j] >= td.Q[s, 0])
+                s = 0
+                for i in range(p + 1):
+                    theta = first if i == 0 else (stay, leave)[s]
+                    if (i, j) in v:
+                        s = int(a[i][j] + v[i, j] >= theta)
+                    else:
+                        s = int(a[i][j] > math.floor(theta))
                     cfg[c, (r << i) - 1] = 1 - 2 * s
-    return cfg
+    return cfg, tie_steps
+
+
+def _whole_batch_binary(batch):
+    """The bytes of a .bin file as first written, from whole-batch copies."""
+    header = struct.pack("<4sIqqQddd", b"MISG", 2, batch.N, batch.count, batch.seed,
+                         batch.params.beta, batch.params.J, batch.params.h)
+    return header + (batch.configurations == 1).astype(np.uint8).tobytes()
 
 
 class TestStreamContract:
     P = ModelParams(0.8, 1.1, -0.2)
 
     def test_known_answer(self):
-        rows = ["-+-+------+-", "----------+-", "----------+-"]
+        rows = ["----------+-", "----+-+-----", "--+---+-----"]
         want = np.array([[1 if ch == "+" else -1 for ch in row] for row in rows], dtype=np.int8)
         assert np.array_equal(gibbs.sample(12, self.P, 3, 2026).configurations, want)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 12, 37, 64])
     def test_matches_site_by_site_reference(self, n):
         got = gibbs.sample(n, self.P, 7, 2026).configurations
-        assert np.array_equal(got, _reference_sample(n, self.P, 7, 2026))
+        assert np.array_equal(got, _reference_sample(n, self.P, 7, 2026)[0])
 
     def test_block_boundaries_do_not_move_the_stream(self, monkeypatch):
         batch = gibbs.sample(300, self.P, 9, 5).configurations
@@ -335,6 +411,97 @@ class TestStreamContract:
         small = gibbs.sample(64, self.P, 100, 42)
         large = gibbs.sample(64, self.P, 250, 42)
         assert np.array_equal(small.configurations, large.configurations[:100])
+
+    # At N = 4096 a replica meets about 0.09 ties, two thirds of them after
+    # step 0, so 600 replicas meet some 55 and a fault in the tie order
+    # shows; the tests above meet about 0.3 ties each.
+    def test_site_by_site_reference_where_ties_occur(self):
+        want, tie_steps = _reference_sample(4096, self.P, 10, 6)
+        assert any(i >= 1 for i in tie_steps)
+        assert np.array_equal(gibbs.sample(4096, self.P, 10, 6).configurations, want)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_prefix_where_ties_occur(self, monkeypatch, seed):
+        # the 600 replicas are drawn in the default chunks of 256 rows
+        n = 4096
+        full = gibbs.sample(n, self.P, 600, seed).configurations
+        for rows in (1, 3, 7):
+            monkeypatch.setattr(gibbs, "_CHUNK_SPINS", rows * n)
+            for k in (10, 257):
+                assert np.array_equal(gibbs.sample(n, self.P, k, seed).configurations, full[:k])
+
+
+def _thresholds(*point):
+    td = ising1d.transfer(ModelParams(*point))
+    return [float(td.pi[0]), float(td.Q[0, 0]), float(td.Q[1, 0])]
+
+
+class TestLaneDecision:
+    # pi(+), Q(+,+) and Q(-,+) at three points (at beta*J = 25, Q(+,+) rounds
+    # to 1.0, so A = 65536), theta = 0, and the beta = 0 threshold 1/2, where
+    # 2^16 theta = 32768 exactly and the fraction is 0
+    THETAS = (_thresholds(1.0, 1.0, 0.2) + _thresholds(0.8, 1.1, -0.2) + _thresholds(1.0, 25.0, 0.0)
+              + [0.0, 0.5])
+
+    @pytest.mark.parametrize("theta", THETAS)
+    def test_matches_exact_rationals(self, theta):
+        lane, frac = gibbs._lane_split(theta)
+        scaled = Fraction(theta) * 65536
+        assert isinstance(lane, int) and lane == math.floor(scaled)
+        assert Fraction(frac) == scaled - lane
+        vs = {0.0, frac, float(np.nextafter(frac, 1.0)), 1.0 - 2.0 ** -53}
+        if frac > 0.0:
+            vs.add(float(np.nextafter(frac, 0.0)))
+        cases = [(a, v) for a in (lane - 1, lane, lane + 1) if 0 <= a < 1 << 16
+                 for v in sorted(vs) if v < 1.0]
+        a = np.array([a for a, _ in cases], dtype=np.uint16)
+        v = np.array([v for _, v in cases])
+        want = [Fraction(int(x)) + Fraction(y) >= scaled for x, y in cases]
+        assert gibbs._at_least(a, v, theta).tolist() == want
+
+    @pytest.mark.parametrize("theta, expected", [(0.0, True), (1.0, False)])
+    def test_ends_of_the_unit_interval(self, theta, expected):
+        a = np.arange(1 << 16, dtype=np.uint16)
+        for v in (0.0, 1.0 - 2.0 ** -53):
+            assert np.all(gibbs._at_least(a, np.full(a.shape, v), theta) == expected)
+
+
+class TestExactFiniteLaw:
+    """Per depth class, the mean counts of minus initial states and of each
+    transition type, and the SMB mean, against their exact finite-N values."""
+
+    N, COUNT, SEED = 4096, 2000, 8
+
+    @staticmethod
+    def _check(name, values, want):
+        se = float(np.std(values, ddof=1)) / math.sqrt(len(values))
+        assert abs(float(np.mean(values)) - want) <= 5 * se + 1e-12, name
+
+    @pytest.mark.parametrize("point", [(1.0, 1.0, 0.2), (0.8, 1.1, -0.2), (1.0, 25.0, 0.0)])
+    def test_class_counts(self, point):
+        td = ising1d.transfer(ModelParams(*point))
+        classes = gibbs._depth_classes(self.N)
+        counts = {p: [] for p, _ in classes}
+        for _, blocks in gibbs._class_blocks(classes, td, self.COUNT, self.SEED):
+            for (p, _), idx in zip(classes, blocks):
+                pairs = [(idx[:, :-1] == bool(a)) & (idx[:, 1:] == bool(b)) for a in (0, 1) for b in (0, 1)]
+                counts[p].append(np.stack([idx[:, 0].sum(axis=1)] + [x.sum(axis=(1, 2)) for x in pairs], axis=1))
+        for p, r in classes:
+            got = np.concatenate(counts[p])
+            law = [np.exp(ising1d.log_site_law(td, i)) for i in range(p)]
+            want = [r.size * td.pi[1]] + [r.size * sum(m[a] for m in law) * td.Q[a, b]
+                                          for a in (0, 1) for b in (0, 1)]
+            for k, name in enumerate(["minus initial", "++", "+-", "-+", "--"]):
+                self._check(f"depth {p}: {name}", got[:, k], want[k])
+
+    @pytest.mark.parametrize("point", [(1.0, 1.0, 0.2), (0.8, 1.1, -0.2), (1.0, 25.0, 0.0)])
+    def test_smb_mean(self, point):
+        params = ModelParams(*point)
+        depth = {p: r.size for p, r in gibbs._depth_classes(self.N)}
+        entropies = ising1d.marginal_entropies(max(depth), params)
+        want = sum(layers * entropies[p] for p, layers in depth.items()) / self.N
+        mean, se = gibbs.smb_estimate(self.N, params, self.COUNT, self.SEED)
+        assert abs(mean - want) <= 5 * se + 1e-12
 
 
 class TestSmb:
