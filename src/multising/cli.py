@@ -1,12 +1,13 @@
 """Command-line frontend.
 
 Subcommands: scgf, rate, free-energy, entropy, sample, smb, invariance,
-kie-weights, verify.  Parameters come from flags, optionally backed by a flat
-"key = value" config file (flags win).  Outputs are CSV or JSON with a JSON
-metadata sidecar echoing the resolved configuration and truncation bounds.
+kie-weights, verify, with their options declared once in _COMMANDS.  A value
+comes from its flag, else a flat "key = value" config file, else its default,
+converted and checked alike from either source.  Outputs are CSV or JSON with
+a JSON metadata sidecar echoing the resolved options and truncation bounds.
 
 Exit codes: 0 ok, 2 usage error, 3 numerical precondition failure,
-4 infeasible exact-computation size.
+4 infeasible exact-computation size; every error is also JSON on stderr.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from contextlib import nullcontext
 from dataclasses import astuple
 from fractions import Fraction
 from itertools import islice
-from typing import Dict, Optional, Sequence
+from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -129,7 +130,7 @@ def parse_observable(text: str) -> Observable:
 
 
 # ---------------------------------------------------------------------------
-# Config resolution and output plumbing.
+# Config files and output plumbing.
 # ---------------------------------------------------------------------------
 
 
@@ -145,23 +146,6 @@ def _load_config(path: str) -> Dict[str, str]:
             key, value = line.split("=", 1)
             out[key.strip()] = value.strip()
     return out
-
-
-class _Resolver:
-    """Flag > config file > default."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = vars(args)
-        self.file = _load_config(self.args["config"]) if self.args.get("config") else {}
-        self.resolved: Dict[str, object] = {}
-
-    def get(self, name: str, conv, default):
-        v = self.args.get(name.replace("-", "_"))
-        if v is None:
-            raw = self.file.get(name)
-            v = conv(raw) if raw is not None else default
-        self.resolved[name] = v
-        return v
 
 
 _CSV_CHUNK_ROWS = 1 << 13
@@ -207,17 +191,16 @@ def _write_json(path: Optional[str], payload: Dict[str, object]) -> None:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _sidecar(path: Optional[str], command: str, resolved: Dict[str, object],
-             extra: Dict[str, object]) -> None:
-    if path is None:
+def _sidecar(command: str, cfg: Dict[str, object], extra: Dict[str, object]) -> None:
+    if cfg["output"] is None:
         return
     meta = {
         "command": command,
-        "config": {k: (repr(v) if isinstance(v, float) else v) for k, v in sorted(resolved.items())},
+        "config": {k: (repr(v) if isinstance(v, float) else v) for k, v in sorted(cfg.items())},
         "version": __version__,
     }
     meta.update(extra)
-    with open(path + ".meta.json", "w", encoding="ascii") as fh:
+    with open(cfg["output"] + ".meta.json", "w", encoding="ascii") as fh:
         fh.write(json.dumps(meta, indent=2, sort_keys=True, default=str) + "\n")
 
 
@@ -247,12 +230,8 @@ def _parse_grid(spec: str) -> np.ndarray:
     return np.array([float(spec)])
 
 
-def _params(res: _Resolver) -> ModelParams:
-    return ModelParams(
-        beta=res.get("beta", float, 1.0),
-        J=res.get("J", float, 1.0),
-        h=res.get("h", float, 0.0),
-    )
+def _params(cfg: Dict[str, object]) -> ModelParams:
+    return ModelParams(beta=cfg["beta"], J=cfg["J"], h=cfg["h"])
 
 
 # ---------------------------------------------------------------------------
@@ -260,156 +239,102 @@ def _params(res: _Resolver) -> ModelParams:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_scgf(args) -> int:
-    res = _Resolver(args)
-    params = _params(res)
-    obs = parse_observable(res.get("f", str, "s[1]*s[2]"))
-    tol = res.get("tol", float, 1e-10)
-    grid = _parse_grid(res.get("t", str, "-2:2:0.1"))
-    output = res.get("output", str, None)
+def _cmd_scgf(cfg) -> int:
+    params = _params(cfg)
+    obs = parse_observable(cfg["f"])
+    grid = _parse_grid(cfg["t"])
+    extra = {"observable": str(obs)}
     if all(i & (i - 1) == 0 for key, _ in obs.terms for i in key):  # dyadic indices
         fstar = to_first_layer(obs)
-        values, fprime, errs = ldp.scgf_values(fstar, params, grid, tol)
+        curve = ldp.ScgfCurve(grid, *ldp.scgf_values(fstar, params, grid, cfg["tol"]))
         # the bounds are >= 0, so an empty grid reads 0.0
-        extra = {"observable": str(obs), "max_trunc_err": repr(float(np.max(errs, initial=0.0)))}
-        write_csv(output, ["t", "F", "Fprime", "trunc_err"], [grid, values, fprime, errs])
-        _sidecar(output, "scgf", res.resolved, extra)
-        return 0
-    # non-dyadic indices: multi-prime route, single tilt, series table output
-    if grid.size != 1:
-        raise ValueError("observables with non-dyadic indices use the smooth-number "
-                         "series; pass a single --t value")
-    value, rows = multiprime.kie_pressure(obs, params, float(grid[0]), tol)
-    extra = {"observable": str(obs), "value": repr(float(value)),
-             "tail_bound": repr(float(rows[-1].tail_bound))}
-    write_csv(output, ["j", "n_j", "w_j", "Psi_j", "partial_sum", "tail_bound"],
-               list(zip(*map(astuple, rows))))
-    _sidecar(output, "scgf", res.resolved, extra)
+        extra["max_trunc_err"] = repr(float(np.max(curve.trunc_err, initial=0.0)))
+        write_csv(cfg["output"], curve.csv_header(), curve.csv_columns())
+    else:
+        # non-dyadic indices: multi-prime route, single tilt, series table output
+        if grid.size != 1:
+            raise ValueError("observables with non-dyadic indices use the smooth-number "
+                             "series; pass a single --t value")
+        value, rows = multiprime.kie_pressure(obs, params, float(grid[0]), cfg["tol"])
+        extra["value"] = repr(float(value))
+        extra["tail_bound"] = repr(float(rows[-1].tail_bound))
+        write_csv(cfg["output"], ["j", "n_j", "w_j", "Psi_j", "partial_sum", "tail_bound"],
+                  list(zip(*map(astuple, rows))))
+    _sidecar("scgf", cfg, extra)
     return 0
 
 
-def _cmd_rate(args) -> int:
-    res = _Resolver(args)
-    params = _params(res)
-    obs = parse_observable(res.get("f", str, "s[1]*s[2]"))
-    tol = res.get("tol", float, 1e-10)
-    xs = _parse_grid(res.get("x", str, "-0.9:0.9:0.1"))
-    output = res.get("output", str, None)
-    fstar = to_first_layer(obs)
-    curve = ldp.rate_curve(fstar, params, xs, tol)
-    write_csv(output, curve.csv_header(), curve.csv_columns())
-    _sidecar(output, "rate", res.resolved,
-             {"observable": str(obs), "domain": [repr(d) for d in curve.domain]})
+def _cmd_rate(cfg) -> int:
+    obs = parse_observable(cfg["f"])
+    curve = ldp.rate_curve(to_first_layer(obs), _params(cfg), _parse_grid(cfg["x"]), cfg["tol"])
+    write_csv(cfg["output"], curve.csv_header(), curve.csv_columns())
+    _sidecar("rate", cfg, {"observable": str(obs), "domain": [repr(d) for d in curve.domain]})
     return 0
 
 
-def _cmd_free_energy(args) -> int:
-    res = _Resolver(args)
-    params = _params(res)
-    tol = res.get("tol", float, 1e-10)
-    bc = res.get("bc", str, "all")
-    bc_coupling = res.get("bc-coupling", str, "J")
-    output = res.get("output", str, None)
-    bcs = ("free", "plus", "minus") if bc == "all" else (bc,)
-    payload = {
-        b: gibbs.free_energy(b, params, tol, bc_coupling=bc_coupling) for b in bcs
-    }
-    _write_json(output, payload)
-    _sidecar(output, "free-energy", res.resolved, {"tol": repr(tol)})
+def _cmd_free_energy(cfg) -> int:
+    params = _params(cfg)
+    bcs = ("free", "plus", "minus") if cfg["bc"] == "all" else (cfg["bc"],)
+    payload = {b: gibbs.free_energy(b, params, cfg["tol"], bc_coupling=cfg["bc-coupling"])
+               for b in bcs}
+    _write_json(cfg["output"], payload)
+    _sidecar("free-energy", cfg, {"tol": repr(cfg["tol"])})
     return 0
 
 
-def _cmd_entropy(args) -> int:
-    res = _Resolver(args)
-    params = _params(res)
-    tol = res.get("tol", float, 1e-12)
-    mode = res.get("mode", str, "all")
-    units = res.get("units", str, "nats")
-    output = res.get("output", str, None)
-    if units not in ("nats", "bits"):
-        raise ValueError("units must be 'nats' or 'bits'")
+def _cmd_entropy(cfg) -> int:
+    params = _params(cfg)
+    mode, units = cfg["mode"], cfg["units"]
     scale = 1.0 if units == "nats" else 1.0 / math.log(2.0)
     if mode == "all":
-        payload = gibbs.ks_entropy_report(params, tol)
-        payload = {k: v * scale for k, v in payload.items()}
+        payload = {k: v * scale for k, v in gibbs.ks_entropy_report(params, cfg["tol"]).items()}
     else:
-        payload = {mode: gibbs.ks_entropy(params, mode, tol) * scale}
+        payload = {mode: gibbs.ks_entropy(params, mode, cfg["tol"]) * scale}
     payload["units"] = units
-    _write_json(output, payload)
-    _sidecar(output, "entropy", res.resolved, {"tol": repr(tol)})
+    _write_json(cfg["output"], payload)
+    _sidecar("entropy", cfg, {"tol": repr(cfg["tol"])})
     return 0
 
 
-def _cmd_sample(args) -> int:
-    res = _Resolver(args)
-    params = _params(res)
-    n = res.get("N", int, 64)
-    count = res.get("count", int, 100)
-    seed = res.get("seed", int, 0)
-    fmt = res.get("format", str, "bin")
-    output = res.get("output", str, None)
-    if output is None:
+def _cmd_sample(cfg) -> int:
+    if cfg["output"] is None:
         raise ValueError("sample requires --output")
-    batch = gibbs.sample(n, params, count, seed)
-    if fmt == "bin":
-        batch.save_binary(output)
-    elif fmt == "csv":
-        batch.save_csv(output)
-    else:
-        raise ValueError("format must be 'bin' or 'csv'")
-    _sidecar(output, "sample", res.resolved,
+    n, count, seed = cfg["N"], cfg["count"], cfg["seed"]
+    batch = gibbs.sample(n, _params(cfg), count, seed)
+    (batch.save_binary if cfg["format"] == "bin" else batch.save_csv)(cfg["output"])
+    _sidecar("sample", cfg,
              {"N": n, "count": count, "seed": seed, "stream_version": gibbs.STREAM_VERSION})
     return 0
 
 
-def _cmd_smb(args) -> int:
-    res = _Resolver(args)
-    params = _params(res)
-    n = res.get("N", int, 4096)
-    count = res.get("count", int, 2000)
-    seed = res.get("seed", int, 0)
-    output = res.get("output", str, None)
+def _cmd_smb(cfg) -> int:
+    params = _params(cfg)
+    n, count, seed = cfg["N"], cfg["count"], cfg["seed"]
     mean, stderr = gibbs.smb_estimate(n, params, count, seed)
     payload = {"mean": mean, "stderr": stderr, "N": n, "count": count, "seed": seed}
     if params.h == 0.0:
         payload["entropy_closed_h0"] = gibbs.ks_entropy(params, "closed_h0")
-    _write_json(output, payload)
-    _sidecar(output, "smb", res.resolved, {"stderr": repr(stderr)})
+    _write_json(cfg["output"], payload)
+    _sidecar("smb", cfg, {"stderr": repr(stderr)})
     return 0
 
 
-def _cmd_invariance(args) -> int:
-    res = _Resolver(args)
-    params = _params(res)
-    indices = [int(s) for s in res.get("indices", str, "1,2").split(",")]
-    multiplier = res.get("multiplier", int, 2)
-    atol = res.get("atol", float, 1e-10)
-    output = res.get("output", str, None)
-    rep = gibbs.check_mult_invariance(indices, multiplier, params, atol)
-    payload = {
-        "indices": list(rep.indices),
-        "multiplier": rep.multiplier,
-        "logprob_before": [float(v) for v in rep.logprob_before],
-        "logprob_after": [float(v) for v in rep.logprob_after],
-        "max_abs_diff_prob": rep.max_abs_diff_prob,
-        "max_abs_diff_logprob": rep.max_abs_diff_logprob,
-        "invariant": bool(rep.invariant),
-    }
-    _write_json(output, payload)
-    _sidecar(output, "invariance", res.resolved, {"atol": repr(atol)})
+def _cmd_invariance(cfg) -> int:
+    indices = [int(s) for s in cfg["indices"].split(",")]
+    rep = gibbs.check_mult_invariance(indices, cfg["multiplier"], _params(cfg), cfg["atol"])
+    payload = dict(vars(rep), logprob_before=rep.logprob_before.tolist(),
+                   logprob_after=rep.logprob_after.tolist())
+    _write_json(cfg["output"], payload)
+    _sidecar("invariance", cfg, {"atol": repr(cfg["atol"])})
     return 0
 
 
-def _cmd_kie_weights(args) -> int:
-    res = _Resolver(args)
-    primes = tuple(int(s) for s in res.get("primes", str, "2").split(","))
-    tol = res.get("tol", float, 1e-8)
-    output = res.get("output", str, None)
-    basis = arith.PrimeBasis(primes)
-    ws = arith.kie_weights(basis, tol)
+def _cmd_kie_weights(cfg) -> int:
+    basis = arith.PrimeBasis(tuple(int(s) for s in cfg["primes"].split(",")))
+    ws = arith.kie_weights(basis, cfg["tol"])
     J = ws.j_max
-    write_csv(output, ["j", "n_j", "w_j"], [range(1, J + 1), ws.smooth[:J], ws.weights])
-    _sidecar(output, "kie-weights", res.resolved, {
+    write_csv(cfg["output"], ["j", "n_j", "w_j"], [range(1, J + 1), ws.smooth[:J], ws.weights])
+    _sidecar("kie-weights", cfg, {
         "kappa": repr(ws.kappa),
         "kappa_exact": str(ws.kappa_fraction),
         "truncation_tail": repr(ws.truncation_tail),
@@ -419,7 +344,7 @@ def _cmd_kie_weights(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(cfg) -> int:
     from .acceptance import run_all
 
     ok = run_all(print)
@@ -427,111 +352,134 @@ def _cmd_verify(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Entry point.
+# Entry point: one table of commands and their options.
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--beta", type=float, default=None, help="inverse temperature")
-    p.add_argument("--J", type=float, default=None, help="coupling strength")
-    p.add_argument("--h", type=float, default=None, help="magnetic field")
-    p.add_argument("--config", type=str, default=None, help="flat key = value config file")
-    p.add_argument("--tol", type=float, default=None, help="series truncation tolerance")
-    p.add_argument("--output", type=str, default=None, help="output path (stdout if omitted)")
+class _Option(NamedTuple):
+    """Flag --<name> and config key <name>; choices, if any, are the allowed values."""
+
+    type: Callable[[str], object]
+    default: object
+    choices: Tuple[str, ...] = ()
+    help: Optional[str] = None
+
+
+class _Command(NamedTuple):
+    help: str
+    run: Callable[[Dict[str, object]], int]
+    options: Dict[str, _Option]
+
+
+_MODEL = {
+    "beta": _Option(float, 1.0, help="inverse temperature"),
+    "J": _Option(float, 1.0, help="coupling strength"),
+    "h": _Option(float, 0.0, help="magnetic field"),
+}
+_OUTPUT = {"output": _Option(str, None, help="output path (stdout if omitted)")}
+_TOL_HELP = "series truncation tolerance"
+
+_COMMANDS = {
+    "scgf": _Command("scaled cumulant generating function of an observable", _cmd_scgf, {
+        "f": _Option(str, "s[1]*s[2]", help="observable, e.g. 's[1]*s[2]'"),
+        "t": _Option(str, "-2:2:0.1", help="tilt grid 'start:stop:step' or value"),
+        "tol": _Option(float, 1e-10, help=_TOL_HELP), **_MODEL, **_OUTPUT}),
+    "rate": _Command("Legendre-transform rate function", _cmd_rate, {
+        "f": _Option(str, "s[1]*s[2]"),
+        "x": _Option(str, "-0.9:0.9:0.1", help="rate grid 'start:stop:step'"),
+        "tol": _Option(float, 1e-10, help=_TOL_HELP), **_MODEL, **_OUTPUT}),
+    "free-energy": _Command("boundary-condition dependent free energies", _cmd_free_energy, {
+        "bc": _Option(str, "all", ("free", "plus", "minus", "all")),
+        "bc-coupling": _Option(str, "J", ("J", "1"),
+                               help="coupling carried by the +- boundary term"),
+        "tol": _Option(float, 1e-10, help=_TOL_HELP), **_MODEL, **_OUTPUT}),
+    "entropy": _Command("Kolmogorov-Sinai entropy", _cmd_entropy, {
+        "mode": _Option(str, "all", ("series", "formula", "closed_h0", "all")),
+        "units": _Option(str, "nats", ("nats", "bits")),
+        "tol": _Option(float, 1e-12, help=_TOL_HELP), **_MODEL, **_OUTPUT}),
+    "sample": _Command("draw configurations from the infinite-volume measure", _cmd_sample, {
+        "N": _Option(int, 64, help="volume [1, N]"),
+        "count": _Option(int, 100),
+        "seed": _Option(int, 0),
+        "format": _Option(str, "bin", ("bin", "csv")), **_MODEL, **_OUTPUT}),
+    "smb": _Command("Shannon-McMillan-Breiman entropy estimator", _cmd_smb, {
+        "N": _Option(int, 4096),
+        "count": _Option(int, 2000),
+        "seed": _Option(int, 0), **_MODEL, **_OUTPUT}),
+    "invariance": _Command("multiplication-invariance check of cylinder laws", _cmd_invariance, {
+        "indices": _Option(str, "1,2", help="comma-separated sites"),
+        "multiplier": _Option(int, 2),
+        "atol": _Option(float, 1e-10), **_MODEL, **_OUTPUT}),
+    "kie-weights": _Command("smooth-number layer weight series", _cmd_kie_weights, {
+        "primes": _Option(str, "2", help="comma-separated primes"),
+        "tol": _Option(float, 1e-8, help=_TOL_HELP), **_OUTPUT}),
+    "verify": _Command("run the acceptance suite", _cmd_verify, {}),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ValueError, which main reports as exit 2."""
+
+    def error(self, message):
+        raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="multising",
-        description="Thermodynamics of the multiplicative Ising model",
-    )
+    parser = _Parser(prog="multising",
+                     description="Thermodynamics of the multiplicative Ising model")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("scgf", help="scaled cumulant generating function of an observable")
-    _add_common(p)
-    p.add_argument("--f", type=str, default=None, help="observable, e.g. 's[1]*s[2]'")
-    p.add_argument("--t", type=str, default=None, help="tilt grid 'start:stop:step' or value")
-    p.set_defaults(func=_cmd_scgf)
-
-    p = sub.add_parser("rate", help="Legendre-transform rate function")
-    _add_common(p)
-    p.add_argument("--f", type=str, default=None)
-    p.add_argument("--x", type=str, default=None, help="rate grid 'start:stop:step'")
-    p.set_defaults(func=_cmd_rate)
-
-    p = sub.add_parser("free-energy", help="boundary-condition dependent free energies")
-    _add_common(p)
-    p.add_argument("--bc", type=str, default=None, choices=["free", "plus", "minus", "all"])
-    p.add_argument("--bc-coupling", type=str, default=None, choices=["J", "1"],
-                   help="coupling carried by the +- boundary term")
-    p.set_defaults(func=_cmd_free_energy)
-
-    p = sub.add_parser("entropy", help="Kolmogorov-Sinai entropy")
-    _add_common(p)
-    p.add_argument("--mode", type=str, default=None,
-                   choices=["series", "formula", "closed_h0", "all"])
-    p.add_argument("--units", type=str, default=None, choices=["nats", "bits"])
-    p.set_defaults(func=_cmd_entropy)
-
-    p = sub.add_parser("sample", help="draw configurations from the infinite-volume measure")
-    _add_common(p)
-    p.add_argument("--N", type=int, default=None, help="volume [1, N]")
-    p.add_argument("--count", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--format", type=str, default=None, choices=["bin", "csv"])
-    p.set_defaults(func=_cmd_sample)
-
-    p = sub.add_parser("smb", help="Shannon-McMillan-Breiman entropy estimator")
-    _add_common(p)
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument("--count", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=_cmd_smb)
-
-    p = sub.add_parser("invariance", help="multiplication-invariance check of cylinder laws")
-    _add_common(p)
-    p.add_argument("--indices", type=str, default=None, help="comma-separated sites")
-    p.add_argument("--multiplier", type=int, default=None)
-    p.add_argument("--atol", type=float, default=None)
-    p.set_defaults(func=_cmd_invariance)
-
-    p = sub.add_parser("kie-weights", help="smooth-number layer weight series")
-    _add_common(p)
-    p.add_argument("--primes", type=str, default=None, help="comma-separated primes")
-    p.set_defaults(func=_cmd_kie_weights)
-
-    p = sub.add_parser("verify", help="run the acceptance suite")
-    p.set_defaults(func=_cmd_verify)
+    for command, spec in _COMMANDS.items():
+        p = sub.add_parser(command, help=spec.help)
+        for name, opt in spec.options.items():
+            # every value is read as a string; _resolve converts and checks it
+            metavar = "{" + ",".join(opt.choices) + "}" if opt.choices else None
+            p.add_argument("--" + name, dest=name, metavar=metavar, help=opt.help)
+        if spec.options:
+            p.add_argument("--config", help="flat key = value config file")
     return parser
 
 
-_GRID_FLAGS = {"--t", "--x"}
+def _resolve(args: argparse.Namespace) -> Dict[str, object]:
+    """The command's options, each from its flag, else the config file, else
+    its default; flag and file values are converted and checked alike.
+    Config keys the command does not declare are ignored."""
+    flags = vars(args)
+    file = _load_config(flags["config"]) if flags.get("config") else {}
+    cfg = {}
+    for name, opt in _COMMANDS[args.command].options.items():
+        raw = flags[name] if flags[name] is not None else file.get(name)
+        if raw is None:
+            cfg[name] = opt.default
+            continue
+        try:
+            value = opt.type(raw)
+        except ValueError:
+            raise ValueError(f"{name}: invalid {opt.type.__name__} value {raw!r}") from None
+        if opt.choices and value not in opt.choices:
+            raise ValueError(f"{name}: invalid choice {raw!r}; allowed: {', '.join(opt.choices)}")
+        cfg[name] = value
+    return cfg
 
 
 def _preprocess(argv):
     # grid specs may start with '-' (e.g. --t -3:3:0.1); fold them into
     # --flag=value form so argparse does not mistake them for options
     out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in _GRID_FLAGS and i + 1 < len(argv) and argv[i + 1].startswith("-"):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
-            continue
-        out.append(tok)
-        i += 1
+    for tok in argv:
+        if out and out[-1] in ("--t", "--x") and tok.startswith("-"):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
     return out
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_preprocess(list(argv)))
     try:
-        return args.func(args)
+        args = build_parser().parse_args(_preprocess(list(argv)))
+        return _COMMANDS[args.command].run(_resolve(args))
     except (ValueError, OSError, ArithmeticError) as err:
         if isinstance(err, InfeasibleSizeError):
             code = 4

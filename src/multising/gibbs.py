@@ -488,11 +488,13 @@ def smb_estimate(n: int, params: ModelParams, count: int, seed: int) -> Tuple[fl
     for start, blocks in _class_blocks(classes, td, count, seed):
         part = counts[:, start:start + blocks[0].shape[0]]
         for idx in blocks:
-            minus = idx.sum(axis=2)
+            # sum 0/1 bytes into int32: bools would widen to int64
+            ones = idx.view(np.uint8)
+            minus = np.add.reduce(ones, axis=2, dtype=np.int32)
             part[0] += minus[:, 0]
-            part[1] += minus[:, :-1].sum(axis=1)
-            part[2] += minus[:, 1:].sum(axis=1)
-            part[3] += (idx[:, :-1] & idx[:, 1:]).sum(axis=(1, 2))
+            part[1] += np.add.reduce(minus[:, :-1], axis=1)
+            part[2] += np.add.reduce(minus[:, 1:], axis=1)
+            part[3] += np.add.reduce(ones[:, :-1] & ones[:, 1:], axis=(1, 2), dtype=np.int32)
     m0, leave, enter, mm = counts
     k = np.stack([layers - m0, m0,                          # pi(+), pi(-)
                   n - layers - leave - enter + mm, enter - mm,  # Q(+,+), Q(+,-)

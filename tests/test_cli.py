@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import multising
 from multising import arith, cli, gibbs, multiprime
 from multising.arith import PrimeBasis
 from multising.errors import ObservableSyntaxError, PreconditionError
@@ -385,6 +387,118 @@ class TestConfigFile:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("beta: 1.0\n")
         assert run_cli("entropy", "--config", str(cfg)) == 2
+
+    @pytest.mark.parametrize("command, line, message", [
+        ("entropy", "units = furlongs", "units: invalid choice 'furlongs'"),
+        ("sample", "N = abc", "N: invalid int value 'abc'"),
+        ("entropy", "beta = one", "beta: invalid float value 'one'"),
+    ])
+    def test_config_values_are_checked_like_flags(self, tmp_path, capsys, command, line, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        assert run_cli(command, "--config", str(cfg), "--output", str(tmp_path / "o")) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["message"].startswith(message)
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_flag_and_config_errors_read_alike(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("units = furlongs\n")
+        assert run_cli("entropy", "--config", str(cfg)) == 2
+        from_file = json.loads(capsys.readouterr().err)
+        assert run_cli("entropy", "--units", "furlongs") == 2
+        assert json.loads(capsys.readouterr().err) == from_file
+
+    def test_undeclared_config_keys_are_ignored(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("beta = 0\nprimes = 2,3\nunits = furlongs\n")
+        assert run_cli("free-energy", "--config", str(cfg), "--bc", "free") == 0
+        assert json.loads(capsys.readouterr().out)["free"] == pytest.approx(2 * math.log(2), abs=1e-9)
+        assert run_cli("kie-weights", "--config", str(cfg), "--tol", "1e-3") == 0
+        assert capsys.readouterr().out.splitlines()[0] == "j,n_j,w_j"
+
+
+# a cheap run of every command that has options
+CHEAP_RUNS = {
+    "scgf": ["--t", "0.5"],
+    "rate": ["--x", "0.1"],
+    "free-energy": [],
+    "entropy": [],
+    "sample": ["--N", "4", "--count", "2"],
+    "smb": ["--N", "16", "--count", "4"],
+    "invariance": [],
+    "kie-weights": ["--primes", "2", "--tol", "1e-3"],
+}
+
+
+def parser_options(command):
+    """The --name options of one subcommand's parser, without --help."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {s for a in sub.choices[command]._actions for s in a.option_strings}
+    return {s[2:] for s in flags if s.startswith("--")} - {"help"}
+
+
+class TestOptions:
+    def test_every_command_with_options_has_a_cheap_run(self):
+        commands = [c for c in cli._COMMANDS if parser_options(c)]
+        assert sorted(commands) == sorted(CHEAP_RUNS)
+        assert parser_options("verify") == set()
+
+    @pytest.mark.parametrize("command", sorted(CHEAP_RUNS))
+    def test_every_declared_option_is_read_and_echoed(self, tmp_path, monkeypatch, command):
+        class Recording(dict):
+            def __getitem__(self, key):
+                read.add(key)
+                return super().__getitem__(key)
+
+        read = set()
+        resolve = cli._resolve
+        monkeypatch.setattr(cli, "_resolve", lambda args: Recording(resolve(args)))
+        out = tmp_path / "out"
+        assert run_cli(command, *CHEAP_RUNS[command], "--output", str(out)) == 0
+        meta = json.loads((tmp_path / "out.meta.json").read_text())
+        assert set(meta["config"]) == parser_options(command) - {"config"}
+        assert read == set(meta["config"])
+
+    def test_option_count(self):
+        assert sum(len(parser_options(c)) for c in cli._COMMANDS) == 61
+
+    @pytest.mark.parametrize("argv", [
+        ["scgf", "--bogus", "1"],
+        ["scgf", "--t"],
+        ["sample", "--N", "abc", "--output", "x.bin"],
+        ["entropy", "--units", "furlongs"],
+        ["free-energy", "--bc", "periodic"],
+        ["kie-weights", "--beta", "1"],
+        ["kie-weights", "--J", "7"],
+        ["smb", "--tol", "1"],
+        ["sample", "--tol", "1"],
+        ["invariance", "--tol", "1"],
+        ["verify", "--config", "x.cfg"],
+        ["no-such-command"],
+        [],
+    ])
+    def test_usage_errors_exit_2_with_json(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)["error"]
+        assert err["code"] == 2 and err["type"] == "ValueError"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [["--help"], ["scgf", "--help"], ["verify", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_:
+            run_cli(*argv)
+        assert exit_.value.code == 0
+        assert "usage: multising" in capsys.readouterr().out
+
+    def test_version_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            run_cli("--version")
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.strip() == multising.__version__
 
 
 def fraction_grid(spec):
