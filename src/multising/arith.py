@@ -6,14 +6,18 @@ geometric-progression layers; the counting measures of those layers converge
 to explicit weight series (the dyadic 1/2^{p+2} weights for basis {2}, and
 the smooth-number series kappa * (1/n_j - 1/n_{j+1}) for general bases).
 Everything here is exact integer / rational arithmetic; floating point enters
-only when a weight is finally materialized.  kie_weights keeps the smooth
-numbers n_1 .. n_{J+1} as exact ints and the weights as one float64 array of
-length J, weights[j - 1] = w_j, each a correctly rounded integer division.
+only when a weight is finally materialized.  iter_kie_weights streams the
+smooth numbers by a heap merge with each weight w_j and the exact remaining
+mass sum_{i>j} i w_i, both correctly rounded; kie_weights stops at the first
+J whose remaining mass is below the tolerance and keeps n_1 .. n_J as exact
+ints and the weights as one float64 array, weights[j - 1] = w_j.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -37,10 +41,8 @@ __all__ = [
     "smooth_numbers",
     "iter_kie_weights",
     "kie_weights",
-    "canonical_region",
 ]
 
-LOG2 = math.log(2.0)
 _MAX_WEIGHT_TERMS = 10_000_000  # kie_weights refuses a longer series
 
 def _is_prime(n: int) -> bool:
@@ -117,15 +119,6 @@ class Region:
         for pt in self.points:
             return len(pt)
         raise ValueError("empty region has no dimension")
-
-    def is_lower_set(self) -> bool:
-        for pt in self.points:
-            for axis, x in enumerate(pt):
-                if x > 0:
-                    below = pt[:axis] + (x - 1,) + pt[axis + 1 :]
-                    if below not in self.points:
-                        return False
-        return True
 
 
 def decompose(i: int, basis: PrimeBasis) -> LayerIndex:
@@ -240,102 +233,69 @@ def dyadic_sum(prefix, growth):
 # ---------------------------------------------------------------------------
 
 
+def _smooth_heap(primes: Tuple[int, ...]) -> Iterator[int]:
+    """The primes-smooth numbers 1 = n_1 < n_2 < ... by a heap merge.  m is
+    multiplied only by the primes up to its smallest prime factor, so each
+    number enters the heap once, as (n / q) * q with q its smallest prime."""
+    heap = [1]
+    while True:
+        m = heapq.heappop(heap)
+        yield m
+        for p in primes:
+            heapq.heappush(heap, m * p)
+            if m % p == 0:
+                break
+
+
 def smooth_numbers(basis: PrimeBasis, count: int) -> List[int]:
     """First `count` integers whose prime factors all lie in the basis,
-    in increasing order (n_1 = 1).  Every smooth n <= X is enumerated with
-    integer products and comparisons.  log X starts at the lattice-point
-    count inverted to its third term, y0 - S/2 + (d-1) Q / (24 y0) with
-    y0 = (count d! P)^(1/d) and P, S, Q the product, sum and sum of squares
-    of the log p_i, plus a quarter of the smallest log p for the lattice
-    discrepancy: one pass at every count up to 100,000 for every basis of
-    two to four of the first six primes.  log X grows by 5% while fewer
-    than `count` numbers are <= X."""
+    in increasing order (n_1 = 1)."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    logs = [math.log(p) for p in basis.primes]
-    d = basis.dim
-    y0 = (count * math.factorial(d) * math.prod(logs)) ** (1 / d)
-    y = y0 + (d - 1) * sum(v * v for v in logs) / (24 * y0)
-    log_x = max(1.0, y - sum(logs) / 2 + min(logs) / 4)
-    while True:
-        shift = max(0, math.ceil(log_x / LOG2) - 53)  # keep exp in range
-        limit = int(math.exp(log_x - shift * LOG2)) << shift
-        found = [1]  # every smooth m <= limit, prime by prime; drops a short list
-        for p in basis.primes:
-            grown = []
-            for m in found:
-                while m <= limit:
-                    grown.append(m)
-                    m *= p
-            found = grown
-        if len(found) >= count:
-            break
-        log_x *= 1.05
-    found.sort()
-    del found[count:]
-    return found
+    return list(islice(_smooth_heap(basis.primes), count))
 
 
-def _smooth_stream(basis: PrimeBasis) -> Iterator[int]:
-    """The basis-smooth numbers 1 = n_1 < n_2 < ..., read from blocks of
-    smooth_numbers that double in length from 64."""
-    done, count = 0, 64
-    while True:
-        yield from islice(smooth_numbers(basis, count), done, None)
-        done, count = count, 2 * count
+def iter_kie_weights(basis: PrimeBasis) -> Iterator[Tuple[int, int, float, float]]:
+    """Yield (j, n_j, w_j, mass_j): the j-th basis-smooth number, its weight
+    w_j = kappa * (1/n_j - 1/n_{j+1}) and the remaining mass
+    mass_j = sum_{i>j} i w_i = 1 - kappa (sum_{i<=j} 1/n_i - j/n_{j+1}).
 
-
-def canonical_region(basis: PrimeBasis, cardinality: int) -> Region:
-    """The lower set realized by layer r = 1 at the smallest volume whose
-    region has the given cardinality: the exponent vectors of the first
-    `cardinality` basis-smooth numbers."""
-    pts = []
-    for m in smooth_numbers(basis, cardinality):
-        pts.append(decompose(m, basis).exponents)
-    return Region(frozenset(pts))
-
-
-def _upper_gamma_int(n: int, z: float) -> float:
-    # Gamma(n, z) for integer n >= 1: (n-1)! e^{-z} sum_{k<n} z^k/k!
-    s = 0.0
-    term = 1.0
-    for k in range(n):
-        if k:
-            term *= z / k
-        s += term
-    return math.factorial(n - 1) * math.exp(-z) * s
-
-
-def _weight_tail_bound(j_last: int, dim: int, kappa: float) -> float:
-    """Conservative bound on kappa * sum_{j > j_last} j / n_j using
-    n_j >= 2^{j^{1/d} - 1}: explicit terms until x * 2^{1-x^{1/d}} is
-    decreasing, then an incomplete-gamma integral bound."""
-    c = LOG2
-    x_dec = (dim / c) ** dim
-    a = max(j_last, int(math.ceil(x_dec)))
-    s = 0.0
-    for j in range(j_last + 1, a + 1):
-        s += j * 2.0 ** (1.0 - j ** (1.0 / dim))
-    integral = 2.0 * dim * c ** (-2 * dim) * _upper_gamma_int(2 * dim, c * a ** (1.0 / dim))
-    return kappa * (s + integral)
-
-
-def iter_kie_weights(basis: PrimeBasis) -> Iterator[Tuple[int, int, int, float]]:
-    """Yield (j, n_j, n_{j+1}, w_j) with w_j = kappa * (1/n_j - 1/n_{j+1}).
-
-    n_j is the j-th basis-smooth number; since distinct smooth numbers have
-    distinct logarithms, the counting function of {x : sum x_i log p_i <= rho}
-    increments by exactly one, so these differences are the layer-cardinality
-    frequencies.  With kappa = a/b, w_j is the single integer division
-    a (n_{j+1} - n_j) / (b n_j n_{j+1}), which Python rounds correctly.
+    Distinct smooth numbers have distinct logarithms, so the counting
+    function of {x : sum x_i log p_i <= rho} increments by exactly one and
+    the w_j are the layer-cardinality frequencies, with sum_j j w_j = 1.
+    With kappa = a/b, w_j is the integer division a (n_{j+1} - n_j) /
+    (b n_j n_{j+1}); the mass is one integer numerator over b L, with
+    L = lcm(n_1 .. n_{j+1}), divided once.  Both are correctly rounded.
     """
     kappa = basis.kappa_fraction()
     a, b = kappa.numerator, kappa.denominator
-    stream = _smooth_stream(basis)
-    n_cur = next(stream)
-    for j, n_next in enumerate(stream, 1):
-        yield j, n_cur, n_next, a * (n_next - n_cur) / (b * n_cur * n_next)
-        n_cur = n_next
+    stream = _smooth_heap(basis.primes)
+    n = next(stream)
+    lcm, inv_sum = 1, 0  # inv_sum / lcm = sum_{i<=j} 1/n_i
+    for j, m in enumerate(stream, 1):
+        if lcm % m:
+            grow = m // math.gcd(lcm, m)
+            lcm *= grow
+            inv_sum *= grow
+        inv_sum += lcm // n
+        den = b * lcm
+        yield j, n, a * (m - n) / (b * n * m), (den - a * (inv_sum - j * (lcm // m))) / den
+        n = m
+
+
+def _mass_floor(basis: PrimeBasis, terms: int) -> float:
+    """Lower bound on mass_terms, the mass left after `terms` weights.
+
+    mass_J = kappa (J / n_{J+1} + sum_{j>J} 1/n_j) >= kappa (J + 1) / n_{J+1}
+    by parts.  The unit cubes at the lattice points
+    of {x >= 0 : sum x_i log p_i <= y} cover that simplex, so there are at
+    least y^d / (d! prod log p_i) smooth numbers <= e^y; with y chosen to
+    make that J + 1, n_{J+1} <= e^y."""
+    d = basis.dim
+    log_count = math.log(terms + 1)
+    y = math.exp((log_count + math.lgamma(d + 1)
+                  + sum(math.log(math.log(p)) for p in basis.primes)) / d)
+    return math.exp(log_count + math.log(basis.kappa) - y)
 
 
 @dataclass(frozen=True)
@@ -344,14 +304,16 @@ class WeightSeries:
 
     weights is a float64 array of length J with weights[j - 1] = w_j =
     kappa * (1/n_j - 1/n_{j+1}), the limiting frequency (per unit volume) of
-    layers whose region has cardinality j; smooth holds n_1 .. n_{J+1}.
-    Mass identities: sum_j w_j = kappa and sum_j j * w_j = 1, both up to the
-    declared tail.
+    layers whose region has cardinality j; smooth holds n_1 .. n_J.
+    truncation_tail is the exact remaining mass sum_{j>J} j w_j, correctly
+    rounded.  Mass identities: sum_j w_j = kappa and sum_j j w_j = 1; the
+    float sums of the J weights differ from kappa and from 1 by at most
+    truncation_tail + 3 * 2^-53.
     """
 
     basis: PrimeBasis
     kappa_fraction: Fraction
-    smooth: Tuple[int, ...]  # n_1 .. n_{J+1}
+    smooth: Tuple[int, ...]  # n_1 .. n_J
     weights: np.ndarray  # w_1 .. w_J
     truncation_tail: float
 
@@ -371,38 +333,30 @@ class WeightSeries:
 
 
 def kie_weights(basis: PrimeBasis, tolerance: float) -> WeightSeries:
-    """Enumerate the weight series up to the first J at which the
-    conservative bound on the remaining mass sum_{j>J} j * w_j drops below
-    `tolerance`.  The bound decreases in J, so J is found by bisection
-    before any weight is formed; a J past _MAX_WEIGHT_TERMS is refused.
-    Each weight is the correctly rounded division of iter_kie_weights."""
+    """The weight series up to the first J whose exact remaining mass
+    sum_{j>J} j w_j is below `tolerance`, from iter_kie_weights.
+
+    A series longer than _MAX_WEIGHT_TERMS is refused: at once, before any
+    weight is formed, when _mass_floor at the cap is not below `tolerance`
+    (the mass decreases in J); otherwise once the stream passes the cap."""
     if not tolerance > 0:
         raise ValueError("tolerance must be positive")
-    kappa_fr = basis.kappa_fraction()
-
-    def below(j: int) -> bool:
-        return _weight_tail_bound(j, basis.dim, float(kappa_fr)) < tolerance
-
-    if not below(_MAX_WEIGHT_TERMS):
-        raise InfeasibleSizeError(
-            f"the weight series needs more than {_MAX_WEIGHT_TERMS} terms "
-            f"(cap) to reach tolerance {tolerance:g}"
-        )
-    lo, hi = 0, _MAX_WEIGHT_TERMS  # J lies in (lo, hi]
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if below(mid):
-            hi = mid
-        else:
-            lo = mid
-    smooth = smooth_numbers(basis, hi + 1)
-    a, b = kappa_fr.numerator, kappa_fr.denominator
-    pairs = zip(smooth, islice(smooth, 1, None))
-    weights = np.fromiter((a * (m - n) / (b * n * m) for n, m in pairs), dtype=float, count=hi)
+    refusal = InfeasibleSizeError(f"the weight series needs more than {_MAX_WEIGHT_TERMS} "
+                                  f"terms (cap) to reach tolerance {tolerance:g}")
+    if _mass_floor(basis, _MAX_WEIGHT_TERMS) >= tolerance:
+        raise refusal
+    smooth, weights = [], array("d")
+    for j, n_j, w_j, mass in iter_kie_weights(basis):
+        smooth.append(n_j)
+        weights.append(w_j)
+        if mass < tolerance:
+            break
+        if j >= _MAX_WEIGHT_TERMS:
+            raise refusal
     return WeightSeries(
         basis=basis,
-        kappa_fraction=kappa_fr,
+        kappa_fraction=basis.kappa_fraction(),
         smooth=tuple(smooth),
-        weights=weights,
-        truncation_tail=_weight_tail_bound(hi, basis.dim, float(kappa_fr)),
+        weights=np.array(weights),
+        truncation_tail=mass,
     )

@@ -191,12 +191,20 @@ def _write_json(path: Optional[str], payload: Dict[str, object]) -> None:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _echo(value):
+    """An option value as the sidecar shows it: a float by its repr, an int
+    list as the comma list a flag or config file takes."""
+    if isinstance(value, float):
+        return repr(value)
+    return ",".join(map(str, value)) if isinstance(value, tuple) else value
+
+
 def _sidecar(command: str, cfg: Dict[str, object], extra: Dict[str, object]) -> None:
     if cfg["output"] is None:
         return
     meta = {
         "command": command,
-        "config": {k: (repr(v) if isinstance(v, float) else v) for k, v in sorted(cfg.items())},
+        "config": {k: _echo(v) for k, v in sorted(cfg.items())},
         "version": __version__,
     }
     meta.update(extra)
@@ -320,8 +328,7 @@ def _cmd_smb(cfg) -> int:
 
 
 def _cmd_invariance(cfg) -> int:
-    indices = [int(s) for s in cfg["indices"].split(",")]
-    rep = gibbs.check_mult_invariance(indices, cfg["multiplier"], _params(cfg), cfg["atol"])
+    rep = gibbs.check_mult_invariance(cfg["indices"], cfg["multiplier"], _params(cfg), cfg["atol"])
     payload = dict(vars(rep), logprob_before=rep.logprob_before.tolist(),
                    logprob_after=rep.logprob_after.tolist())
     _write_json(cfg["output"], payload)
@@ -330,10 +337,8 @@ def _cmd_invariance(cfg) -> int:
 
 
 def _cmd_kie_weights(cfg) -> int:
-    basis = arith.PrimeBasis(tuple(int(s) for s in cfg["primes"].split(",")))
-    ws = arith.kie_weights(basis, cfg["tol"])
-    J = ws.j_max
-    write_csv(cfg["output"], ["j", "n_j", "w_j"], [range(1, J + 1), ws.smooth[:J], ws.weights])
+    ws = arith.kie_weights(arith.PrimeBasis(cfg["primes"]), cfg["tol"])
+    write_csv(cfg["output"], ["j", "n_j", "w_j"], [range(1, ws.j_max + 1), ws.smooth, ws.weights])
     _sidecar("kie-weights", cfg, {
         "kappa": repr(ws.kappa),
         "kappa_exact": str(ws.kappa_fraction),
@@ -354,6 +359,11 @@ def _cmd_verify(cfg) -> int:
 # ---------------------------------------------------------------------------
 # Entry point: one table of commands and their options.
 # ---------------------------------------------------------------------------
+
+
+def int_list(text: str) -> Tuple[int, ...]:
+    """A comma-separated list of ints, e.g. '2,3,5'."""
+    return tuple(int(s) for s in text.split(","))
 
 
 class _Option(NamedTuple):
@@ -407,11 +417,11 @@ _COMMANDS = {
         "count": _Option(int, 2000),
         "seed": _Option(int, 0), **_MODEL, **_OUTPUT}),
     "invariance": _Command("multiplication-invariance check of cylinder laws", _cmd_invariance, {
-        "indices": _Option(str, "1,2", help="comma-separated sites"),
+        "indices": _Option(int_list, (1, 2), help="comma-separated sites"),
         "multiplier": _Option(int, 2),
         "atol": _Option(float, 1e-10), **_MODEL, **_OUTPUT}),
     "kie-weights": _Command("smooth-number layer weight series", _cmd_kie_weights, {
-        "primes": _Option(str, "2", help="comma-separated primes"),
+        "primes": _Option(int_list, (2,), help="comma-separated primes"),
         "tol": _Option(float, 1e-8, help=_TOL_HELP), **_OUTPUT}),
     "verify": _Command("run the acceptance suite", _cmd_verify, {}),
 }
@@ -463,11 +473,14 @@ def _resolve(args: argparse.Namespace) -> Dict[str, object]:
 
 
 def _preprocess(argv):
-    # grid specs may start with '-' (e.g. --t -3:3:0.1); fold them into
-    # --flag=value form so argparse does not mistake them for options
+    # every declared option takes a value, and a value may start with '-'
+    # (a grid -3:3:0.1, an observable -s[1]*s[2]); fold it into --flag=value
+    # form so argparse does not mistake it for an option
+    spec = _COMMANDS.get(argv[0]) if argv else None
+    flags = {"--" + name for name in spec.options} if spec else ()
     out = []
     for tok in argv:
-        if out and out[-1] in ("--t", "--x") and tok.startswith("-"):
+        if out and out[-1] in flags and tok.startswith("-"):
             out[-1] += "=" + tok
         else:
             out.append(tok)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Tuple
 
@@ -290,8 +289,9 @@ def kie_pressure(f: Observable, params: ModelParams, t: float,
     Psi_j is evaluated on the canonical cardinality-j region (the exponent
     vectors of the first j smooth numbers, which every layer region of
     cardinality j equals).  Truncation uses |Psi_j| <= j |t| sup|f*| together
-    with the exact remaining mass sum_{j>J} j w_j (mass identity).  That
-    bound does not involve Psi, so the stopping index J is found first and
+    with the exact remaining mass sum_{j>J} j w_j that iter_kie_weights
+    yields (mass identity), the rule kie_weights stops on.  That bound does
+    not involve Psi, so the stopping index J is found first and
     every region j <= J is checked against the factor-width cap before any
     Psi_j is computed; a tolerance past the cap fails at once.  A NaN or
     infinite tilt is refused before J is chosen, and a Psi_j that is not
@@ -303,14 +303,11 @@ def kie_pressure(f: Observable, params: ModelParams, t: float,
         raise ValueError("tol must be positive")
     model, fstar = extend_observable(f, _BASE, params)
     sup = fstar.sup_bound
-    kappa_fr = model.basis.kappa_fraction()
-    mass = Fraction(0)
     terms = []  # (j, n_j, w_j, tail bound after term j)
     points: List[Tuple[int, ...]] = []  # region j is the first j of them
-    for j, n_j, n_next, w_j in arith.iter_kie_weights(model.basis):
+    for j, n_j, w_j, mass in arith.iter_kie_weights(model.basis):
         points.append(arith.decompose(n_j, model.basis).exponents)
-        mass += j * kappa_fr * Fraction(n_next - n_j, n_j * n_next)
-        terms.append((j, n_j, w_j, float(1 - mass) * abs(t) * sup))
+        terms.append((j, n_j, w_j, mass * abs(t) * sup))
         if terms[-1][3] < tol:
             break
         if j >= _MAX_TERMS:

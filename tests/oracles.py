@@ -1,34 +1,57 @@
 """Brute-force oracles shared by the unit tests.
 
 Everything here enumerates configurations directly, evaluates the naive
-Perron formulas in high-precision decimal arithmetic, generates smooth
-numbers by a heap merge, or keeps an earlier route that the package replaced
-(the second-order tilted pass, the gathering multiplicative average); no
-bounded enumeration is shared with the implementations under test.
+Perron formulas in high-precision decimal arithmetic, keeps an earlier route
+that the package replaced (the second-order tilted pass, the gathering
+multiplicative average, the bounded smooth-number enumeration), or builds
+reference regions that only the tests use; no bounded enumeration is shared
+with the implementations under test.
 """
 
 import decimal
 import functools
-import heapq
 import itertools
 import math
 
 import numpy as np
 
+from multising import arith
 
-def smooth_numbers_by_heap(primes):
-    """The primes-smooth numbers 1 = n_1 < n_2 < ... by a heap merge of the
-    prime multiples.  m is multiplied only by the primes up to its smallest
-    prime factor, so every number enters the heap once, as (n / q) * q with
-    q the smallest prime factor of n."""
-    heap = [1]
-    while True:
-        m = heapq.heappop(heap)
-        yield m
-        for p in primes:
-            heapq.heappush(heap, m * p)
-            if m % p == 0:
-                break
+
+def is_lower_set(region):
+    """Whether the region's exponent vectors are closed under coordinatewise
+    decrease."""
+    for pt in region.points:
+        for axis, x in enumerate(pt):
+            if x > 0:
+                below = pt[:axis] + (x - 1,) + pt[axis + 1 :]
+                if below not in region.points:
+                    return False
+    return True
+
+
+def smooth_numbers_upto(limit, primes):
+    """Every integer <= limit whose prime factors lie in `primes`, sorted,
+    by multiplying each one found so far by the powers of the next prime."""
+    found = [1]
+    for p in primes:
+        grown = []
+        for m in found:
+            while m <= limit:
+                grown.append(m)
+                m *= p
+        found = grown
+    return sorted(found)
+
+
+def canonical_region(basis, cardinality):
+    """The lower set realized by layer r = 1 at the smallest volume whose
+    region has the given cardinality: the exponent vectors of the first
+    `cardinality` basis-smooth numbers."""
+    pts = []
+    for m in arith.smooth_numbers(basis, cardinality):
+        pts.append(arith.decompose(m, basis).exponents)
+    return arith.Region(frozenset(pts))
 
 
 def chain_spins(n_sites):

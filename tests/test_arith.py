@@ -137,7 +137,7 @@ class TestLayerPartition:
             total = 0
             values = set()
             for r, region in part.items():
-                assert region.is_lower_set()
+                assert oracles.is_lower_set(region)
                 total += region.cardinality
                 for x in region.points:
                     values.add(layer_value(arith.LayerIndex(r, x), basis))
@@ -149,7 +149,7 @@ class TestLayerPartition:
         for basis in (B2, B23, B235):
             part = arith.layer_partition(n, basis)
             assert sum(reg.cardinality for reg in part.values()) == n
-            assert all(reg.is_lower_set() for reg in part.values())
+            assert all(oracles.is_lower_set(reg) for reg in part.values())
 
 
 class TestDyadicWeights:
@@ -226,9 +226,9 @@ class TestSmoothNumbers:
         assert arith.smooth_numbers(B23, 8) == [1, 2, 3, 4, 6, 8, 9, 12]
 
     def test_canonical_region(self):
-        reg = arith.canonical_region(B23, 5)
+        reg = oracles.canonical_region(B23, 5)
         assert reg.points == frozenset({(0, 0), (1, 0), (0, 1), (2, 0), (1, 1)})
-        assert reg.is_lower_set()
+        assert oracles.is_lower_set(reg)
 
     @pytest.mark.parametrize("basis", [B2, B23, B235, PrimeBasis((3, 7))])
     def test_matches_trial_division(self, basis):
@@ -242,21 +242,23 @@ class TestSmoothNumbers:
 
     @pytest.mark.parametrize("primes", [(2,), (2, 3), (2, 3, 5), (3, 7), (2, 3, 5, 7)])
     def test_matches_heap_merge(self, primes):
-        # counts straddle the 64-number first block of the stream, its
-        # doublings and the 5% regrowth of the enumeration bound
+        # the heap merge behind smooth_numbers and iter_kie_weights, against
+        # every smooth number up to the last one, enumerated by products
         counts = [1, 2, 63, 64, 65, 128, 129, 5000] + [186_713] * (primes == (2, 3, 5))
-        want = list(itertools.islice(oracles.smooth_numbers_by_heap(primes), max(counts)))
         basis = PrimeBasis(primes)
+        got = arith.smooth_numbers(basis, max(counts))
+        assert got == oracles.smooth_numbers_upto(got[-1], primes)
         for count in counts:
-            assert arith.smooth_numbers(basis, count) == want[:count]
-        assert list(itertools.islice(arith._smooth_stream(basis), max(counts))) == want
+            assert arith.smooth_numbers(basis, count) == got[:count]
+        streamed = itertools.islice(arith.iter_kie_weights(basis), 5000)
+        assert [n for _, n, _, _ in streamed] == got[:5000]
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=1, max_value=60))
     def test_canonical_region_cardinality(self, j):
-        reg = arith.canonical_region(B235, j)
+        reg = oracles.canonical_region(B235, j)
         assert reg.cardinality == j
-        assert reg.is_lower_set()
+        assert oracles.is_lower_set(reg)
 
 
 class TestKieWeights:
@@ -284,20 +286,18 @@ class TestKieWeights:
             assert arith.smooth_numbers(basis, 1) == [1]
 
     def test_conservative_tail_bounds_exact_tail(self):
-        # the exact tail sum_{j > J} j w_j is 1 minus the partial mass
-        for basis in (B2, B23):
-            ws = arith.kie_weights(basis, 1e-6)
-            n, kf = ws.smooth, ws.kappa_fraction
-            for j_last in (1, 2, 5, ws.j_max - 1):
-                mass = sum(j * kf * Fraction(n[j] - n[j - 1], n[j - 1] * n[j])
-                           for j in range(1, j_last + 1))
-                bound = arith._weight_tail_bound(j_last, basis.dim, ws.kappa)
-                assert bound >= float(1 - mass) - 1e-12
+        # the closed-form floor that refuses a tolerance past the cap is a
+        # lower bound on the remaining mass (exact to rounding, checked in
+        # test_weights_are_the_rounded_fractions)
+        for basis in (B2, B23, B235, PrimeBasis((2, 3, 5, 7))):
+            stream = itertools.islice(arith.iter_kie_weights(basis), 10_000)
+            mass = {j: m for j, _, _, m in stream}
+            for j in (1, 10, 100, 1000, 10_000):
+                assert arith._mass_floor(basis, j) <= mass[j]
 
     def test_peak_memory_of_the_bench_size_series(self):
-        # 186,712 weights with n_j near 1e48 keep about 11 MiB: the exact
-        # ints, one tuple of them and one float64 array; a dict of the weights
-        # or a second live list of the numbers would pass 24 MiB
+        # 2,608 weights with n_j up to 7.8e10 peak at about 0.17 MiB: the
+        # exact ints, one tuple of them, the weights and the heap
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -306,8 +306,8 @@ class TestKieWeights:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert ws.j_max == 186_712
-        assert peak <= 24 * 2**20
+        assert ws.j_max == 2_608
+        assert peak <= 2**19
 
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
@@ -316,20 +316,46 @@ class TestKieWeights:
     @pytest.mark.parametrize("basis", [B2, B23, B235, PrimeBasis((3, 7))])
     def test_weights_are_the_rounded_fractions(self, basis):
         kappa = basis.kappa_fraction()
-        for j, n_j, n_next, w in itertools.islice(arith.iter_kie_weights(basis), 3000):
-            assert w == float(kappa * Fraction(n_next - n_j, n_j * n_next))
+        terms = list(itertools.islice(arith.iter_kie_weights(basis), 3001))
+        mass = Fraction(1)
+        for (j, n_j, w, rest), (_, n_next, _, _) in zip(terms, terms[1:]):
+            exact = kappa * Fraction(n_next - n_j, n_j * n_next)
+            mass -= j * exact
+            assert w == float(exact)
+            assert rest == float(mass)
 
     @pytest.mark.parametrize("tol", [0.3, 1e-3, 1e-8])
     def test_stops_at_first_bound_below_tolerance(self, tol):
+        # an independent Fraction loop over the product-enumerated numbers:
+        # the series stops at the first J with mass_J < tol <= mass_{J-1}
         ws = arith.kie_weights(B235, tol)
+        n = oracles.smooth_numbers_upto(2 * ws.smooth[-1], B235.primes)
+        kappa = B235.kappa_fraction()
+        masses = [Fraction(1)]
+        for j in range(1, ws.j_max + 1):
+            masses.append(masses[-1] - j * kappa * Fraction(n[j] - n[j - 1], n[j - 1] * n[j]))
+        assert masses[-1] < tol <= masses[-2]
+        assert ws.truncation_tail == float(masses[-1])
+        assert ws.smooth == tuple(n[:ws.j_max])
 
-        def bound(j):
-            return arith._weight_tail_bound(j, B235.dim, ws.kappa)
+    @pytest.mark.parametrize("basis", [B2, B23, B235, PrimeBasis((3, 7)), PrimeBasis((2, 3, 5, 7))])
+    @pytest.mark.parametrize("tol", [0.3, 1e-3, 1e-5, 1e-8])
+    def test_float_sums_within_the_exact_tail(self, basis, tol):
+        ws = arith.kie_weights(basis, tol)
+        slack = ws.truncation_tail + 3 * 2.0**-53
+        assert abs(ws.sum_j_weights() - 1.0) <= slack
+        assert abs(ws.sum_weights() - ws.kappa) <= slack
 
-        assert ws.truncation_tail == bound(ws.j_max) < tol
-        assert bound(ws.j_max - 1) >= tol
-        assert len(ws.smooth) == ws.j_max + 1
+    def test_four_primes_reach_what_the_analytic_bound_refused(self):
+        assert arith.kie_weights(PrimeBasis((2, 3, 5, 7)), 1e-5).j_max == 3_392
 
-    def test_unreachable_tolerance_is_a_cap_error(self):
+    def test_unreachable_tolerance_is_a_cap_error(self, monkeypatch):
+        # (2, 3, 5, 7) at 1e-100 needs more than 10^7 terms; the closed-form
+        # floor refuses it before the stream yields a term
+        def no_terms(basis):
+            raise AssertionError("a term was pulled")
+            yield
+
+        monkeypatch.setattr(arith, "iter_kie_weights", no_terms)
         with pytest.raises(InfeasibleSizeError, match="cap"):
-            arith.kie_weights(PrimeBasis((2, 3, 5, 7)), 1e-5)
+            arith.kie_weights(PrimeBasis((2, 3, 5, 7)), 1e-100)

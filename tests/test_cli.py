@@ -223,7 +223,7 @@ class TestScgfCommand:
         model_d, fstar = multiprime.extend_observable(Observable.make([((1, 3), 1.0)]),
                                                       PrimeBasis((2,)), params)
         for j, psi in zip(rows[:, 0].astype(int), rows[:, 3]):
-            key = RegionPressureKey(arith.canonical_region(model_d.basis, int(j)), fstar, 0.1)
+            key = RegionPressureKey(oracles.canonical_region(model_d.basis, int(j)), fstar, 0.1)
             assert psi == pytest.approx(oracles.enumerated_region_pressure(key, model_d), abs=1e-12)
 
 
@@ -289,8 +289,13 @@ class TestScalarCommands:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["code"] == 4
 
-    def test_unreachable_weight_tolerance_exit_code(self, capsys):
-        code = run_cli("kie-weights", "--primes", "2,3,5,7", "--tol", "1e-5")
+    def test_unreachable_weight_tolerance_exit_code(self, capsys, monkeypatch):
+        def no_terms(basis):
+            raise AssertionError("a term was pulled")
+            yield
+
+        monkeypatch.setattr(arith, "iter_kie_weights", no_terms)
+        code = run_cli("kie-weights", "--primes", "2,3,5,7", "--tol", "1e-100")
         assert code == 4
         assert json.loads(capsys.readouterr().err)["error"]["code"] == 4
 
@@ -487,6 +492,19 @@ class TestOptions:
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command, flag, value", [("kie-weights", "primes", "2,x"),
+                                                      ("invariance", "indices", "1,x")])
+    def test_bad_int_list_names_its_option(self, capsys, command, flag, value):
+        assert run_cli(command, "--" + flag, value) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["message"] == f"{flag}: invalid int_list value {value!r}"
+
+    def test_value_starting_with_dash(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("scgf", "--f", "-s[1]*s[2]", "--t", "0.5", "--output", "a.csv") == 0
+        assert run_cli("scgf", "--f=-s[1]*s[2]", "--t", "0.5", "--output", "b.csv") == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
     @pytest.mark.parametrize("argv", [["--help"], ["scgf", "--help"], ["verify", "--help"]])
     def test_help_exits_0(self, capsys, argv):
         with pytest.raises(SystemExit) as exit_:
@@ -618,10 +636,12 @@ class TestJsonOutput:
 # Fraction-per-point grid that the column writer and the integer grid
 # replaced; every CSV byte is part of the output contract.  The
 # scgf-30001-tilts CSV was re-pinned when transfer moved to closed-form logs:
-# its F and F' moved by at most 8.9e-16 and 5.6e-16.  The kie-weights-2-3-5
-# (186,712 rows) and kie-weights-2-deep (n_j of up to 304 digits) values were
-# computed with the heap-merge smooth stream and the dict of weights that the
-# bounded enumeration and the weight array replaced.
+# its F and F' moved by at most 8.9e-16 and 5.6e-16.  The three kie-weights
+# CSVs stop at the first J whose exact remaining mass is below --tol: 387,
+# 2,608 and 1,006 rows (n_j of up to 303 digits in kie-weights-2-deep).  Each
+# is the J-row prefix of the CSV that the conservative analytic tail bound
+# wrote (1,941, 186,712 and 1,008 rows), hashed on that code; the sidecars
+# were re-pinned for the exact truncation_tail and the sums it bounds.
 BYTE_IDENTITY = {
     "readme-scgf": (
         ["scgf", "--beta", "0", "--J", "1", "--h", "0", "--f", "s[1]*s[2]", "--t", "-3:3:0.1"],
@@ -640,18 +660,18 @@ BYTE_IDENTITY = {
     ),
     "readme-kie-weights-2-3": (
         ["kie-weights", "--primes", "2,3", "--tol", "1e-8"],
-        "91ca0dab789f5cd2e5ea700255b65ce1523a811192a8e20b2faabe575a60e086",
-        "dea935a06e4b917e643c23c291382e6b413433b2d31458488bf0ad0cd3b7a32a",
+        "4b151597b4bf8a74e863fb84ce753c5a581ea01461a23aa88343156d49da5a84",
+        "71d7a7139700ac303edf8adced0867bbc43f7aaf91e561b71a65ad2116aa8b1d",
     ),
     "kie-weights-2-3-5": (
         ["kie-weights", "--primes", "2,3,5", "--tol", "1e-8"],
-        "7555d6e0e14d514ad9ede9d4266880c90f8e339eb938c46f0837f81d6926e9b6",
-        "d72ff3fd7a82737bb197a533df81e88133d06ffeb89f4ac59e323d761e7713b7",
+        "a7934793fc76eb7e7ab435b3c3f12ace68e860b5742194080dbc9d422520dde9",
+        "6ea6b62cb18844abc207243964dc02f79478b9bce4efe1012f435faa1cf908b3",
     ),
     "kie-weights-2-deep": (
         ["kie-weights", "--primes", "2", "--tol", "1e-300"],
-        "f686fd181bc7def063857e5c5cfe3dbf24019c8101dc8289780fe8d15ff2a6a2",
-        "17d4b2bbfaf354de43788c6a4199949fe1de1f8e6f3807efa65445ea446b4bdc",
+        "37ab66a9fb42aa6a1a04115b71118bcabfc7d20a3e8674b26e531a9fdcf6a19a",
+        "19b1738439b97676818e34fe43e7b7d2d293e06a37f98929e9f0d73ec0ca54e2",
     ),
     "scgf-30001-tilts": (
         ["scgf", "--beta", "1", "--J", "1", "--h", "0.3", "--t", "-3:3:0.0002"],

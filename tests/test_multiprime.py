@@ -52,7 +52,7 @@ class TestExtendObservable:
 class TestRegionPressure:
     def test_zero_tilt(self):
         model, fstar = multiprime.extend_observable(F_TWO, PrimeBasis((2,)), P_UNIT)
-        region = arith.canonical_region(model.basis, 4)
+        region = oracles.canonical_region(model.basis, 4)
         v = multiprime.region_pressure(RegionPressureKey(region, fstar, 0.0), model)
         assert abs(v) <= 1e-12
 
@@ -89,12 +89,12 @@ class TestRegionPressure:
         # 40-site canonical region 30 needs a factor over 6 sites only,
         # while region 600 (632 sites) needs one over more than 22
         model, fstar = multiprime.extend_observable(F_TWO, PrimeBasis((2,)), P_UNIT)
-        region = arith.canonical_region(model.basis, 30)
+        region = oracles.canonical_region(model.basis, 30)
         key = RegionPressureKey(region, fstar, 0.5)
         assert math.isfinite(multiprime.region_pressure(key, model))
         plan = multiprime._plan(region.points, fstar, model.base_axis)
         assert max(len(union) for _, union, _ in plan.steps) == 6
-        wide = RegionPressureKey(arith.canonical_region(model.basis, 600), fstar, 0.5)
+        wide = RegionPressureKey(oracles.canonical_region(model.basis, 600), fstar, 0.5)
         with pytest.raises(InfeasibleSizeError, match="cap 22"):
             multiprime.region_pressure(wide, model)
 
@@ -241,8 +241,8 @@ class TestShapeScan:
             assert len(shape_set) == 1
             region = Region(next(iter(shape_set)))
             assert region.cardinality == c
-            assert region.is_lower_set()
-            assert region.points == arith.canonical_region(PrimeBasis((2, 3)), c).points
+            assert oracles.is_lower_set(region)
+            assert region.points == oracles.canonical_region(PrimeBasis((2, 3)), c).points
 
 
 class TestEnumeratorOracle:
@@ -260,7 +260,7 @@ class TestEnumeratorOracle:
         *params, t = point
         model, fstar = multiprime.extend_observable(F_TWO, PrimeBasis((2,)), ModelParams(*params))
         for j in range(1, 16):  # region 15 has 22 sites, region 16 has 23
-            key = RegionPressureKey(arith.canonical_region(model.basis, j), fstar, t)
+            key = RegionPressureKey(oracles.canonical_region(model.basis, j), fstar, t)
             want = oracles.enumerated_region_pressure(key, model)
             assert multiprime.region_pressure(key, model) == pytest.approx(want, abs=1e-12)
 
