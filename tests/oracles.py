@@ -1,11 +1,13 @@
-"""Brute-force oracles shared by the unit tests.
+"""Reference routes shared by the unit tests.
 
 Everything here enumerates configurations directly, evaluates the naive
 Perron formulas in high-precision decimal arithmetic, keeps an earlier route
 that the package replaced (the second-order tilted pass, the gathering
 multiplicative average, the bounded smooth-number enumeration), or builds
 reference regions that only the tests use; no bounded enumeration is shared
-with the implementations under test.
+with the implementations under test.  The chain and region brute-force
+enumerators live in multising.acceptance, where `multising verify` runs
+them, and the tests import them from there.
 """
 
 import decimal
@@ -52,25 +54,6 @@ def canonical_region(basis, cardinality):
     for m in arith.smooth_numbers(basis, cardinality):
         pts.append(arith.decompose(m, basis).exponents)
     return arith.Region(frozenset(pts))
-
-
-def chain_spins(n_sites):
-    """All 2^n chain configurations as a (2^n, n) array of +-1."""
-    states = np.arange(1 << n_sites)
-    return 1.0 - 2.0 * ((states[:, None] >> np.arange(n_sites)[None, :]) & 1)
-
-
-def chain_log_partition(n_bonds, params, bc="free", bc_coupling="J"):
-    spins = chain_spins(n_bonds + 1)
-    jbc = params.J if bc_coupling == "J" else 1.0
-    energy = params.J * (spins[:, :-1] * spins[:, 1:]).sum(axis=1) + params.h * spins.sum(axis=1)
-    if bc == "plus":
-        energy = energy + jbc * spins[:, -1]
-    elif bc == "minus":
-        energy = energy - jbc * spins[:, -1]
-    a = params.beta * energy
-    m = a.max()
-    return float(m + np.log(np.exp(a - m).sum()))
 
 
 def finite_volume_cylinder_logprob(values, n, params):
@@ -287,90 +270,3 @@ def multiplicative_average_by_gather(batch, f, n):
             x += coeff * prod.sum(axis=1, dtype=np.float64)
     return x / n
 
-
-def enumerated_region_pressure(key, model):
-    """Psi of a region pressure key by enumerating every spin pattern of the
-    dependence set S = region + support(f*), 2^|S| of them in chunks of 2^20.
-
-    Lines coupled by no common tilt monomial factor out, so only each
-    coupled component is enumerated jointly.  Within a line, unassigned gaps
-    are summed by numpy matrix powers of Q, not by the package's closed form.
-    """
-    from multising.numutil import RunningLogSum
-
-    region, fstar, t = key.region, key.fstar, key.t
-    axis = model.base_axis
-    psi = t * sum(c for offs, c in fstar.terms if not offs) * region.cardinality
-    sites = set()
-    monomials = []
-    for x in region.points:
-        for offs, coeff in fstar.terms:
-            if offs:
-                inst = tuple(sorted(tuple(a + b for a, b in zip(x, o)) for o in offs))
-                monomials.append((inst, coeff))
-                sites.update(inst)
-    if not sites:
-        return psi
-    site_list = sorted(sites)
-    site_id = {s: i for i, s in enumerate(site_list)}
-    lines = {}
-    for s in site_list:
-        lines.setdefault(s[:axis] + s[axis + 1:], []).append((s[axis], site_id[s]))
-    line_keys = sorted(lines)
-    line_of_site = {sid: li for li, lk in enumerate(line_keys) for _, sid in lines[lk]}
-
-    parent = list(range(len(line_keys)))  # union-find over lines
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for inst, _ in monomials:
-        first = find(line_of_site[site_id[inst[0]]])
-        for s in inst[1:]:
-            parent[find(line_of_site[site_id[s]])] = first
-    components = {}
-    for li in range(len(line_keys)):
-        components.setdefault(find(li), []).append(li)
-
-    td = model.td
-
-    def log_q_power(n):
-        # an entry that underflows to 0 reads as -inf, its exact log in doubles
-        with np.errstate(divide="ignore"):
-            return np.log(np.linalg.matrix_power(td.Q, n))
-
-    def log_site_law(n):
-        with np.errstate(divide="ignore"):
-            return np.log(td.pi @ np.linalg.matrix_power(td.Q, n))
-
-    for comp in components.values():
-        comp_sites = sorted(sid for li in comp for _, sid in lines[line_keys[li]])
-        local = {sid: b for b, sid in enumerate(comp_sites)}
-        m = len(local)
-        comp_monos = [([local[site_id[s]] for s in inst], coeff)
-                      for inst, coeff in monomials if line_of_site[site_id[inst[0]]] in comp]
-        acc = RunningLogSum()
-        total = 1 << m
-        chunk = 1 << min(20, m)
-        for start in range(0, total, chunk):
-            idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-            bits = [(idx >> b) & 1 for b in range(m)]
-            logp = np.zeros(idx.size)
-            for li in comp:
-                entries = lines[line_keys[li]]
-                v0, sid0 = entries[0]
-                logp = logp + log_site_law(v0)[bits[local[sid0]]]
-                for (va, sa), (vb, sb) in zip(entries, entries[1:]):
-                    logp = logp + log_q_power(vb - va)[bits[local[sa]], bits[local[sb]]]
-            tilt = np.zeros(idx.size)
-            for bit_ids, coeff in comp_monos:
-                prod = 1.0 - 2.0 * bits[bit_ids[0]]
-                for b in bit_ids[1:]:
-                    prod = prod * (1.0 - 2.0 * bits[b])
-                tilt = tilt + coeff * prod
-            acc.add(logp + t * tilt)
-        psi += acc.value()
-    return psi

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 import multising
 from multising import arith, cli, gibbs, multiprime
+from multising.acceptance import brute_region_pressure
 from multising.arith import PrimeBasis
 from multising.errors import ObservableSyntaxError, PreconditionError
 from multising.ising1d import ModelParams
-from multising.multiprime import RegionPressureKey
 from multising.observables import Observable
 
 import oracles
@@ -223,8 +223,9 @@ class TestScgfCommand:
         model_d, fstar = multiprime.extend_observable(Observable.make([((1, 3), 1.0)]),
                                                       PrimeBasis((2,)), params)
         for j, psi in zip(rows[:, 0].astype(int), rows[:, 3]):
-            key = RegionPressureKey(oracles.canonical_region(model_d.basis, int(j)), fstar, 0.1)
-            assert psi == pytest.approx(oracles.enumerated_region_pressure(key, model_d), abs=1e-12)
+            region = oracles.canonical_region(model_d.basis, int(j))
+            want = brute_region_pressure(region.points, fstar, 0.1, model_d)
+            assert psi == pytest.approx(want, abs=1e-12)
 
 
 class TestRateCommand:

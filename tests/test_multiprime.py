@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from multising import arith, ldp, multiprime
-from multising.acceptance import brute_region_pressure
+from multising.acceptance import brute_region_pressure, lower_closure
 from multising.arith import PrimeBasis, Region
 from multising.errors import InfeasibleSizeError, PreconditionError
 from multising.ising1d import ModelParams, tilted_prefix_pressures
@@ -65,11 +65,16 @@ class TestRegionPressure:
 
     @pytest.mark.parametrize("k", range(9))
     def test_one_dimensional_reduction(self, k):
-        model, fstar = multiprime.extend_observable(F_BOND, PrimeBasis((2,)), P_UNIT)
+        # s1 s8 ties sites i and i + 3: at k = 0 nothing lies on sites 1 and
+        # 2 (at k = 1 on site 2), so both region enumerations sum over a gap
         region = Region(frozenset((i,) for i in range(k + 1)))
-        a = multiprime.region_pressure(RegionPressureKey(region, fstar, 0.9), model)
-        b = tilted_prefix_pressures(k, to_first_layer(F_BOND), 0.9, P_UNIT)[0][-1]
-        assert a == pytest.approx(b, abs=1e-11)
+        for f in (F_BOND, Observable.make([((1, 8), 1.0)])):
+            model, fstar = multiprime.extend_observable(f, PrimeBasis((2,)), P_UNIT)
+            b = tilted_prefix_pressures(k, to_first_layer(f), 0.9, P_UNIT)[0][-1]
+            a = multiprime.region_pressure(RegionPressureKey(region, fstar, 0.9), model)
+            assert a == pytest.approx(b, abs=1e-11)
+            brute = brute_region_pressure(region.points, fstar, 0.9, model)
+            assert brute == pytest.approx(b, abs=1e-11)
 
     def test_brute_force_equivalence(self):
         rng = np.random.default_rng(5)
@@ -246,8 +251,9 @@ class TestShapeScan:
 
 
 class TestEnumeratorOracle:
-    """region_pressure against the chunked 2^|S| enumerator on every case
-    with a dependence set of at most 22 sites."""
+    """region_pressure against acceptance.brute_region_pressure, which sums
+    all 2^m configurations of the full lines, on every case with a
+    dependence set of at most 22 sites."""
 
     POINTS = [  # (beta, J, h, t)
         (1.0, 1.0, 0.3, 0.5),
@@ -261,7 +267,7 @@ class TestEnumeratorOracle:
         model, fstar = multiprime.extend_observable(F_TWO, PrimeBasis((2,)), ModelParams(*params))
         for j in range(1, 16):  # region 15 has 22 sites, region 16 has 23
             key = RegionPressureKey(oracles.canonical_region(model.basis, j), fstar, t)
-            want = oracles.enumerated_region_pressure(key, model)
+            want = brute_region_pressure(key.region.points, fstar, t, model)
             assert multiprime.region_pressure(key, model) == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("dim", [2, 3])
@@ -276,29 +282,15 @@ class TestEnumeratorOracle:
                                  float(rng.uniform(-1.0, 1.0)))
             model, fstar = multiprime.extend_observable(f, PrimeBasis((2,)), params)
             assert model.basis.dim == dim
-            pts = _random_lower_set(rng, dim, 4 if dim == 2 else 3)
+            pts = lower_closure([rng.integers(0, 4 if dim == 2 else 3, size=dim)
+                                 for _ in range(int(rng.integers(1, 4)))])
             sites = {tuple(a + b for a, b in zip(x, o)) for x in pts
                      for offs, _ in fstar.terms for o in offs}
             if len(sites) > 18:
                 continue
-            key = RegionPressureKey(Region(frozenset(pts)), fstar, float(rng.uniform(-5.0, 5.0)))
-            want = oracles.enumerated_region_pressure(key, model)
+            t = float(rng.uniform(-5.0, 5.0))
+            key = RegionPressureKey(Region(frozenset(pts)), fstar, t)
+            want = brute_region_pressure(pts, fstar, t, model)
             assert multiprime.region_pressure(key, model) == pytest.approx(want, abs=1e-12)
             done += 1
 
-
-def _random_lower_set(rng, dim, extent):
-    """The lower-set closure of a few random points in [0, extent)^dim."""
-    pts = {(0,) * dim}
-    for _ in range(int(rng.integers(1, 4))):
-        pts.add(tuple(int(v) for v in rng.integers(0, extent, size=dim)))
-    stack = list(pts)
-    while stack:
-        x = stack.pop()
-        for axis in range(dim):
-            if x[axis] > 0:
-                y = x[:axis] + (x[axis] - 1,) + x[axis + 1:]
-                if y not in pts:
-                    pts.add(y)
-                    stack.append(y)
-    return pts
