@@ -193,6 +193,27 @@ def _dyadic_tail(k: int, growth):
     return 0.5 ** (k + 2) * (a + b * (k + 2) + c * (k * k + 4 * k + 6))
 
 
+def _depth_floor(tol: float, growth) -> int:
+    # A depth at or below the first K whose tail bound is below tol.  With
+    # x = K + 2 the bound is 2^-x poly(x), poly(x) = a + b x + c (x^2 + 2),
+    # which falls in x by a factor of at least 12/11 a step for a, b, c >= 0,
+    # so every x with bound < tol exceeds log2(poly(x0) / tol) for any x0
+    # below it; iterating from x0 = 2 climbs towards the root from below.
+    # Rounding is monotone, so the computed bounds fall below tol no earlier
+    # than one step before the exact ones do; the floor keeps that step and
+    # one more of margin, and stays below 1073, past which 2^-(K+2) is 0.
+    a, b, c = growth
+    if not (a >= 0 and b >= 0 and c >= 0):
+        return 0
+    x = 2.0
+    for _ in range(4):
+        poly = a + b * x + c * (x * x + 2)
+        if not 0 < poly < math.inf:
+            break
+        x = max(x, math.log2(poly) - math.log2(tol))
+    return min(max(0, math.ceil(x) - 4), 1072)
+
+
 def dyadic_depth(tol: float, *growths) -> int:
     """Smallest K at which the tail bound of every growth is below tol.
 
@@ -200,30 +221,49 @@ def dyadic_depth(tol: float, *growths) -> int:
     quantity g.  The tail sum_{p>K} g(p) / 2^{p+2} of its layer series is
     then at most 2^{-(K+2)} (a + b (K+2) + c (K^2 + 4K + 6)).  A tail bound
     that is not finite is a PreconditionError: no depth would meet it.
+
+    The bounds fall in K, so the scan for K starts from a floor computed in
+    closed form rather than from 0.  A sum of bounds that overflows at some
+    depth overflows at 0 too, and a bound that stops being finite stays so;
+    so checking depth 0 and the scanned depths raises wherever the scan from
+    0 would.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    k = 0
-    while True:
+
+    def worst(k):
         tails = [_dyadic_tail(k, g) for g in growths]
         if not math.isfinite(sum(tails)):
             raise PreconditionError("layer series tail bound is not finite; parameters too large")
-        if max(tails) < tol:
-            return k
+        return max(tails)
+
+    worst(0)
+    k = max((_depth_floor(tol, g) for g in growths), default=0)
+    while worst(k) >= tol:
         k += 1
+    return k
 
 
 def dyadic_sum(prefix, growth):
     """(sum_{p<=K} g(p) / 2^{p+2}, tail bound) for the layer quantities
-    g(0), ..., g(K) along axis 0 of prefix and a growth as in dyadic_depth.
-    The weights 1/2^{p+2} are the limiting frequencies of psi2(i, N) = p
-    over odd i <= N, and sum to 1/2.  The terms are added in order of p."""
+    g(0), ..., g(K) and a growth as in dyadic_depth.  prefix holds them
+    along axis 0 of an array, or is an iterator that yields them in turn, so
+    that a pass can be summed as it runs.  The weights 1/2^{p+2} are the
+    limiting frequencies of psi2(i, N) = p over odd i <= N, and sum to 1/2.
+    The terms are added in order of p."""
+    if isinstance(prefix, Iterator):
+        value = None
+        for k, g in enumerate(prefix):
+            term = np.ldexp(g, -(k + 2))
+            value = term if value is None else value + term
+        return value, _dyadic_tail(k, growth)
     prefix = np.asarray(prefix, dtype=float)
     k = prefix.shape[0] - 1
     weights = np.ldexp(1.0, -np.arange(2, k + 3)).reshape((-1,) + (1,) * (prefix.ndim - 1))
     terms = weights * prefix
     # numpy reduces a leading axis row by row when a row holds more than one
-    # entry, but a contiguous axis pairwise; cumsum goes in order
+    # entry, as the iterator branch adds, but a contiguous axis pairwise;
+    # cumsum goes in order
     value = terms.sum(axis=0) if terms[0].size > 1 else np.cumsum(terms, axis=0)[-1]
     return value, _dyadic_tail(k, growth)
 

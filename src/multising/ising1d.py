@@ -299,6 +299,11 @@ def _window_values(fstar: FirstLayerObservable, w: int) -> np.ndarray:
     return vals
 
 
+# predecessor pairs whose weights, relative to the top one, sum below this
+# are merged in the log domain (see tilted_prefix_pressures)
+_PAIR_MIN = 2.0 ** -960
+
+
 def _shift_predecessors(v: np.ndarray, w: int) -> np.ndarray:
     # state index = sum_j bit_j 2^j; a shift drops slot 0, so the states
     # 2q and 2q+1 share the successor prefix q (slots 1..w-1)
@@ -311,23 +316,44 @@ def tilted_prefix_pressures(k: int, fstar: FirstLayerObservable, t, params):
 
     One sliding-window transfer pass in forward mode.  Per window state it
     carries the log of the tilted weight and the tilted conditional mean of
-    S given that state.  A shift merges two predecessor states by their
-    weights; the tilt adds t f* to the log weight and f* to the mean.  So
-    dP^i = E_t S_i comes out exactly, and in log space no window weight
-    underflows, however large |t|.
+    S given that state.  Each step normalises the weights as
+    u = exp(log w - top), top their largest log weight, and the next step
+    reuses u to merge the two predecessors of every successor:
+    log w = top + log(u0 + u1), and the second predecessor's share of the
+    mean is u1 / (u0 + u1).  So each step takes one exponential per window
+    state and one logarithm per pair.  The tilt adds t f* to the log weight
+    and f* to the mean, so dP^i = E_t S_i comes out exactly.  A pair that
+    sums below 2^-960 is merged in the log domain instead, by logaddexp and
+    exp(a1 - merged): at or above it a subnormal partner, off by at most
+    2^-1075, moves the sum by under 2^-114 of itself, so its log and the
+    share keep full precision; below it u may have lost digits or
+    underflowed to 0.  So no window weight underflows at any finite
+    parameters, however large |t|.
 
     Returns (P, dP), each of shape (k+1,) for scalar t and (k+1, len(t)) for
-    a vector of tilts.
+    a vector of tilts.  The table is filled from _tilted_steps, which
+    ldp sums as it runs.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
+    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    out = np.empty((2, k + 1, t_arr.size))
+    for i, step in enumerate(_tilted_steps(k, fstar, t_arr, params)):
+        out[:, i] = step
+    if np.ndim(t) == 0:
+        out = out[:, :, 0]
+    return tuple(out)
+
+
+def _tilted_steps(k: int, fstar: FirstLayerObservable, t: np.ndarray, params):
+    """Yield (P^i, dP^i) for i = 0..k, one (2, t.size) array per step: the
+    pass of tilted_prefix_pressures for a 1-d array of tilts t."""
     w = _window_width(fstar)
     td = _as_transfer(params)
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    n, size = 1 << w, t_arr.size
+    n, size = 1 << w, t.size
     half = n >> 1
     f = _window_values(fstar, w)[:, None]
-    tf = f * t_arr[None, :]
+    tf = f * t[None, :]
     # successor weights: new slot b after prefix q costs Q(newest slot of q, b)
     tops = (np.arange(half) >> (w - 2)) & 1
     log_q = td.log_Q[tops].T[:, :, None]  # (2, n/2, 1), indexed [b, q, .]
@@ -336,27 +362,29 @@ def tilted_prefix_pressures(k: int, fstar: FirstLayerObservable, t, params):
     log_w = td.log_pi[bits[:, 0]] + td.log_Q[bits[:, :-1], bits[:, 1:]].sum(axis=1)
     log_w = log_w[:, None] + np.zeros((1, size))
     mean = np.zeros((n, size))
-    out = np.empty((2, k + 1, size))
+    u, um = np.empty((2, n, size))
     # every step writes the state and scratch buffers in place, so the views
-    # below stay valid for the whole pass (np.where and the reductions
-    # allocate: their out= forms are slower here)
-    (a0, a1), (m0, m1) = (np.moveaxis(_shift_predecessors(x, w), 1, 0) for x in (log_w, mean))
+    # below stay valid for the whole pass
+    (a0, a1), (m0, m1), (u0, u1) = (np.moveaxis(_shift_predecessors(x, w), 1, 0)
+                                    for x in (log_w, mean, u))
     # the successor of prefix q by new slot b is state q + b n/2
     succ = log_w.reshape(2, half, size)
-    gap, small, big, merged, mq, tmp = np.empty((6, half, size))
-    p = np.empty((n, size))
+    pair, merged, r1, mq = np.empty((4, half, size))
     for i in range(k + 1):
         if i:
-            np.subtract(a1, a0, out=gap)
-            np.exp(np.negative(np.abs(gap, out=small), out=small), out=small)
-            np.maximum(a0, a1, out=merged)
-            merged += np.log1p(small, out=tmp)
-            # weights of the two predecessors, each to full relative precision
-            np.divide(1.0, np.add(1.0, small, out=big), out=big)
-            small *= big
-            later = gap > 0.0
-            np.multiply(np.where(later, small, big), m0, out=mq)
-            mq += np.multiply(np.where(later, big, small), m1, out=tmp)
+            # u = exp(log_w - top) from the last step merges the predecessors
+            np.add(u0, u1, out=pair)
+            low = pair < _PAIR_MIN if pair.min() < _PAIR_MIN else None
+            if low is not None:
+                pair[low] = 1.0  # recomputed below
+            np.add(np.log(pair, out=merged), top, out=merged)
+            np.divide(u1, pair, out=r1)
+            if low is not None:
+                merged[low] = np.logaddexp(a0[low], a1[low])
+                r1[low] = np.exp(a1[low] - merged[low])
+            np.subtract(m1, m0, out=mq)
+            mq *= r1
+            mq += m0
             np.add(log_q, merged[None], out=succ)
             np.add(mq, f[:half], out=mean[:half])
             np.add(mq, f[half:], out=mean[half:])
@@ -364,16 +392,14 @@ def tilted_prefix_pressures(k: int, fstar: FirstLayerObservable, t, params):
             mean += f
         log_w += tf
         top = log_w.max(axis=0)
-        np.exp(np.subtract(log_w, top, out=p), out=p)
-        z = p.sum(axis=0)
-        p /= z
-        out[1, i] = (p * mean).sum(axis=0)
-        np.add(top, np.log(z, out=z), out=out[0, i])
-    if not np.all(np.isfinite(out)):
-        raise PreconditionError("tilted pass is not finite; the tilt is too large")
-    if np.ndim(t) == 0:
-        out = out[:, :, 0]
-    return tuple(out)
+        np.exp(np.subtract(log_w, top, out=u), out=u)
+        z = u.sum(axis=0)
+        step = np.empty((2, size))
+        np.divide(np.multiply(u, mean, out=um).sum(axis=0), z, out=step[1])
+        np.add(top, np.log(z), out=step[0])
+        if not np.isfinite(step).all():
+            raise PreconditionError("tilted pass is not finite; the tilt is too large")
+        yield step
 
 
 def prefix_variances(k: int, fstar: FirstLayerObservable, params) -> np.ndarray:
@@ -393,14 +419,14 @@ def prefix_variances(k: int, fstar: FirstLayerObservable, params) -> np.ndarray:
     g, bits = _window_values(fstar, w), _window_bits(w)
     a = td.pi[bits[:, 0]] * td.Q[bits[:, :-1], bits[:, 1:]].prod(axis=1)
     q_succ = td.Q[(np.arange(half) >> (w - 2)) & 1].T
-
-    def shift(v):  # (v P)(q + b n/2) = (v(2q) + v(2q+1)) Q(newest slot of q, b)
-        return (q_succ * v.reshape(half, 2).sum(axis=1)).ravel()
-
-    var, m = np.zeros(k + 2), np.zeros(1 << w)
+    # a and m step together: (v P)(q + b n/2) = (v(2q) + v(2q+1)) Q(newest
+    # slot of q, b), one pair sum and one product per step for both rows
+    am = np.stack([a, np.zeros(1 << w)])
+    a, m = am
+    var = np.zeros(k + 2)
     for i in range(k + 1):
         if i:
-            a, m = shift(a), shift(m)
+            np.multiply(q_succ, am.reshape(2, 1, half, 2).sum(axis=3), out=am.reshape(2, 2, half))
         d = g - a @ g
         var[i + 1] = var[i] + (a * d) @ d + 2.0 * (m @ d)
         m += d * a

@@ -26,6 +26,7 @@ from .errors import PreconditionError
 from .ising1d import (
     ModelParams,
     _as_transfer,
+    _tilted_steps,
     log_partition_prefix,
     prefix_sum_range,
     prefix_variances,
@@ -51,9 +52,11 @@ __all__ = [
     "clt_mc_summary",
 ]
 
-# window-state entries per tilt block of the prefix pass: bounds the memory
-# of wide grids and keeps the per-step arrays in cache
-_BLOCK_ENTRIES = 1 << 13
+# window-state entries per tilt block of the prefix pass.  A block holds only
+# its window states (seven arrays of this many doubles, 1.8 MB), because the
+# series is summed as the pass runs; larger blocks cut the per-step numpy
+# overhead, smaller ones keep the step arrays in cache
+_BLOCK_ENTRIES = 1 << 15
 _SOLVE_MAX_ITER = 200
 
 
@@ -71,14 +74,14 @@ def series_depth_for(fstar: FirstLayerObservable, t_max: float, tol: float) -> i
 
 def _series(fstar: FirstLayerObservable, td, t: np.ndarray, depth: int):
     """F and F' truncated after P^depth, and the tail bound of F, for a 1-d
-    array of tilts."""
+    array of tilts.  Each tilt block's pass is summed step by step as it
+    runs, so no (P, dP) table is built."""
     out = np.empty((3, t.size))
     block = max(1, _BLOCK_ENTRIES >> max(max(fstar.widths), 2))
     for start in range(0, t.size, block):
         tb = t[start:start + block]
-        prefix = np.stack(tilted_prefix_pressures(depth, fstar, tb, td), axis=1)
         s = np.abs(tb) * fstar.sup_bound
-        values, tail = arith.dyadic_sum(prefix, (s, s, 0.0))
+        values, tail = arith.dyadic_sum(_tilted_steps(depth, fstar, tb, td), (s, s, 0.0))
         out[:-1, start:start + block] = values
         out[-1, start:start + block] = tail
     return tuple(out)

@@ -184,11 +184,12 @@ def tilted_prefix_moments(k, fstar, t, params):
     """(P, dP, d2P) of the tilted prefix pressures P^i(t f*), i = 0..k, each
     of shape (k+1,) for scalar t and (k+1, len(t)) for a vector of tilts.
 
-    The forward-mode log-domain window pass of ising1d.tilted_prefix_pressures
-    in plain expressions, with the variance channel that the package no
-    longer carries: per window state the log tilted weight, the tilted
-    conditional mean of S and its conditional variance, so that
-    d2P^i = Var_t S_i.  The reference for ising1d.prefix_variances.
+    The forward-mode log-domain window pass of ising1d.tilted_prefix_pressures,
+    its merge by the last step's normalised weights and its log-domain
+    rescue of tiny pairs included, in plain expressions, with the variance
+    channel that the package no longer carries: per window state the log
+    tilted weight, the tilted conditional mean of S and its conditional
+    variance, so that d2P^i = Var_t S_i.  The reference for ising1d.prefix_variances.
     """
     from multising.ising1d import transfer
 
@@ -214,16 +215,16 @@ def tilted_prefix_moments(k, fstar, t, params):
     for i in range(k + 1):
         if i:
             # window states 2q and 2q+1 shift into prefix q; prefix q and new
-            # slot b make state q + b n/2
+            # slot b make state q + b n/2.  Their weights relative to the last
+            # step's top are u; pairs summing below 2^-960 merge by logaddexp
             a0, a1, m0, m1 = log_w[0::2], log_w[1::2], mean[0::2], mean[1::2]
-            gap = a1 - a0
-            small = np.exp(-np.abs(gap))
-            merged = np.maximum(a0, a1) + np.log1p(small)
-            big = 1.0 / (1.0 + small)
-            small = small * big
-            r0 = np.where(gap > 0.0, small, big)
-            r1 = np.where(gap > 0.0, big, small)
-            mq = r0 * m0 + r1 * m1
+            pair = u[0::2] + u[1::2]
+            low = pair < 2.0 ** -960
+            with np.errstate(divide="ignore", invalid="ignore"):
+                merged = np.where(low, np.logaddexp(a0, a1), np.log(pair) + top)
+                r0 = np.where(low, np.exp(a0 - merged), u[0::2] / pair)
+                r1 = np.where(low, np.exp(a1 - merged), u[1::2] / pair)
+            mq = m0 + r1 * (m1 - m0)
             vq = r0 * var[0::2] + r1 * var[1::2] + r0 * r1 * (m1 - m0) * (m1 - m0)
             log_w = (log_q + merged[None]).reshape(n, t.size)
             mean = np.concatenate([mq, mq]) + f
@@ -232,11 +233,10 @@ def tilted_prefix_moments(k, fstar, t, params):
             mean = mean + f
         log_w = log_w + f * t[None, :]
         top = log_w.max(axis=0)
-        p = np.exp(log_w - top)
-        z = p.sum(axis=0)
-        p = p / z
-        out[1, i] = (p * mean).sum(axis=0)
-        out[2, i] = (p * ((mean - out[1, i]) * (mean - out[1, i]) + var)).sum(axis=0)
+        u = np.exp(log_w - top)
+        z = u.sum(axis=0)
+        out[1, i] = (u * mean).sum(axis=0) / z
+        out[2, i] = (u * ((mean - out[1, i]) * (mean - out[1, i]) + var)).sum(axis=0) / z
         out[0, i] = top + np.log(z)
     if np.ndim(t_in) == 0:
         out = out[:, :, 0]

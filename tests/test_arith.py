@@ -199,6 +199,48 @@ class TestDyadicWeights:
         assert arith.dyadic_sum([0.0] * (depth + 1), growth)[1] < 1e-9
         assert arith.dyadic_sum([0.0] * depth, growth)[1] >= 1e-9
 
+    def test_depth_is_the_scan_from_zero(self):
+        # the depth starts from a closed-form floor; it must be the first K
+        # a scan up from 0 meets, and raise where that scan raises
+        def scan(tol, *growths):
+            k = 0
+            while True:
+                tails = [0.5 ** (k + 2) * (a + b * (k + 2) + c * (k * k + 4 * k + 6))
+                         for a, b, c in growths]
+                if not math.isfinite(sum(tails)):
+                    return "not finite"
+                if max(tails) < tol:
+                    return k
+                k += 1
+
+        def depth(tol, *growths):
+            try:
+                return arith.dyadic_depth(tol, *growths)
+            except PreconditionError:
+                return "not finite"
+
+        values = [0.0, 1e-300, 1e-3, math.log(2.0), 3.0, 1e100, 1e305, 1e307, math.inf, math.nan]
+        for tol in (1e-310, 1e-300, 1e-12, 1e-10, 0.05, 1e10, math.inf):
+            # the scans to a subnormal tolerance run past K = 1000
+            for growth in itertools.product(values if tol > 1e-300 else values[::3], repeat=3):
+                assert depth(tol, growth) == scan(tol, growth), (tol, growth)
+        # five bounds that are finite each but overflow in their sum at K = 0
+        assert depth(1e-10, *[(1.7e308, 0.0, 0.0)] * 5) == scan(1e-10, *[(1.7e308, 0.0, 0.0)] * 5)
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            tol = 10.0 ** rng.uniform(-300, 2)
+            growths = [tuple(10.0 ** rng.uniform(-20, 300, 3) * (rng.random(3) < 0.7))
+                       for _ in range(rng.integers(1, 4))]
+            assert depth(tol, *growths) == scan(tol, *growths), (tol, growths)
+        # a tolerance equal to a tail bound, or one ulp either side of it
+        for _ in range(200):
+            growth = tuple(10.0 ** rng.uniform(-5, 300, 3) * (rng.random(3) < 0.7))
+            k = int(rng.integers(0, 1073))
+            bound = arith.dyadic_sum([0.0] * (k + 1), growth)[1]
+            for tol in (bound, math.nextafter(bound, 0.0), math.nextafter(bound, math.inf)):
+                if 0.0 < tol < math.inf:
+                    assert depth(tol, growth) == scan(tol, growth), (tol, growth)
+
     def test_depth_rejects_bad_input(self):
         for tol in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError):

@@ -245,6 +245,7 @@ class TestMarginalEntropy:
 
 F_PAIR = FirstLayerObservable.make([([0, 1], 1.0)])
 F_SITE = FirstLayerObservable.make([([0], 1.0)])
+F_WIDTH3 = FirstLayerObservable.make([([0], 1.0), ([0, 2], 0.5)])  # s[1] + 0.5*s[1]*s[4]
 
 
 def _first_order_is_finite(params):
@@ -358,10 +359,41 @@ class TestTiltedPressure:
         e = np.exp(-2.0 * np.abs(t + bj))
         assert np.allclose(d2P[-1], (k + 1) * 4.0 * e / (1.0 + e) ** 2, rtol=1e-9, atol=0.0)
 
+    @pytest.mark.parametrize("fstar, params, t", [
+        (F_WIDTH3, ModelParams(0.5, 1.0, 0.1), [-3e5, -1000.0, 1000.0, 3e5]),
+        (F_WIDTH3, ModelParams(1.0, 1.0, 0.3), [-3e5, -1000.0, 1000.0, 3e5]),
+        (F_WIDTH3, ModelParams(400.0, 1.0, 0.0), [-2.0, 0.0, 0.5]),
+        (F_WIDTH3, ModelParams(700.0, 1.0, 0.0), [-2.0, 0.0, 0.5]),
+        (F_PAIR, ModelParams(700.0, 1.0, 0.3), [-2.0, 0.0, 0.5]),
+    ], ids=["t3e5-bj0.5", "t3e5-bj1", "bj400", "bj700", "bj700-pair"])
+    def test_underflowing_pairs_merge_in_log_domain(self, fstar, params, t, monkeypatch):
+        # some predecessor pairs sum below 2^-960 of the top weight: a tilt
+        # of 1000 or more spreads the window weights, and Q(+,-) is about
+        # e^{-800} or e^{-1400}
+        k, t = 4, np.array(t)
+        P, dP = ising1d.tilted_prefix_pressures(k, fstar, t, params)
+        for i, ti in enumerate(t):
+            want = oracles.tilted_pressure_by_enumeration(k, fstar, float(ti), params)
+            assert P[-1, i] == pytest.approx(want, rel=1e-14, abs=1e-14)
+        if abs(t[0]) >= 1000.0:
+            # the tilted law sits on the extreme paths
+            lo, hi = ising1d.prefix_sum_range(k, fstar)
+            assert np.allclose(dP[:, t < 0], lo[:, None], rtol=0.0, atol=1e-12)
+            assert np.allclose(dP[:, t > 0], hi[:, None], rtol=0.0, atol=1e-12)
+        else:
+            h = 1e-4
+            up, dn = (np.array([oracles.tilted_pressure_by_enumeration(k, fstar, float(ti), params)
+                                for ti in t + s]) for s in (h, -h))
+            assert np.allclose(dP[-1], (up - dn) / (2 * h), rtol=0.0, atol=1e-7)
+        # without the log-domain merge the pass loses these pairs
+        monkeypatch.setattr(ising1d, "_PAIR_MIN", 0.0)
+        with np.errstate(all="ignore"), pytest.raises(PreconditionError, match="not finite"):
+            ising1d.tilted_prefix_pressures(k, fstar, t, params)
+
     @pytest.mark.parametrize("fstar", [
         F_SITE,
         F_PAIR,
-        FirstLayerObservable.make([([0], 1.0), ([0, 2], 0.5)]),  # s[1] + 0.5*s[1]*s[4]
+        F_WIDTH3,
         FirstLayerObservable.make([([0, 3], 1.0), ([1], -0.5)]),
     ], ids=["width1", "width2", "width3", "width4"])
     def test_first_order_is_second_order_without_variance(self, fstar):

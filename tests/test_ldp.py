@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multising import arith, gibbs, ldp
+from multising import arith, gibbs, ising1d, ldp
 from multising.ising1d import ModelParams
 from multising.observables import Observable, to_first_layer
 
@@ -102,7 +102,7 @@ class TestScgfCurve:
         assert columns[0] is curve.grid and columns[1] is curve.F
 
     def test_first_order_curve_matches_second_order_values(self):
-        # 5,001 tilts of a width-4 observable span ten tilt blocks of the
+        # 5,001 tilts of a width-4 observable span three tilt blocks of the
         # pass; the curve is the series of the second-order reference pass,
         # bit for bit, summed to the same depth
         fstar = to_first_layer(Observable.make([((1, 8), 1.0), ((2,), -0.5)]))
@@ -121,6 +121,23 @@ class TestScgfCurve:
         assert np.array_equal(curve.F, want_F)
         assert np.array_equal(curve.Fprime, want_fprime)
         assert np.array_equal(curve.trunc_err, want_errs)
+
+    def test_streamed_series_is_the_sum_of_the_table(self, monkeypatch):
+        # small blocks of 32 tilts make 301 tilts span ten blocks; each block's
+        # pass is summed step by step, bit for bit as dyadic_sum sums the
+        # whole (P, dP) table of tilted_prefix_pressures
+        monkeypatch.setattr(ldp, "_BLOCK_ENTRIES", 1 << 8)
+        fstar = to_first_layer(Observable.make([((1,), 1.0), ((1, 4), 0.5)]))
+        params = ModelParams(1.0, 1.0, 0.3)
+        grid = np.concatenate([np.linspace(-4.0, 4.0, 299), [-1000.0, 1000.0]])
+        depth = ldp.series_depth_for(fstar, 1000.0, 1e-10)
+        got = ldp._series(fstar, ising1d.transfer(params), grid, depth)
+        table = np.stack(ising1d.tilted_prefix_pressures(depth, fstar, grid, params), axis=1)
+        s = np.abs(grid) * fstar.sup_bound
+        (want_F, want_fprime), want_errs = arith.dyadic_sum(table, (s, s, 0.0))
+        assert np.array_equal(got[0], want_F)
+        assert np.array_equal(got[1], want_fprime)
+        assert np.array_equal(got[2], want_errs)
 
     def test_derivative_matches_secants_to_second_order(self):
         step = 0.1
