@@ -20,8 +20,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
-from typing import Callable, Dict, Iterator, List, Tuple
+from typing import Callable, Dict, Iterator, Tuple
 
 import numpy as np
 
@@ -38,7 +37,6 @@ __all__ = [
     "koroa_finite_average",
     "dyadic_depth",
     "dyadic_sum",
-    "smooth_numbers",
     "iter_kie_weights",
     "kie_weights",
 ]
@@ -285,14 +283,6 @@ def _smooth_heap(primes: Tuple[int, ...]) -> Iterator[int]:
             heapq.heappush(heap, m * p)
             if m % p == 0:
                 break
-
-
-def smooth_numbers(basis: PrimeBasis, count: int) -> List[int]:
-    """First `count` integers whose prime factors all lie in the basis,
-    in increasing order (n_1 = 1)."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    return list(islice(_smooth_heap(basis.primes), count))
 
 
 def iter_kie_weights(basis: PrimeBasis) -> Iterator[Tuple[int, int, float, float]]:

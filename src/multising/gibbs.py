@@ -278,8 +278,9 @@ _HEADER_V2 = struct.Struct("<4sIqqQddd")
 # sample sidecar.  Batches drawn under another version are not reproduced.
 STREAM_VERSION = 3
 
-# Row chunks of the sampler, the SMB statistic and the file writers hold
-# about this many spins, which bounds their working memory.
+# Row chunks of the file writers hold about this many spins.  A depth class
+# is drawn in chunks of about a quarter of it, and each worker reuses one
+# scratch buffer of four such chunks.  This bounds the working memory.
 _CHUNK_SPINS = 1 << 20
 
 
@@ -298,10 +299,12 @@ class SampleBatch:
     Q(-,+) after it).  Only there is v drawn: one double per tied spin, in
     (replica, step, layer) order, from the class's tie stream
     spawn_key=(3, p, 1).  So the batch is independent of evaluation order
-    and of chunking, and extends consistently when count grows.  Batches
-    drawn under version 2 (one double per spin) are not reproduced.  The
-    binary header's version number is that of the file layout, not of the
-    stream.
+    and of chunking, and extends consistently when count grows.  Each class
+    is drawn in its own row chunks, and the classes run on one thread per
+    CPU available to the process; the batch does not depend on the number
+    of threads.  Batches drawn under version 2 (one double per spin) are
+    not reproduced.  The binary header's version number is that of the file
+    layout, not of the stream.
     """
 
     N: int
@@ -392,55 +395,113 @@ def _at_least(a, v, theta: float):
     return (a > lane) | ((a == lane) & (v >= frac))
 
 
-def _class_blocks(classes, params, count: int,
-                  seed: int) -> Iterator[Tuple[int, List[np.ndarray]]]:
-    """Per chunk of consecutive replicas, its first replica and one
-    spin-index block (True = minus) per depth class: block[c, i, j] is tau_i
-    of the j-th layer of the class in replica start + c.  Each step of the
-    chain is one select over all (replica, layer) pairs of the class."""
-    td = _as_transfer(params)
+def _class_streams(p: int, seed: int):
+    """The lane stream and the tie stream of depth class p."""
+    return (np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(STREAM_VERSION, p))),
+            np.random.Generator(np.random.Philox(
+                np.random.SeedSequence(entropy=seed, spawn_key=(STREAM_VERSION, p, 1)))))
+
+
+def _chunk_rows(width: int, count: int) -> int:
+    """Replicas per chunk of a depth class of `width` spins per replica:
+    about _CHUNK_SPINS / 4 spins, and at least one replica."""
+    return min(count, max(1, (_CHUNK_SPINS >> 2) // width))
+
+
+def _class_blocks(p: int, layers: int, td, count: int, streams,
+                  scratch: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
+    """Depth class p, of `layers` layers, in chunks of _chunk_rows
+    consecutive replicas: per chunk, its first replica and its spin-index
+    block (True = minus), block[c, i, j] = tau_i of the j-th layer of the
+    class in replica start + c.  Each step of the chain is one select over
+    all (replica, layer) pairs of the chunk.  The class reads only its own
+    `streams` (from _class_streams), in replica order, so classes may be
+    drawn in any order and on any thread.  The block is a view of
+    `scratch`, a bool buffer of at least four chunks, and holds only until
+    the next chunk is drawn."""
     # tau_0 is minus where u >= pi(+), and a step from s is minus where
     # u >= Q(s, +): the select s ? (u >= Q(-,+)) : (u >= Q(+,+)) is taken as
     # (u >= Q(+,+)) ^ (s & flip), flip marking where the two comparisons differ
     first, stay, leave = float(td.pi[0]), float(td.Q[0, 0]), float(td.Q[1, 0])
     lane0, lane_stay, lane_leave = (_lane_split(x)[0] for x in (first, stay, leave))
-    streams = [(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(STREAM_VERSION, p))),
-                np.random.Generator(np.random.Philox(
-                    np.random.SeedSequence(entropy=seed, spawn_key=(STREAM_VERSION, p, 1)))))
-               for p, _ in classes]
-    n = sum((p + 1) * r.size for p, r in classes)
-    chunk = max(1, _CHUNK_SPINS // n)
+    lanes, tie_stream = streams
+    width = (p + 1) * layers
+    chunk = _chunk_rows(width, count)
     for start in range(0, count, chunk):
         rows = min(chunk, count - start)
-        blocks = []
-        for (p, r), (lanes, tie_stream) in zip(classes, streams):
-            # replica c reads the lanes of raw words [c W, (c+1) W), least
-            # significant first (a big-endian host swaps bytes), as
-            # (slot, layer) in C order
-            width = (p + 1) * r.size
-            words = lanes.random_raw(rows * -(-width // 4)).astype("<u8", copy=False)
-            a = words.view("<u2").reshape(rows, -1)[:, :width].reshape(rows, p + 1, r.size)
-            idx = np.empty(a.shape, dtype=bool)
-            tie = np.empty(a.shape, dtype=bool)
-            np.greater(a[:, 0], lane0, out=idx[:, 0])
-            np.equal(a[:, 0], lane0, out=tie[:, 0])
-            np.greater(a[:, 1:], lane_stay, out=idx[:, 1:])
-            np.equal(a[:, 1:], lane_stay, out=tie[:, 1:])
-            flip = a[:, 1:] > lane_leave
-            tie[:, 1:] |= a[:, 1:] == lane_leave
-            # one tie double per tied spin, in (replica, slot, layer) order
-            hits = np.flatnonzero(tie)
-            if hits.size:
-                c, i, j = np.unravel_index(hits, a.shape)
-                at, v = a[c, i, j], tie_stream.random(hits.size)
-                later = i > 0
-                idx[c, i, j] = np.where(later, _at_least(at, v, stay), _at_least(at, v, first))
-                flip[c[later], i[later] - 1, j[later]] = _at_least(at[later], v[later], leave)
-            flip ^= idx[:, 1:]
-            for i in range(p):
-                idx[:, i + 1] ^= np.bitwise_and(flip[:, i], idx[:, i], out=flip[:, i])
-            blocks.append(idx)
-        yield start, blocks
+        # replica c reads the lanes of raw words [c W, (c+1) W), least
+        # significant first (a big-endian host swaps bytes), as
+        # (slot, layer) in C order
+        words = lanes.random_raw(rows * -(-width // 4)).astype("<u8", copy=False)
+        a = words.view("<u2").reshape(rows, -1)[:, :width].reshape(rows, p + 1, layers)
+        moves = rows * p * layers
+        idx, tie = scratch[:2 * a.size].reshape(2, *a.shape)
+        flip, equal = scratch[2 * a.size:2 * (a.size + moves)].reshape(2, rows, p, layers)
+        np.greater(a[:, 0], lane0, out=idx[:, 0])
+        np.equal(a[:, 0], lane0, out=tie[:, 0])
+        np.greater(a[:, 1:], lane_stay, out=idx[:, 1:])
+        np.equal(a[:, 1:], lane_stay, out=tie[:, 1:])
+        np.greater(a[:, 1:], lane_leave, out=flip)
+        tie[:, 1:] |= np.equal(a[:, 1:], lane_leave, out=equal)
+        # one tie double per tied spin, in (replica, slot, layer) order
+        hits = np.flatnonzero(tie)
+        if hits.size:
+            c, i, j = np.unravel_index(hits, a.shape)
+            at, v = a[c, i, j], tie_stream.random(hits.size)
+            later = i > 0
+            idx[c, i, j] = np.where(later, _at_least(at, v, stay), _at_least(at, v, first))
+            flip[c[later], i[later] - 1, j[later]] = _at_least(at[later], v[later], leave)
+        flip ^= idx[:, 1:]
+        for i in range(p):
+            idx[:, i + 1] ^= np.bitwise_and(flip[:, i], idx[:, i], out=flip[:, i])
+        yield start, idx
+
+
+def _worker_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _class_groups(n: int, count: int, seed: int) -> List[Tuple[list, np.ndarray]]:
+    """The depth classes of [1, n] split into one group per worker, as
+    (classes, scratch): classes a list of (p, r, streams), scratch the
+    buffer that their _class_blocks share.  The classes go greedily to the
+    least loaded group, most spins (p+1) L_p first.  Streams and buffers
+    are made here, in the calling thread: under glibc, what a worker thread
+    allocates stays in that thread's malloc arena after the thread ends."""
+    classes = sorted(_depth_classes(n), key=lambda c: -(c[0] + 1) * c[1].size)
+    groups = [[] for _ in range(min(_worker_count(), len(classes)))]
+    loads = [0] * len(groups)
+    for p, r in classes:
+        k = loads.index(min(loads))
+        groups[k].append((p, r, _class_streams(p, seed)))
+        loads[k] += (p + 1) * r.size
+    widths = [[(p + 1) * r.size for p, r, _ in g] for g in groups]
+    return [(g, np.empty(4 * max(_chunk_rows(w, count) * w for w in ws), dtype=bool))
+            for g, ws in zip(groups, widths)]
+
+
+def _on_workers(run, items) -> None:
+    """run(item) for each item, the first in the calling thread and each
+    other on a thread of its own.  Every stream is read by one worker only,
+    so the draws do not depend on the number of workers; the pool is shut
+    down before this returns, and the first error raised reaches the
+    caller."""
+    items = list(items)
+    if len(items) == 1:
+        run(items[0])
+        return
+    # imported here, so that a run that samples nothing does not load it
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(len(items) - 1) as pool:
+        futures = [pool.submit(run, item) for item in items[1:]]
+        run(items[0])
+        for f in futures:
+            f.result()
 
 
 def _check_sample_size(n: int, count: int) -> None:
@@ -454,19 +515,24 @@ def sample(n: int, params: ModelParams, count: int, seed: int) -> SampleBatch:
     """Draw `count` configurations on [1, n]: each odd layer r runs its chain
     for psi2(r, n) + 1 sites, which land on the sites r * 2^i."""
     _check_sample_size(n, count)
-    classes = _depth_classes(n)
-    # column k of a chunk's concatenated class blocks holds site sites[k]
-    sites = np.concatenate([(r[None, :] << np.arange(p + 1)[:, None]).ravel() for p, r in classes])
-    column = np.empty(n, dtype=np.intp)
-    column[sites - 1] = np.arange(n)
+    td = _as_transfer(params)
     configs = np.empty((count, n), dtype=np.int8)
-    for start, blocks in _class_blocks(classes, params, count, seed):
-        rows = blocks[0].shape[0]
-        flat = np.concatenate([b.reshape(rows, -1) for b in blocks], axis=1)
-        out = configs[start:start + rows]
-        np.take(flat.view(np.int8), column, axis=1, out=out)
-        out *= -2
-        out += 1
+
+    def draw(group):
+        classes, scratch = group
+        for p, r, streams in classes:
+            for start, idx in _class_blocks(p, r.size, td, count, streams, scratch):
+                out = configs[start:start + idx.shape[0]]
+                minus = idx.view(np.int8)  # a byte copy: a cast from bool is slower
+                # step i of the class lands on the sites r 2^i: column
+                # (r_0 << i) - 1, then every (2 << i)-th
+                for i in range(p + 1):
+                    out[:, (int(r[0]) << i) - 1:(int(r[-1]) << i):2 << i] = minus[:, i]
+
+    _on_workers(draw, _class_groups(n, count, seed))
+    # 1 (minus) -> -1 and 0 (plus) -> +1, once over the whole batch
+    configs *= -2
+    configs += 1
     return SampleBatch(n, count, int(seed), params, configs)
 
 
@@ -480,22 +546,29 @@ def smb_estimate(n: int, params: ModelParams, count: int, seed: int) -> Tuple[fl
     """
     _check_sample_size(n, count)
     td = _as_transfer(params)
-    classes = _depth_classes(n)
-    layers = sum(r.size for _, r in classes)
-    # per replica: minus initial states, minus states that a transition
-    # leaves, minus states it enters, and minus-to-minus transitions
-    counts = np.zeros((4, count), dtype=np.int64)
-    for start, blocks in _class_blocks(classes, td, count, seed):
-        part = counts[:, start:start + blocks[0].shape[0]]
-        for idx in blocks:
-            # sum 0/1 bytes into int32: bools would widen to int64
-            ones = idx.view(np.uint8)
-            minus = np.add.reduce(ones, axis=2, dtype=np.int32)
-            part[0] += minus[:, 0]
-            part[1] += np.add.reduce(minus[:, :-1], axis=1)
-            part[2] += np.add.reduce(minus[:, 1:], axis=1)
-            part[3] += np.add.reduce(ones[:, :-1] & ones[:, 1:], axis=(1, 2), dtype=np.int32)
-    m0, leave, enter, mm = counts
+    groups = _class_groups(n, count, seed)
+    # per group and replica: minus initial states, minus states that a
+    # transition leaves, minus states it enters, and minus-to-minus
+    # transitions
+    counts = np.zeros((len(groups), 4, count), dtype=np.int64)
+
+    def tally(k):
+        classes, scratch = groups[k]
+        for p, r, streams in classes:
+            for start, idx in _class_blocks(p, r.size, td, count, streams, scratch):
+                part = counts[k, :, start:start + idx.shape[0]]
+                # sum 0/1 bytes into int32: bools would widen to int64
+                ones = idx.view(np.uint8)
+                minus = np.add.reduce(ones, axis=(1, 2), dtype=np.int32)
+                first = np.add.reduce(ones[:, 0], axis=1, dtype=np.int32)
+                part[0] += first
+                part[1] += minus - np.add.reduce(ones[:, -1], axis=1, dtype=np.int32)
+                part[2] += minus - first
+                part[3] += np.add.reduce(ones[:, :-1] & ones[:, 1:], axis=(1, 2), dtype=np.int32)
+
+    _on_workers(tally, range(len(groups)))
+    m0, leave, enter, mm = counts.sum(axis=0)
+    layers = sum(layer_count_by_depth(n).values())
     k = np.stack([layers - m0, m0,                          # pi(+), pi(-)
                   n - layers - leave - enter + mm, enter - mm,  # Q(+,+), Q(+,-)
                   leave - mm, mm], axis=1)                  # Q(-,+), Q(-,-)

@@ -30,7 +30,6 @@ from .ising1d import (
     log_partition_prefix,
     prefix_sum_range,
     prefix_variances,
-    tilted_prefix_pressures,
 )
 from .observables import FirstLayerObservable, Observable, to_first_layer
 
@@ -46,7 +45,6 @@ __all__ = [
     "legendre",
     "rate_curve",
     "clt_variance",
-    "finite_pressure_exact",
     "multiplicative_average",
     "empirical_ldp_check",
     "clt_mc_summary",
@@ -291,21 +289,6 @@ def clt_variance(fstar: FirstLayerObservable, params, tol: float = 1e-12) -> flo
     sup = fstar.sup_bound
     variances = prefix_variances(series_depth_for(fstar, 0.0, tol), fstar, params)
     return max(float(arith.dyadic_sum(variances, (sup * sup, 2 * sup * sup, sup * sup))[0]), 0.0)
-
-
-def finite_pressure_exact(fstar: FirstLayerObservable, t: float, n: int, params) -> float:
-    """(1/n) log E exp(t * sum_{i<=n} f(s_{i.})), exact at finite volume:
-    the expectation factorizes over layers, each contributing the tilted
-    pressure of its chain window; layers are grouped by psi2 depth."""
-    if n < 1 or n > 1 << 20:
-        raise ValueError("volume must be in [1, 2^20]")
-    counts = gibbs.layer_count_by_depth(n)
-    p_max = max(counts)
-    prefix = tilted_prefix_pressures(p_max, fstar, t, params)[0]
-    total = 0.0
-    for p, c in sorted(counts.items()):
-        total += c * float(prefix[p])
-    return total / n
 
 
 # ---------------------------------------------------------------------------

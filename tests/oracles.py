@@ -3,11 +3,12 @@
 Everything here enumerates configurations directly, evaluates the naive
 Perron formulas in high-precision decimal arithmetic, keeps an earlier route
 that the package replaced (the second-order tilted pass, the gathering
-multiplicative average, the bounded smooth-number enumeration), or builds
-reference regions that only the tests use; no bounded enumeration is shared
-with the implementations under test.  The chain and region brute-force
-enumerators live in multising.acceptance, where `multising verify` runs
-them, and the tests import them from there.
+multiplicative average, the bounded smooth-number enumeration), keeps a
+route that only the tests call (the first smooth numbers, the exact
+finite-volume pressure), or builds reference regions that only the tests
+use; no bounded enumeration is shared with the implementations under test.
+The chain and region brute-force enumerators live in multising.acceptance,
+where `multising verify` runs them, and the tests import them from there.
 """
 
 import decimal
@@ -46,12 +47,21 @@ def smooth_numbers_upto(limit, primes):
     return sorted(found)
 
 
+def smooth_numbers(basis, count):
+    """First `count` integers whose prime factors all lie in the basis,
+    in increasing order (n_1 = 1), from the heap merge behind
+    arith.iter_kie_weights."""
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    return list(itertools.islice(arith._smooth_heap(basis.primes), count))
+
+
 def canonical_region(basis, cardinality):
     """The lower set realized by layer r = 1 at the smallest volume whose
     region has the given cardinality: the exponent vectors of the first
     `cardinality` basis-smooth numbers."""
     pts = []
-    for m in arith.smooth_numbers(basis, cardinality):
+    for m in smooth_numbers(basis, cardinality):
         pts.append(arith.decompose(m, basis).exponents)
     return arith.Region(frozenset(pts))
 
@@ -241,6 +251,23 @@ def tilted_prefix_moments(k, fstar, t, params):
     if np.ndim(t_in) == 0:
         out = out[:, :, 0]
     return tuple(out)
+
+
+def finite_pressure_exact(fstar, t, n, params):
+    """(1/n) log E exp(t * sum_{i<=n} f(s_{i.})), exact at finite volume:
+    the expectation factorizes over layers, each contributing the tilted
+    pressure of its chain window; layers are grouped by psi2 depth."""
+    from multising.gibbs import layer_count_by_depth
+    from multising.ising1d import tilted_prefix_pressures
+
+    if n < 1 or n > 1 << 20:
+        raise ValueError("volume must be in [1, 2^20]")
+    counts = layer_count_by_depth(n)
+    prefix = tilted_prefix_pressures(max(counts), fstar, t, params)[0]
+    total = 0.0
+    for p, c in sorted(counts.items()):
+        total += c * float(prefix[p])
+    return total / n
 
 
 def clt_variance_by_second_order_pass(fstar, params, depth):

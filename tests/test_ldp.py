@@ -296,23 +296,23 @@ class TestCltVariance:
 class TestFinitePressure:
     def test_single_site_volume(self):
         for t in (-1.0, 0.6):
-            assert ldp.finite_pressure_exact(FS_MAG, t, 1, P_FREE) == pytest.approx(
+            assert oracles.finite_pressure_exact(FS_MAG, t, 1, P_FREE) == pytest.approx(
                 math.log(math.cosh(t)), abs=1e-12
             )
 
     def test_infinite_temperature_exact_at_every_volume(self):
         for n in (2**8, 2**12, 2**16):
-            v = ldp.finite_pressure_exact(FS_BOND, 1.0, n, P_FREE)
+            v = oracles.finite_pressure_exact(FS_BOND, 1.0, n, P_FREE)
             assert v == pytest.approx(math.log(math.cosh(1.0)), abs=1e-13)
 
     def test_zero_tilt(self):
-        assert abs(ldp.finite_pressure_exact(FS_BOND, 0.0, 4096, P_UNIT)) <= 1e-12
+        assert abs(oracles.finite_pressure_exact(FS_BOND, 0.0, 4096, P_UNIT)) <= 1e-12
 
     def test_convergence_to_series(self):
         target, _ = ldp.scgf(FS_BOND, P_FREE, 1.0, 1e-12)
         prev = None
         for k in range(8, 17, 2):
-            d = abs(ldp.finite_pressure_exact(FS_BOND, 1.0, 1 << k, P_FREE) - target)
+            d = abs(oracles.finite_pressure_exact(FS_BOND, 1.0, 1 << k, P_FREE) - target)
             if prev is not None:
                 assert d <= prev + 1e-12
             prev = d
@@ -320,7 +320,7 @@ class TestFinitePressure:
 
     def test_volume_cap(self):
         with pytest.raises(ValueError):
-            ldp.finite_pressure_exact(FS_BOND, 0.5, (1 << 20) + 1, P_UNIT)
+            oracles.finite_pressure_exact(FS_BOND, 0.5, (1 << 20) + 1, P_UNIT)
 
 
 class TestMonteCarloHarness:

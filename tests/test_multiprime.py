@@ -165,7 +165,7 @@ class TestKiePressure:
         _, rows = multiprime.kie_pressure(F_BOND, P_UNIT, 0.7, 1e-3)
         assert [r.j for r in rows] == list(range(1, len(rows) + 1))
         assert all(r.w_j > 0 for r in rows)
-        smooth = arith.smooth_numbers(PrimeBasis((2,)), len(rows))
+        smooth = oracles.smooth_numbers(PrimeBasis((2,)), len(rows))
         assert [r.n_j for r in rows] == smooth
 
     def test_unreachable_tolerance_raises_cap_error(self):
@@ -234,7 +234,7 @@ class TestFiniteVolume:
         fstar = to_first_layer(F_BOND)
         for n in (5, 16, 37):
             a = multiprime.finite_pressure_exact_d(F_BOND, 0.8, n, P_UNIT)
-            b = ldp.finite_pressure_exact(fstar, 0.8, n, P_UNIT)
+            b = oracles.finite_pressure_exact(fstar, 0.8, n, P_UNIT)
             assert a == pytest.approx(b, abs=1e-11)
 
 
