@@ -65,23 +65,22 @@ def lower_closure(points) -> set:
 
 
 def brute_region_pressure(points, fstar: FirstLayerObservable, t: float,
-                          model: multiprime.ExtendedModel) -> float:
+                          params: ModelParams) -> float:
     """Psi of the region by a sum over every configuration of the full
-    base-axis lines 0..max that carry a site of the dependence set.
+    axis-0 lines 0..max that carry a site of the dependence set.
 
     One (2,)*m array holds the log weight of each configuration: log pi on
     the first site of each line, log Q on each consecutive pair and
     t*c*prod(s) for each monomial instance are added into it by broadcasting,
     and one log-sum-exp finishes.  Nothing is summed out in closed form."""
-    td, axis = model.td, model.base_axis
+    td = transfer(params)
     monos = [(tuple(tuple(a + b for a, b in zip(x, o)) for o in offs), c)
              for x in points for offs, c in fstar.terms if offs]
     const = t * len(points) * sum(c for offs, c in fstar.terms if not offs)
     lengths = {}
     for inst, _ in monos:
         for s in inst:
-            line = s[:axis] + s[axis + 1 :]
-            lengths[line] = max(lengths.get(line, 0), s[axis] + 1)
+            lengths[s[1:]] = max(lengths.get(s[1:], 0), s[0] + 1)
     first, m = {}, 0
     for line in sorted(lengths):
         first[line] = m
@@ -103,7 +102,7 @@ def brute_region_pressure(points, fstar: FirstLayerObservable, t: float,
         for a in range(start, start + lengths[line] - 1):
             logw += at(td.log_Q, [a, a + 1])
     for inst, c in monos:
-        axes = sorted(first[s[:axis] + s[axis + 1 :]] + s[axis] for s in inst)
+        axes = sorted(first[s[1:]] + s[0] for s in inst)
         logw += at(t * c * functools.reduce(np.multiply.outer, [SPIN] * len(axes)), axes)
     top = logw.max()
     logw -= top  # in place: at m = 22 the array is 32 MB
@@ -274,7 +273,8 @@ def criterion_region_pressure() -> Tuple[bool, str]:
     rng = np.random.default_rng(SEED + 1)
     params = ModelParams(0.8, 1.0, 0.3)
     f_two = Observable.make([((1, 2), 1.0), ((1, 3), 1.0)])
-    model, fstar = multiprime.extend_observable(f_two, PrimeBasis((2,)), params)
+    _, fstar = multiprime.extend_observable(f_two)
+    td = transfer(params)
     worst = 0.0
     done = 0
     while done < 25:
@@ -286,8 +286,8 @@ def criterion_region_pressure() -> Tuple[bool, str]:
             continue
         t = float(rng.uniform(-1.0, 1.0))
         key = multiprime.RegionPressureKey(Region(frozenset(pts)), fstar, t)
-        a = multiprime.region_pressure(key, model)
-        b = brute_region_pressure(pts, fstar, t, model)
+        a = multiprime.region_pressure(key, td)
+        b = brute_region_pressure(pts, fstar, t, params)
         worst = max(worst, abs(a - b))
         done += 1
 
@@ -297,7 +297,7 @@ def criterion_region_pressure() -> Tuple[bool, str]:
     for c, shape_set in shapes.items():
         pressures = [
             multiprime.region_pressure(
-                multiprime.RegionPressureKey(Region(s), fstar, 0.4), model
+                multiprime.RegionPressureKey(Region(s), fstar, 0.4), td
             )
             for s in shape_set
         ]

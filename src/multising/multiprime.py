@@ -1,10 +1,10 @@
 """Higher-dimensional layer machinery.
 
-A local observable whose site indices involve primes beyond the model's own
-is handled by extending the model: the prime support of the observable is
-merged into the basis, layers become d-dimensional exponent regions, and the
-layer measure is the product, over lines parallel to the interacting axis, of
-independent chains (pi, Q).  Region pressures over those layers feed the
+The spins interact only along the prime 2: the chains (pi, Q) run along
+axis 0, the powers of 2.  The other primes that divide the site indices of
+a local observable add interaction-free axes, so a layer becomes a
+d-dimensional exponent region and its measure is the product of independent
+chains along the axis-0 lines.  Region pressures over those layers feed the
 smooth-number weight series, giving the pressure of any local observable.
 """
 
@@ -21,11 +21,10 @@ import numpy as np
 from . import arith
 from .arith import PrimeBasis, Region
 from .errors import InfeasibleSizeError, PreconditionError
-from .ising1d import ModelParams, TransferData, log_q_power, log_site_law, transfer
+from .ising1d import ModelParams, _as_transfer, log_q_power, log_site_law, transfer
 from .observables import FirstLayerObservable, Observable
 
 __all__ = [
-    "ExtendedModel",
     "RegionPressureKey",
     "SeriesRow",
     "extend_observable",
@@ -37,7 +36,6 @@ __all__ = [
 
 WIDTH_CAP = 22  # sites spanned by the largest intermediate factor: 2^22 doubles, 32 MB
 _MAX_TERMS = 100_000  # smooth-number series terms
-_BASE = PrimeBasis((2,))  # the model's own prime: its chains run along powers of 2
 
 
 def _prime_factors(n: int) -> Dict[int, int]:
@@ -53,19 +51,6 @@ def _prime_factors(n: int) -> Dict[int, int]:
     return fs
 
 
-@dataclass(frozen=True, eq=False)
-class ExtendedModel:
-    """Merged prime basis, the axis carrying the chain interaction, and the
-    chain parameters with their transfer data.  All other axes are
-    interaction-free, so the layer measure is a product of independent
-    chains along base_axis lines."""
-
-    basis: PrimeBasis
-    base_axis: int
-    params: ModelParams
-    td: TransferData
-
-
 @dataclass(frozen=True)
 class RegionPressureKey:
     region: Region
@@ -73,38 +58,18 @@ class RegionPressureKey:
     t: float
 
 
-def extend_observable(f: Observable, base_basis: PrimeBasis,
-                      params: ModelParams) -> Tuple[ExtendedModel, FirstLayerObservable]:
-    """Merge the prime support of f into the basis and rewrite each monomial
-    as exponent-vector offsets; f becomes a first-layer observable of the
-    extended model."""
-    if base_basis.dim != 1:
-        raise PreconditionError(
-            "the base model interacts along a single prime; multi-prime "
-            "interacting bases are not supported"
-        )
+def extend_observable(f: Observable) -> Tuple[PrimeBasis, FirstLayerObservable]:
+    """Factor each site index of f once and rewrite each monomial as
+    exponent-vector offsets over the basis of 2 and the primes that divide
+    those indices; f becomes a first-layer observable over that basis, whose
+    axis 0, the powers of 2, carries the chains."""
     if f.is_zero():
         raise ValueError("cannot extend the zero observable")
-    primes = set(base_basis.primes)
-    for key, _ in f.terms:
-        for i in key:
-            primes.update(_prime_factors(i))
-    merged = tuple(sorted(primes))
-    basis = PrimeBasis(merged)
-    dim = basis.dim
-    pairs = []
-    for key, coeff in f.terms:
-        offsets = []
-        for i in key:
-            li = arith.decompose(i, basis)
-            if li.r != 1:
-                raise RuntimeError("index does not factor over its own prime support")
-            offsets.append(li.exponents)
-        pairs.append((offsets, coeff))
-    fstar = FirstLayerObservable.make(pairs, dim=dim)
-    model = ExtendedModel(basis=basis, base_axis=merged.index(base_basis.primes[0]),
-                          params=params, td=transfer(params))
-    return model, fstar
+    factors = {i: _prime_factors(i) for key, _ in f.terms for i in key}
+    basis = PrimeBasis(tuple(sorted({2}.union(*factors.values()))))
+    pairs = [([tuple(factors[i].get(p, 0) for p in basis.primes) for i in key], coeff)
+             for key, coeff in f.terms]
+    return basis, FirstLayerObservable.make(pairs, dim=basis.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +97,7 @@ class _Plan:
 
 
 @lru_cache(maxsize=512)
-def _plan(points: frozenset, fstar: FirstLayerObservable, axis: int) -> _Plan:
+def _plan(points: frozenset, fstar: FirstLayerObservable) -> _Plan:
     """Build the factor graph of the region and a greedy min-fill
     elimination order, refusing it if some intermediate factor would span
     more than WIDTH_CAP sites.  Symbolic only: no table is formed here."""
@@ -146,14 +111,14 @@ def _plan(points: frozenset, fstar: FirstLayerObservable, axis: int) -> _Plan:
     site_id = {s: i for i, s in enumerate(site_list)}
     lines: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {}
     for s in site_list:  # lexicographic order runs along each line
-        lines.setdefault(s[:axis] + s[axis + 1:], []).append(s)
+        lines.setdefault(s[1:], []).append(s)
     starts, links, scopes = [], [], []
     for line in lines.values():
-        starts.append(line[0][axis])
+        starts.append(line[0][0])
         scopes.append((site_id[line[0]],))
     for line in lines.values():
         for a, b in zip(line, line[1:]):
-            links.append(b[axis] - a[axis])
+            links.append(b[0] - a[0])
             scopes.append((site_id[a], site_id[b]))
     for inst in monos:
         scopes.append(tuple(site_id[s] for s in inst))
@@ -225,29 +190,29 @@ def _log_sum_exp(a: np.ndarray, axis: int) -> np.ndarray:
         return np.log(a.sum(axis=axis)) + np.squeeze(m, axis)
 
 
-def region_pressure(key: RegionPressureKey, model: ExtendedModel) -> float:
+def region_pressure(key: RegionPressureKey, params) -> float:
     """Psi = log E exp(t * sum_{x in region} f*(theta_x .)) under the
-    product-of-lines layer measure, exactly.
+    product-of-lines layer measure of the chain `params` (ModelParams or
+    TransferData), exactly.
 
     The dependence set S = region + support(f*) carries three kinds of
-    log-scale factor: the initial law log(pi Q^v0) of each line along the
-    interacting axis, the links log Q^gap between consecutive sites of a
-    line, and the tilt t * c * prod s of each monomial instance.  The sites
-    are summed out one at a time in a greedy min-fill order, so the cost
-    follows the width of the factor graph rather than |S|; lines coupled by
-    no monomial separate by themselves.  An order whose largest
-    intermediate factor spans more than WIDTH_CAP sites (2^WIDTH_CAP entries)
-    is refused before any table is formed.
+    log-scale factor: the initial law log(pi Q^v0) of each line along axis
+    0, the links log Q^gap between consecutive sites of a line, and the tilt
+    t * c * prod s of each monomial instance.  The sites are summed out one
+    at a time in a greedy min-fill order, so the cost follows the width of
+    the factor graph rather than |S|; lines coupled by no monomial separate
+    by themselves.  An order whose largest intermediate factor spans more
+    than WIDTH_CAP sites (2^WIDTH_CAP entries) is refused before any table
+    is formed.
     """
     region, fstar, t = key.region, key.fstar, key.t
-    dim = model.basis.dim
-    if fstar.dim != dim or (region.points and region.dim != dim):
-        raise ValueError("region / observable dimension mismatch with the model")
+    if region.points and region.dim != fstar.dim:
+        raise ValueError("region / observable dimension mismatch")
     psi = t * sum(c for offs, c in fstar.terms if not offs) * region.cardinality
-    plan = _plan(region.points, fstar, model.base_axis)
+    plan = _plan(region.points, fstar)
     if not plan.scopes:
         return psi
-    td = model.td
+    td = _as_transfer(params)
     log_q = {gap: log_q_power(td, gap) for gap in set(plan.links)}
     tables = [log_site_law(td, v0) for v0 in plan.starts]
     tables += [log_q[gap] for gap in plan.links]
@@ -288,12 +253,13 @@ def kie_pressure(f: Observable, params: ModelParams, t: float,
 
     Psi_j is evaluated on the canonical cardinality-j region (the exponent
     vectors of the first j smooth numbers, which every layer region of
-    cardinality j equals).  Truncation uses |Psi_j| <= j |t| sup|f*| together
-    with the exact remaining mass sum_{j>J} j w_j that iter_kie_weights
-    yields (mass identity), the rule kie_weights stops on.  That bound does
-    not involve Psi, so the stopping index J is found first and
-    every region j <= J is checked against the factor-width cap before any
-    Psi_j is computed; a tolerance past the cap fails at once.  A NaN or
+    cardinality j equals); the chain's transfer data are built once from
+    params and shared by every Psi_j.  Truncation uses |Psi_j| <= j |t|
+    sup|f*| together with the exact remaining mass sum_{j>J} j w_j that
+    iter_kie_weights yields (mass identity), the rule kie_weights stops on.
+    That bound does not involve Psi, so the stopping index J is found first
+    and every region j <= J is checked against the factor-width cap before
+    any Psi_j is computed; a tolerance past the cap fails at once.  A NaN or
     infinite tilt is refused before J is chosen, and a Psi_j that is not
     finite raises PreconditionError rather than entering the table.
     """
@@ -301,12 +267,13 @@ def kie_pressure(f: Observable, params: ModelParams, t: float,
         raise ValueError(f"tilt t must be finite, got {t!r}")
     if not tol > 0:
         raise ValueError("tol must be positive")
-    model, fstar = extend_observable(f, _BASE, params)
+    basis, fstar = extend_observable(f)
+    td = transfer(params)
     sup = fstar.sup_bound
     terms = []  # (j, n_j, w_j, tail bound after term j)
     points: List[Tuple[int, ...]] = []  # region j is the first j of them
-    for j, n_j, w_j, mass in arith.iter_kie_weights(model.basis):
-        points.append(arith.decompose(n_j, model.basis).exponents)
+    for j, n_j, w_j, mass in arith.iter_kie_weights(basis):
+        points.append(arith.decompose(n_j, basis).exponents)
         terms.append((j, n_j, w_j, mass * abs(t) * sup))
         if terms[-1][3] < tol:
             break
@@ -316,7 +283,7 @@ def kie_pressure(f: Observable, params: ModelParams, t: float,
             )
     for j in range(len(terms), 0, -1):  # the widest region first
         try:
-            _plan(frozenset(points[:j]), fstar, model.base_axis)
+            _plan(frozenset(points[:j]), fstar)
         except InfeasibleSizeError as err:
             raise InfeasibleSizeError(
                 f"reaching tol={tol:g} takes the series terms j <= {len(terms)}, "
@@ -326,7 +293,7 @@ def kie_pressure(f: Observable, params: ModelParams, t: float,
     rows: List[SeriesRow] = []
     for j, n_j, w_j, tail in terms:
         region = Region(frozenset(points[:j]))
-        psi = region_pressure(RegionPressureKey(region, fstar, t), model)
+        psi = region_pressure(RegionPressureKey(region, fstar, t), td)
         if not math.isfinite(psi):
             raise PreconditionError(f"the region pressure Psi_{j} is {psi}, not finite")
         value += w_j * psi
@@ -340,13 +307,14 @@ def finite_pressure_exact_d(f: Observable, t: float, n: int, params: ModelParams
     convergence diagnostics and as the authoritative fallback."""
     if n < 1:
         raise ValueError("volume must be >= 1")
-    model, fstar = extend_observable(f, _BASE, params)
-    partition = arith.layer_partition(n, model.basis)
+    basis, fstar = extend_observable(f)
+    td = transfer(params)
+    partition = arith.layer_partition(n, basis)
     cache: Dict[frozenset, float] = {}
     total = 0.0
     for region in partition.values():
         if region.points not in cache:
-            cache[region.points] = region_pressure(RegionPressureKey(region, fstar, t), model)
+            cache[region.points] = region_pressure(RegionPressureKey(region, fstar, t), td)
         total += cache[region.points]
     return total / n
 

@@ -126,13 +126,6 @@ class FirstLayerObservable:
     def sup_bound(self) -> float:
         return sum(abs(c) for _, c in self.terms)
 
-    @property
-    def support(self) -> frozenset:
-        pts = set()
-        for key, _ in self.terms:
-            pts.update(key)
-        return frozenset(pts)
-
 
 def to_first_layer(obs: Observable) -> FirstLayerObservable:
     """Rewrite a site-indexed observable whose indices are all powers of two

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 import multising
 from multising import arith, cli, gibbs, multiprime
 from multising.acceptance import brute_region_pressure
-from multising.arith import PrimeBasis
 from multising.errors import ObservableSyntaxError, PreconditionError
 from multising.ising1d import ModelParams
 from multising.observables import Observable
@@ -220,11 +219,10 @@ class TestScgfCommand:
         rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
         assert np.all(np.isfinite(rows))
         params = ModelParams(1.0, float(model[1]), float(model[3]) if len(model) > 2 else 0.0)
-        model_d, fstar = multiprime.extend_observable(Observable.make([((1, 3), 1.0)]),
-                                                      PrimeBasis((2,)), params)
+        basis, fstar = multiprime.extend_observable(Observable.make([((1, 3), 1.0)]))
         for j, psi in zip(rows[:, 0].astype(int), rows[:, 3]):
-            region = oracles.canonical_region(model_d.basis, int(j))
-            want = brute_region_pressure(region.points, fstar, 0.1, model_d)
+            region = oracles.canonical_region(basis, int(j))
+            want = brute_region_pressure(region.points, fstar, 0.1, params)
             assert psi == pytest.approx(want, abs=1e-12)
 
 
@@ -243,6 +241,14 @@ class TestRateCommand:
         assert float(by_x[0.5][1]) == pytest.approx(0.13081, abs=1e-4)
         assert by_x[1.5][1] == "inf" and by_x[1.5][3] == "1"
         assert by_x[0.0][3] == "0"
+
+    def test_non_dyadic_observable_is_usage_error(self, capsys):
+        # rate takes the one-prime route only: s[3] is refused by a bit test
+        # on the index, before any factoring
+        assert run_cli("rate", "--f", "s[1]*s[3]", "--x", "0.1") == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["code"] == 2 and err["type"] == "ValueError"
+        assert "site index 3 is not a power of two" in err["message"]
 
 
 class TestScalarCommands:

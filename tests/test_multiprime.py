@@ -22,45 +22,65 @@ F_TWO = Observable.make([((1, 2), 1.0), ((1, 3), 1.0)])
 
 class TestExtendObservable:
     def test_two_prime_example(self):
-        model, fstar = multiprime.extend_observable(F_TWO, PrimeBasis((2,)), P_UNIT)
-        assert model.basis.primes == (2, 3)
-        assert model.base_axis == 0
+        basis, fstar = multiprime.extend_observable(F_TWO)
+        assert basis.primes == (2, 3)
         assert fstar.terms == (
             (frozenset({(0, 0), (0, 1)}), 1.0),
             (frozenset({(0, 0), (1, 0)}), 1.0),
         )
 
     def test_identity_observable(self):
-        model, fstar = multiprime.extend_observable(
-            Observable.make([((1,), 1.0)]), PrimeBasis((2,)), P_UNIT
-        )
-        assert model.basis.primes == (2,)
+        basis, fstar = multiprime.extend_observable(Observable.make([((1,), 1.0)]))
+        assert basis.primes == (2,)
         assert fstar.terms == ((frozenset({(0,)}), 1.0),)
 
     def test_prime_five(self):
-        model, fstar = multiprime.extend_observable(
-            Observable.make([((1, 5), 1.0)]), PrimeBasis((2,)), P_UNIT
-        )
-        assert model.basis.primes == (2, 5)
+        basis, fstar = multiprime.extend_observable(Observable.make([((1, 5), 1.0)]))
+        assert basis.primes == (2, 5)
         assert fstar.terms == ((frozenset({(0, 0), (0, 1)}), 1.0),)
 
-    def test_rejects_multi_prime_base(self):
-        with pytest.raises(PreconditionError):
-            multiprime.extend_observable(F_BOND, PrimeBasis((2, 3)), P_UNIT)
+    def test_offsets_give_back_each_index(self):
+        # one single-site monomial per index, its coefficient the index
+        indices = list(range(1, 201)) + [2**40, 3**20 * 5, 210]
+        f = Observable.make([((i,), float(i)) for i in indices])
+        basis, fstar = multiprime.extend_observable(f)
+        assert basis.primes == tuple(p for p in range(2, 201) if all(p % q for q in range(2, p)))
+        assert fstar.dim == basis.dim and len(fstar.terms) == len(indices)
+        for key, coeff in fstar.terms:
+            (x,) = key
+            assert math.prod(p**v for p, v in zip(basis.primes, x)) == coeff
+
+    @pytest.mark.parametrize("pairs, primes", [
+        ([((3, 9), 1.0)], (2, 3)),
+        ([((5, 7), 1.0), ((1,), -0.5)], (2, 5, 7)),
+        ([((15, 49), 1.0), ((2, 8), 2.0)], (2, 3, 5, 7)),
+        ([((), 1.0)], (2,)),
+    ])
+    def test_basis_is_the_prime_support_with_two(self, pairs, primes):
+        basis, fstar = multiprime.extend_observable(Observable.make(pairs))
+        assert basis.primes == primes and fstar.dim == len(primes)
+
+    def test_zero_observable_is_refused(self):
+        zero = Observable.make([((1, 2), 0.0)])
+        for call in (lambda: multiprime.extend_observable(zero),
+                     lambda: multiprime.kie_pressure(zero, P_UNIT, 0.5, 1e-3),
+                     lambda: multiprime.finite_pressure_exact_d(zero, 0.5, 8, P_UNIT)):
+            with pytest.raises(ValueError, match="zero observable"):
+                call()
 
 
 class TestRegionPressure:
     def test_zero_tilt(self):
-        model, fstar = multiprime.extend_observable(F_TWO, PrimeBasis((2,)), P_UNIT)
-        region = oracles.canonical_region(model.basis, 4)
-        v = multiprime.region_pressure(RegionPressureKey(region, fstar, 0.0), model)
+        basis, fstar = multiprime.extend_observable(F_TWO)
+        region = oracles.canonical_region(basis, 4)
+        v = multiprime.region_pressure(RegionPressureKey(region, fstar, 0.0), P_UNIT)
         assert abs(v) <= 1e-12
 
     def test_single_point_two_bonds(self):
-        model, fstar = multiprime.extend_observable(F_TWO, PrimeBasis((2,)), P_FREE)
+        _, fstar = multiprime.extend_observable(F_TWO)
         region = Region(frozenset({(0, 0)}))
         for t in (-0.9, 0.4, 1.3):
-            v = multiprime.region_pressure(RegionPressureKey(region, fstar, t), model)
+            v = multiprime.region_pressure(RegionPressureKey(region, fstar, t), P_FREE)
             assert v == pytest.approx(2 * math.log(math.cosh(t)), abs=1e-12)
 
     @pytest.mark.parametrize("k", range(9))
@@ -69,48 +89,49 @@ class TestRegionPressure:
         # 2 (at k = 1 on site 2), so both region enumerations sum over a gap
         region = Region(frozenset((i,) for i in range(k + 1)))
         for f in (F_BOND, Observable.make([((1, 8), 1.0)])):
-            model, fstar = multiprime.extend_observable(f, PrimeBasis((2,)), P_UNIT)
+            _, fstar = multiprime.extend_observable(f)
             b = tilted_prefix_pressures(k, to_first_layer(f), 0.9, P_UNIT)[0][-1]
-            a = multiprime.region_pressure(RegionPressureKey(region, fstar, 0.9), model)
+            a = multiprime.region_pressure(RegionPressureKey(region, fstar, 0.9), P_UNIT)
             assert a == pytest.approx(b, abs=1e-11)
-            brute = brute_region_pressure(region.points, fstar, 0.9, model)
+            brute = brute_region_pressure(region.points, fstar, 0.9, P_UNIT)
             assert brute == pytest.approx(b, abs=1e-11)
 
     def test_brute_force_equivalence(self):
         rng = np.random.default_rng(5)
         params = ModelParams(0.6, 1.1, -0.4)
-        model, fstar = multiprime.extend_observable(F_TWO, PrimeBasis((2,)), params)
+        _, fstar = multiprime.extend_observable(F_TWO)
         for _ in range(8):
             pts = {(0, 0), (1, 0), (0, 1)}
             if rng.random() < 0.5:
                 pts.add((1, 1))
             t = float(rng.uniform(-1, 1))
-            a = multiprime.region_pressure(RegionPressureKey(Region(frozenset(pts)), fstar, t), model)
-            b = brute_region_pressure(pts, fstar, t, model)
+            key = RegionPressureKey(Region(frozenset(pts)), fstar, t)
+            a = multiprime.region_pressure(key, params)
+            b = brute_region_pressure(pts, fstar, t, params)
             assert a == pytest.approx(b, abs=1e-11)
 
     def test_width_cap(self):
         # the cap bounds the largest intermediate factor, not |S|: the
         # 40-site canonical region 30 needs a factor over 6 sites only,
         # while region 600 (632 sites) needs one over more than 22
-        model, fstar = multiprime.extend_observable(F_TWO, PrimeBasis((2,)), P_UNIT)
-        region = oracles.canonical_region(model.basis, 30)
+        basis, fstar = multiprime.extend_observable(F_TWO)
+        region = oracles.canonical_region(basis, 30)
         key = RegionPressureKey(region, fstar, 0.5)
-        assert math.isfinite(multiprime.region_pressure(key, model))
-        plan = multiprime._plan(region.points, fstar, model.base_axis)
+        assert math.isfinite(multiprime.region_pressure(key, P_UNIT))
+        plan = multiprime._plan(region.points, fstar)
         assert max(len(union) for _, union, _ in plan.steps) == 6
-        wide = RegionPressureKey(oracles.canonical_region(model.basis, 600), fstar, 0.5)
+        wide = RegionPressureKey(oracles.canonical_region(basis, 600), fstar, 0.5)
         with pytest.raises(InfeasibleSizeError, match="cap 22"):
-            multiprime.region_pressure(wide, model)
+            multiprime.region_pressure(wide, P_UNIT)
 
     def test_uncoupled_lines_factor(self):
         # s1 s2 + s3 s6 over {2, 3}: the two bonds lie on the lines y = 0
         # and y = 1, which no monomial couples
         f = Observable.make([((1, 2), 1.0), ((3, 6), 1.0)])
-        model, fstar = multiprime.extend_observable(f, PrimeBasis((2,)), P_UNIT)
+        _, fstar = multiprime.extend_observable(f)
         key = RegionPressureKey(Region(frozenset({(0, 0)})), fstar, 0.7)
         bond = tilted_prefix_pressures(0, to_first_layer(F_BOND), 0.7, P_UNIT)[0][-1]
-        assert multiprime.region_pressure(key, model) == pytest.approx(2 * bond, abs=1e-13)
+        assert multiprime.region_pressure(key, P_UNIT) == pytest.approx(2 * bond, abs=1e-13)
 
     def test_running_log_sum_skips_zero_weights(self):
         acc = RunningLogSum()
@@ -127,12 +148,12 @@ class TestRegionPressure:
 
     def test_constant_term_shift(self):
         f = Observable.make([((1, 2), 1.0), ((), 0.5)])
-        model, fstar = multiprime.extend_observable(f, PrimeBasis((2,)), P_FREE)
+        _, fstar = multiprime.extend_observable(f)
         region = Region(frozenset({(0,), (1,)}))
-        with_const = multiprime.region_pressure(RegionPressureKey(region, fstar, 0.8), model)
+        with_const = multiprime.region_pressure(RegionPressureKey(region, fstar, 0.8), P_FREE)
         f0 = Observable.make([((1, 2), 1.0)])
-        _, fstar0 = multiprime.extend_observable(f0, PrimeBasis((2,)), P_FREE)
-        without = multiprime.region_pressure(RegionPressureKey(region, fstar0, 0.8), model)
+        _, fstar0 = multiprime.extend_observable(f0)
+        without = multiprime.region_pressure(RegionPressureKey(region, fstar0, 0.8), P_FREE)
         assert with_const == pytest.approx(without + 0.8 * 0.5 * 2, abs=1e-12)
 
 
@@ -208,9 +229,9 @@ class TestKiePressure:
 class TestFiniteVolume:
     def test_single_site(self):
         v = multiprime.finite_pressure_exact_d(F_TWO, 0.7, 1, P_FREE)
-        model, fstar = multiprime.extend_observable(F_TWO, PrimeBasis((2,)), P_FREE)
+        _, fstar = multiprime.extend_observable(F_TWO)
         w = multiprime.region_pressure(
-            RegionPressureKey(Region(frozenset({(0, 0)})), fstar, 0.7), model
+            RegionPressureKey(Region(frozenset({(0, 0)})), fstar, 0.7), P_FREE
         )
         assert v == pytest.approx(w, abs=1e-12)
 
@@ -220,12 +241,12 @@ class TestFiniteVolume:
     def test_hand_checkable_two_layer_volume(self):
         # volume 6 over primes {2,3}: layer 1 carries {1,2,3,4,6} and layer 5
         # a single point
-        model, fstar = multiprime.extend_observable(F_TWO, PrimeBasis((2,)), P_FREE)
-        part = arith.layer_partition(6, model.basis)
+        basis, fstar = multiprime.extend_observable(F_TWO)
+        part = arith.layer_partition(6, basis)
         assert set(part) == {1, 5}
         t = 0.35
         direct = sum(
-            brute_region_pressure(reg.points, fstar, t, model) for reg in part.values()
+            brute_region_pressure(reg.points, fstar, t, P_FREE) for reg in part.values()
         ) / 6
         v = multiprime.finite_pressure_exact_d(F_TWO, t, 6, P_FREE)
         assert v == pytest.approx(direct, abs=1e-11)
@@ -263,12 +284,13 @@ class TestEnumeratorOracle:
 
     @pytest.mark.parametrize("point", POINTS)
     def test_canonical_regions(self, point):
-        *params, t = point
-        model, fstar = multiprime.extend_observable(F_TWO, PrimeBasis((2,)), ModelParams(*params))
+        *args, t = point
+        params = ModelParams(*args)
+        basis, fstar = multiprime.extend_observable(F_TWO)
         for j in range(1, 16):  # region 15 has 22 sites, region 16 has 23
-            key = RegionPressureKey(oracles.canonical_region(model.basis, j), fstar, t)
-            want = brute_region_pressure(key.region.points, fstar, t, model)
-            assert multiprime.region_pressure(key, model) == pytest.approx(want, abs=1e-12)
+            key = RegionPressureKey(oracles.canonical_region(basis, j), fstar, t)
+            want = brute_region_pressure(key.region.points, fstar, t, params)
+            assert multiprime.region_pressure(key, params) == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_random_lower_sets_three_site_monomial(self, dim):
@@ -280,8 +302,8 @@ class TestEnumeratorOracle:
         while done < 10:
             params = ModelParams(float(rng.uniform(0.2, 2.0)), float(rng.choice([-3.0, 1.0, 3.0])),
                                  float(rng.uniform(-1.0, 1.0)))
-            model, fstar = multiprime.extend_observable(f, PrimeBasis((2,)), params)
-            assert model.basis.dim == dim
+            basis, fstar = multiprime.extend_observable(f)
+            assert basis.dim == dim
             pts = lower_closure([rng.integers(0, 4 if dim == 2 else 3, size=dim)
                                  for _ in range(int(rng.integers(1, 4)))])
             sites = {tuple(a + b for a, b in zip(x, o)) for x in pts
@@ -290,7 +312,7 @@ class TestEnumeratorOracle:
                 continue
             t = float(rng.uniform(-5.0, 5.0))
             key = RegionPressureKey(Region(frozenset(pts)), fstar, t)
-            want = brute_region_pressure(pts, fstar, t, model)
-            assert multiprime.region_pressure(key, model) == pytest.approx(want, abs=1e-12)
+            want = brute_region_pressure(pts, fstar, t, params)
+            assert multiprime.region_pressure(key, params) == pytest.approx(want, abs=1e-12)
             done += 1
 
