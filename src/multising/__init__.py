@@ -17,7 +17,7 @@ from .gibbs import (
 )
 from .ising1d import ModelParams, TransferData, log_partition, transfer
 from .ldp import RateCurve, ScgfCurve, clt_variance, legendre, rate_curve, scgf, scgf_curve
-from .multiprime import extend_observable, kie_pressure, region_pressure
-from .observables import FirstLayerObservable, Observable, to_first_layer
+from .multiprime import kie_pressure, region_pressure
+from .observables import FirstLayerObservable, Observable, extend_observable, to_first_layer
 
 __version__ = "0.1.0"

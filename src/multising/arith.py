@@ -16,6 +16,7 @@ ints and the weights as one float64 array, weights[j - 1] = w_j.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from array import array
 from dataclasses import dataclass
@@ -31,6 +32,8 @@ __all__ = [
     "LayerIndex",
     "Region",
     "WeightSeries",
+    "is_prime",
+    "factor",
     "decompose",
     "psi2",
     "layer_partition",
@@ -42,20 +45,54 @@ __all__ = [
 ]
 
 _MAX_WEIGHT_TERMS = 10_000_000  # kie_weights refuses a longer series
+_TRIAL_BOUND = 1 << 16  # factor divides n by every integer below this
+# these bases decide every n < _MR_LIMIT (Sorenson and Webster, Math. Comp. 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
-def _is_prime(n: int) -> bool:
+
+def is_prime(n: int) -> bool:
+    """Whether n is prime, by a deterministic Miller-Rabin test.  An n past
+    _MR_LIMIT with no factor among the bases is refused with
+    InfeasibleSizeError: the bases do not decide it."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    if n >= _MR_LIMIT:
+        raise InfeasibleSizeError(f"{n} exceeds {_MR_LIMIT}, past which the primality "
+                                  "test is not deterministic")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:  # a strong probable prime: a^d = 1 or a^(d 2^k) = -1, k < s
+        x = pow(a, d, n)
+        if x != 1 and n - 1 not in (pow(x, 1 << k, n) for k in range(s)):
             return False
-        f += 2
     return True
+
+
+def factor(n: int) -> Dict[int, int]:
+    """The prime factorization {p: e} of a positive integer n: trial
+    division by 2 and the odd numbers below _TRIAL_BOUND, then is_prime on
+    what is left.  A cofactor that is composite with no factor below the
+    bound, or past the range of is_prime, is an InfeasibleSizeError."""
+    if n < 1:
+        raise ValueError("index must be a positive integer")
+    fs: Dict[int, int] = {}
+    for p in itertools.chain((2,), range(3, _TRIAL_BOUND, 2)):
+        if p * p > n:
+            break
+        while n % p == 0:
+            fs[p] = fs.get(p, 0) + 1
+            n //= p
+    if n > 1:
+        if not is_prime(n):
+            raise InfeasibleSizeError(f"cannot factor {n}: it is composite with no "
+                                      f"prime factor below {_TRIAL_BOUND}")
+        fs[n] = 1
+    return fs
 
 
 @dataclass(frozen=True)
@@ -68,14 +105,10 @@ class PrimeBasis:
         if not self.primes:
             raise ValueError("prime basis must be non-empty")
         for p in self.primes:
-            if not isinstance(p, int) or not _is_prime(p):
+            if not isinstance(p, int) or not is_prime(p):
                 raise ValueError(f"{p!r} is not prime")
         if any(a >= b for a, b in zip(self.primes, self.primes[1:])):
             raise ValueError("primes must be strictly increasing")
-
-    @classmethod
-    def of(cls, *primes) -> "PrimeBasis":
-        return cls(tuple(int(p) for p in primes))
 
     @property
     def dim(self) -> int:

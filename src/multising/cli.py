@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__, arith, gibbs, ldp, multiprime
 from .errors import InfeasibleSizeError, ObservableSyntaxError, PreconditionError
 from .ising1d import ModelParams
-from .observables import Observable, to_first_layer
+from .observables import Observable, extend_observable, to_first_layer
 
 _NUM_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 
@@ -149,6 +149,7 @@ def _load_config(path: str) -> Dict[str, str]:
 
 
 _CSV_CHUNK_ROWS = 1 << 13
+_MAX_GRID_POINTS = 1_000_000  # at the cap, scgf takes 5.4 s and 75 MB, rate 16 s and 253 MB
 
 
 def _open_output(path: Optional[str]):
@@ -218,7 +219,8 @@ def _parse_grid(spec: str) -> np.ndarray:
     Over a common denominator d the bounds are integers a, b, c; there are
     trunc((b - a) / c) + 1 points, and point i is the correctly rounded
     (a + i c) / d, the bits of float(Fraction).  So -0.9:0.9:0.1 contains
-    0.5 itself, not 0.4999999999999996."""
+    0.5 itself, not 0.4999999999999996.  A range of more than
+    _MAX_GRID_POINTS points is refused before any point is built."""
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
@@ -232,6 +234,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         d = math.lcm(*(f.denominator for f in bounds))
         a, b, c = (f.numerator * (d // f.denominator) for f in bounds)
         n = (b - a) // c if b >= a else -((a - b) // c)
+        if n >= _MAX_GRID_POINTS:
+            raise InfeasibleSizeError(f"the grid has {n + 1} points (cap {_MAX_GRID_POINTS})")
         return np.array([(a + i * c) / d for i in range(n + 1)])
     if "," in spec:
         return np.array([float(p) for p in spec.split(",")])
@@ -252,14 +256,14 @@ def _cmd_scgf(cfg) -> int:
     obs = parse_observable(cfg["f"])
     grid = _parse_grid(cfg["t"])
     extra = {"observable": str(obs)}
-    if all(i & (i - 1) == 0 for key, _ in obs.terms for i in key):  # dyadic indices
-        fstar = to_first_layer(obs)
+    basis, fstar = extend_observable(obs)
+    if basis.dim == 1:
         curve = ldp.ScgfCurve(grid, *ldp.scgf_values(fstar, params, grid, cfg["tol"]))
         # the bounds are >= 0, so an empty grid reads 0.0
         extra["max_trunc_err"] = repr(float(np.max(curve.trunc_err, initial=0.0)))
         write_csv(cfg["output"], curve.csv_header(), curve.csv_columns())
     else:
-        # non-dyadic indices: multi-prime route, single tilt, series table output
+        # an index with an odd prime factor: single tilt, series table output
         if grid.size != 1:
             raise ValueError("observables with non-dyadic indices use the smooth-number "
                              "series; pass a single --t value")
@@ -493,8 +497,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(_preprocess(list(argv)))
         return _COMMANDS[args.command].run(_resolve(args))
-    except (ValueError, OSError, ArithmeticError) as err:
-        if isinstance(err, InfeasibleSizeError):
+    except (ValueError, OSError, ArithmeticError, MemoryError) as err:
+        if isinstance(err, (InfeasibleSizeError, MemoryError)):
             code = 4
         elif isinstance(err, (PreconditionError, ArithmeticError)):
             code = 3

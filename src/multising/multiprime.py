@@ -22,7 +22,7 @@ from . import arith
 from .arith import PrimeBasis, Region
 from .errors import InfeasibleSizeError, PreconditionError
 from .ising1d import ModelParams, _as_transfer, log_q_power, log_site_law, transfer
-from .observables import FirstLayerObservable, Observable
+from .observables import FirstLayerObservable, Observable, extend_observable
 
 __all__ = [
     "RegionPressureKey",
@@ -38,38 +38,11 @@ WIDTH_CAP = 22  # sites spanned by the largest intermediate factor: 2^22 doubles
 _MAX_TERMS = 100_000  # smooth-number series terms
 
 
-def _prime_factors(n: int) -> Dict[int, int]:
-    fs: Dict[int, int] = {}
-    f = 2
-    while f * f <= n:
-        while n % f == 0:
-            fs[f] = fs.get(f, 0) + 1
-            n //= f
-        f += 1 if f == 2 else 2
-    if n > 1:
-        fs[n] = fs.get(n, 0) + 1
-    return fs
-
-
 @dataclass(frozen=True)
 class RegionPressureKey:
     region: Region
     fstar: FirstLayerObservable
     t: float
-
-
-def extend_observable(f: Observable) -> Tuple[PrimeBasis, FirstLayerObservable]:
-    """Factor each site index of f once and rewrite each monomial as
-    exponent-vector offsets over the basis of 2 and the primes that divide
-    those indices; f becomes a first-layer observable over that basis, whose
-    axis 0, the powers of 2, carries the chains."""
-    if f.is_zero():
-        raise ValueError("cannot extend the zero observable")
-    factors = {i: _prime_factors(i) for key, _ in f.terms for i in key}
-    basis = PrimeBasis(tuple(sorted({2}.union(*factors.values()))))
-    pairs = [([tuple(factors[i].get(p, 0) for p in basis.primes) for i in key], coeff)
-             for key, coeff in f.terms]
-    return basis, FirstLayerObservable.make(pairs, dim=basis.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +232,8 @@ def kie_pressure(f: Observable, params: ModelParams, t: float,
     iter_kie_weights yields (mass identity), the rule kie_weights stops on.
     That bound does not involve Psi, so the stopping index J is found first
     and every region j <= J is checked against the factor-width cap before
-    any Psi_j is computed; a tolerance past the cap fails at once.  A NaN or
+    any Psi_j is computed; a tolerance past the cap, or one that
+    arith._mass_floor puts past _MAX_TERMS terms, fails at once.  A NaN or
     infinite tilt is refused before J is chosen, and a Psi_j that is not
     finite raises PreconditionError rather than entering the table.
     """
@@ -270,6 +244,10 @@ def kie_pressure(f: Observable, params: ModelParams, t: float,
     basis, fstar = extend_observable(f)
     td = transfer(params)
     sup = fstar.sup_bound
+    refusal = InfeasibleSizeError(
+        f"the series needs more than {_MAX_TERMS} terms (cap) to reach tol={tol:g}")
+    if arith._mass_floor(basis, _MAX_TERMS) * abs(t) * sup >= tol:
+        raise refusal
     terms = []  # (j, n_j, w_j, tail bound after term j)
     points: List[Tuple[int, ...]] = []  # region j is the first j of them
     for j, n_j, w_j, mass in arith.iter_kie_weights(basis):
@@ -278,9 +256,7 @@ def kie_pressure(f: Observable, params: ModelParams, t: float,
         if terms[-1][3] < tol:
             break
         if j >= _MAX_TERMS:
-            raise InfeasibleSizeError(
-                f"the series needs more than {_MAX_TERMS} terms (cap) to reach tol={tol:g}"
-            )
+            raise refusal
     for j in range(len(terms), 0, -1):  # the widest region first
         try:
             _plan(frozenset(points[:j]), fstar)

@@ -10,8 +10,11 @@ are index *sets*; the empty set is a constant term.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Tuple
+
+from . import arith
 
 
 def _canonical_terms(pairs):
@@ -55,9 +58,6 @@ class Observable:
     def sup_bound(self) -> float:
         """sum |c_B|, an upper bound on the sup norm."""
         return sum(abs(c) for _, c in self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __str__(self) -> str:
         if not self.terms:
@@ -127,18 +127,25 @@ class FirstLayerObservable:
         return sum(abs(c) for _, c in self.terms)
 
 
+def extend_observable(f: Observable) -> Tuple[arith.PrimeBasis, FirstLayerObservable]:
+    """The route of f: each site index, factored once by arith.factor,
+    becomes its exponent vector over 2 and the primes dividing the indices,
+    and axis 0, the powers of 2, carries the chains.  Basis (2,) is the
+    one-prime route of ldp; any other basis takes multiprime's series."""
+    factors = {i: arith.factor(i) for key, _ in f.terms for i in key}
+    basis = arith.PrimeBasis(tuple(sorted({2}.union(*factors.values()))))
+    pairs = [([tuple(factors[i].get(p, 0) for p in basis.primes) for i in key], coeff)
+             for key, coeff in f.terms]
+    return basis, FirstLayerObservable.make(pairs, dim=basis.dim)
+
+
 def to_first_layer(obs: Observable) -> FirstLayerObservable:
-    """Rewrite a site-indexed observable whose indices are all powers of two
-    as a one-dimensional layer observable (index 2^v -> offset v)."""
-    pairs = []
-    for key, coeff in obs.terms:
-        offsets = []
-        for i in key:
-            if i & (i - 1):
-                raise ValueError(
-                    f"site index {i} is not a power of two; the observable is "
-                    "not a function of the first dyadic layer"
-                )
-            offsets.append(i.bit_length() - 1)
-        pairs.append((offsets, coeff))
-    return FirstLayerObservable.make(pairs, dim=1)
+    """extend_observable for an observable whose indices are all powers of
+    two (index 2^v -> offset v); any other index is a ValueError."""
+    basis, fstar = extend_observable(obs)
+    if basis.dim > 1:
+        i = min(math.prod(map(pow, basis.primes, x)) for key, _ in fstar.terms for x in key
+                if any(x[1:]))
+        raise ValueError(f"site index {i} is not a power of two; the observable is "
+                         "not a function of the first dyadic layer")
+    return fstar

@@ -34,10 +34,88 @@ def trial_division_decompose(i, primes):
     return i, tuple(exps)
 
 
+def smallest_prime_factors(n):
+    """spf[m] is the smallest prime factor of m for 2 <= m < n, by a sieve."""
+    spf = list(range(n))
+    for p in range(2, math.isqrt(n - 1) + 1):
+        if spf[p] == p:
+            for m in range(p * p, n, p):
+                if spf[m] == m:
+                    spf[m] = p
+    return spf
+
+
+SPF = smallest_prime_factors(10**5 + 1)
+SMALL_PRIMES = [p for p in range(2, arith._TRIAL_BOUND) if p == SPF[p]]
+# the Carmichael numbers up to 825265, and a strong pseudoprime to every
+# prime base 2 .. 23
+CARMICHAEL = [561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341, 41041, 46657,
+              52633, 62745, 63973, 75361, 101101, 115921, 126217, 162401, 172081, 188461,
+              252601, 278545, 294409, 314821, 334153, 340561, 399001, 410041, 449065,
+              488881, 512461, 530881, 552721, 656601, 658801, 670033, 748657, 825265]
+PSEUDOPRIME_2_TO_23 = 3825123056546413051
+
+
+class TestFactor:
+    def test_every_n_up_to_1e5_against_a_sieve(self):
+        assert arith.factor(1) == {}
+        for n in range(2, len(SPF)):
+            assert arith.is_prime(n) == (SPF[n] == n)
+            want, m = {}, n
+            while m > 1:
+                want[SPF[m]] = want.get(SPF[m], 0) + 1
+                m //= SPF[m]
+            assert arith.factor(n) == want
+        assert not arith.is_prime(0) and not arith.is_prime(1)
+
+    def test_carmichael_numbers_and_a_strong_pseudoprime_are_composite(self):
+        for n in CARMICHAEL:
+            fs = arith.factor(n)
+            # Korselt: squarefree, and p - 1 divides n - 1 for every p | n
+            assert len(fs) >= 3 and set(fs.values()) == {1} and math.prod(fs) == n
+            assert all((n - 1) % (p - 1) == 0 for p in fs)
+            assert not arith.is_prime(n)
+        assert not arith.is_prime(PSEUDOPRIME_2_TO_23)
+
+    def test_squares_of_primes_below_the_trial_bound(self):
+        # every 50th prime and the ten largest; a square near the bound
+        # takes the whole trial division, a few ms
+        assert SMALL_PRIMES[-1] == 65521
+        for p in SMALL_PRIMES[::50] + SMALL_PRIMES[-10:]:
+            assert arith.factor(p * p) == {p: 2}
+
+    def test_large_prime_times_small_prime(self):
+        m61 = 2**61 - 1
+        assert arith.is_prime(m61) and arith.is_prime(10**18 + 3)
+        assert arith.factor(3 * m61) == {3: 1, m61: 1}
+        assert arith.factor(2**5 * 7 * (10**18 + 3)) == {2: 5, 7: 1, 10**18 + 3: 1}
+
+    @pytest.mark.parametrize("n", [
+        65537**2,  # the first prime past the trial bound, squared
+        2_147_483_647 * 2_147_483_629,  # two primes near 2^31
+        PSEUDOPRIME_2_TO_23,  # 149491 * 747451 * 34233211
+        2**89 - 1,  # a prime past the deterministic Miller-Rabin range
+    ])
+    def test_unsplittable_cofactor_is_refused(self, n):
+        with pytest.raises(InfeasibleSizeError):
+            arith.factor(n)
+
+    def test_rejects_nonpositive(self):
+        for n in (0, -6):
+            with pytest.raises(ValueError):
+                arith.factor(n)
+
+
 class TestPrimeBasis:
     def test_rejects_composite(self):
         with pytest.raises(ValueError):
             PrimeBasis((2, 4))
+        for n in (1, 9, 561):
+            with pytest.raises(ValueError, match="not prime"):
+                PrimeBasis((n,))
+
+    def test_accepts_a_large_prime(self):
+        assert PrimeBasis((2, 10**18 + 3)).dim == 2
 
     def test_rejects_unsorted_or_duplicate(self):
         with pytest.raises(ValueError):

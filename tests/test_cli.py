@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import multising
 from multising import arith, cli, gibbs, multiprime
 from multising.acceptance import brute_region_pressure
-from multising.errors import ObservableSyntaxError, PreconditionError
+from multising.errors import InfeasibleSizeError, ObservableSyntaxError, PreconditionError
 from multising.ising1d import ModelParams
 from multising.observables import Observable
 
@@ -79,7 +79,7 @@ class TestParseObservable:
     )
     def test_round_trip_property(self, pairs):
         obs = Observable.make([(sorted(k), c) for k, c in pairs])
-        if obs.is_zero():
+        if not obs.terms:  # the zero observable prints as "0"
             return
         assert cli.parse_observable(str(obs)) == obs
 
@@ -170,6 +170,30 @@ class TestScgfCommand:
         meta = json.loads((tmp_path / "series.csv.meta.json").read_text())
         assert "value" in meta
 
+    def test_large_prime_index_series_table(self, tmp_path):
+        # 10^18 + 3 is prime: the basis is (2, 10^18 + 3), found in milliseconds
+        out = tmp_path / "series.csv"
+        assert run_cli("scgf", "--beta", "1", "--f", "s[1]*s[1000000000000000003]",
+                       "--t", "0.1", "--tol", "0.05", "--output", str(out)) == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+        assert np.all(np.isfinite(rows)) and rows[-1, 5] < 0.05
+
+    def test_unfactorable_index_exits_4(self, capsys):
+        assert run_cli("scgf", "--f", f"s[1]*s[{65537**2}]", "--t", "0.1") == 4
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["code"] == 4 and "cannot factor 4295098369" in err["message"]
+
+    def test_unreachable_series_tolerance_exits_4_at_once(self, capsys, monkeypatch):
+        # the mass floor at the term cap, 1.09e-165 for (2, 3), is above
+        # 1e-300, so no weight is streamed
+        def no_terms(basis):
+            raise AssertionError("a term was pulled")
+            yield
+
+        monkeypatch.setattr(arith, "iter_kie_weights", no_terms)
+        assert run_cli("scgf", "--f", "s[1]*s[3]", "--t", "1", "--tol", "1e-300") == 4
+        assert json.loads(capsys.readouterr().err)["error"]["code"] == 4
+
     def test_non_dyadic_grid_is_usage_error(self, capsys):
         code = run_cli(
             "scgf", "--beta", "0", "--f", "s[1]*s[3]", "--t", "-1:1:0.5"
@@ -243,12 +267,16 @@ class TestRateCommand:
         assert by_x[0.0][3] == "0"
 
     def test_non_dyadic_observable_is_usage_error(self, capsys):
-        # rate takes the one-prime route only: s[3] is refused by a bit test
-        # on the index, before any factoring
+        # rate takes the one-prime route only
         assert run_cli("rate", "--f", "s[1]*s[3]", "--x", "0.1") == 2
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["code"] == 2 and err["type"] == "ValueError"
         assert "site index 3 is not a power of two" in err["message"]
+
+    def test_large_prime_index_is_usage_error(self, capsys):
+        assert run_cli("rate", "--f", "s[1]*s[1000000000000000003]", "--x", "0.1") == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["code"] == 2 and "site index 1000000000000000003" in err["message"]
 
 
 class TestScalarCommands:
@@ -305,6 +333,13 @@ class TestScalarCommands:
         code = run_cli("kie-weights", "--primes", "2,3,5,7", "--tol", "1e-100")
         assert code == 4
         assert json.loads(capsys.readouterr().err)["error"]["code"] == 4
+
+    def test_kie_weights_with_a_large_prime(self, tmp_path):
+        out = tmp_path / "w.csv"
+        assert run_cli("kie-weights", "--primes", "2,1000000000000000003", "--tol", "1e-3",
+                       "--output", str(out)) == 0
+        meta = json.loads((tmp_path / "w.csv.meta.json").read_text())
+        assert float(meta["truncation_tail"]) < 1e-3
 
     def test_kie_weights_csv(self, tmp_path):
         out = tmp_path / "w.csv"
@@ -382,6 +417,17 @@ class TestSampleCommand:
 
     def test_requires_output(self, capsys):
         assert run_cli("sample", "--beta", "1", "--N", "4") == 2
+
+    def test_memory_error_exits_4_with_json(self, tmp_path, capsys, monkeypatch):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 931. GiB")
+
+        monkeypatch.setattr(gibbs, "sample", out_of_memory)
+        out = tmp_path / "batch.bin"
+        assert run_cli("sample", "--N", "4", "--output", str(out)) == 4
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"code": 4, "type": "MemoryError", "message": "Unable to allocate 931. GiB"}
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestConfigFile:
@@ -564,6 +610,20 @@ class TestParseGrid:
         assert run_cli("scgf", "--t", "0:1:0") == 2
         assert json.loads(capsys.readouterr().err)["error"]["code"] == 2
 
+    def test_points_at_the_cap(self, monkeypatch):
+        monkeypatch.setattr(cli, "_MAX_GRID_POINTS", 11)
+        assert cli._parse_grid("0:1:0.1").size == 11
+        with pytest.raises(InfeasibleSizeError, match="12 points"):
+            cli._parse_grid("0:1.1:0.1")
+
+    @pytest.mark.parametrize("argv", [["scgf", "--t=-3:3:1e-9"], ["rate", "--x=0:0.9:1e-9"]])
+    def test_grid_past_the_cap_exits_4_before_any_point(self, capsys, argv):
+        # 6e9 and 9e8 points: refused on the count, with no point built
+        assert run_cli(*argv) == 4
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["code"] == 4 and err["type"] == "InfeasibleSizeError"
+        assert f"points (cap {cli._MAX_GRID_POINTS})" in err["message"]
+
 
 def csv_reference(header, columns):
     """The CSV contract, one row at a time."""
@@ -653,7 +713,9 @@ class TestJsonOutput:
 # 2,608 and 1,006 rows (n_j of up to 303 digits in kie-weights-2-deep).  Each
 # is the J-row prefix of the CSV that the conservative analytic tail bound
 # wrote (1,941, 186,712 and 1,008 rows), hashed on that code; the sidecars
-# were re-pinned for the exact truncation_tail and the sums it bounds.
+# were re-pinned for the exact truncation_tail and the sums it bounds.  The
+# zero and constant observables, pinned when the router came to factor every
+# index, take the one-prime route: F is 0 and t, with no index to factor.
 BYTE_IDENTITY = {
     "readme-scgf": (
         ["scgf", "--beta", "0", "--J", "1", "--h", "0", "--f", "s[1]*s[2]", "--t", "-3:3:0.1"],
@@ -684,6 +746,16 @@ BYTE_IDENTITY = {
         ["kie-weights", "--primes", "2", "--tol", "1e-300"],
         "37ab66a9fb42aa6a1a04115b71118bcabfc7d20a3e8674b26e531a9fdcf6a19a",
         "19b1738439b97676818e34fe43e7b7d2d293e06a37f98929e9f0d73ec0ca54e2",
+    ),
+    "scgf-zero-observable": (
+        ["scgf", "--f", "s[1] - s[1]", "--t", "0.5"],
+        "d64998c023c509d553204deb5de010dbf8ea4230a99224c07b0b6c097e992576",
+        "00fae7e0122ec7178b7f097748c31758ceabc4a139946a45c56cd7a5900b2347",
+    ),
+    "scgf-constant-observable": (
+        ["scgf", "--f", "s[1]*s[1]", "--t", "0.5"],
+        "7e1243db8e7572feed7863ea7f0c502ef63925feb5ea9dc13e8b6a4dd00fb244",
+        "3ddbd1fa9b58aae90df33f053b9fc5e916ecb13ebdcea63ab470c4f7351ab921",
     ),
     "scgf-30001-tilts": (
         ["scgf", "--beta", "1", "--J", "1", "--h", "0.3", "--t", "-3:3:0.0002"],

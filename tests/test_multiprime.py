@@ -10,7 +10,7 @@ from multising.errors import InfeasibleSizeError, PreconditionError
 from multising.ising1d import ModelParams, tilted_prefix_pressures
 from multising.multiprime import RegionPressureKey
 from multising.numutil import RunningLogSum
-from multising.observables import Observable, to_first_layer
+from multising.observables import FirstLayerObservable, Observable, to_first_layer
 
 import oracles
 
@@ -60,13 +60,34 @@ class TestExtendObservable:
         basis, fstar = multiprime.extend_observable(Observable.make(pairs))
         assert basis.primes == primes and fstar.dim == len(primes)
 
-    def test_zero_observable_is_refused(self):
+    def test_zero_observable_has_zero_pressure(self):
+        # the zero observable takes the one-prime route, and every route
+        # gives its exact pressure, 0
         zero = Observable.make([((1, 2), 0.0)])
-        for call in (lambda: multiprime.extend_observable(zero),
-                     lambda: multiprime.kie_pressure(zero, P_UNIT, 0.5, 1e-3),
-                     lambda: multiprime.finite_pressure_exact_d(zero, 0.5, 8, P_UNIT)):
-            with pytest.raises(ValueError, match="zero observable"):
-                call()
+        basis, fstar = multiprime.extend_observable(zero)
+        assert basis.primes == (2,) and fstar.dim == 1 and fstar.terms == ()
+        value, rows = multiprime.kie_pressure(zero, P_UNIT, 0.5, 1e-3)
+        assert value == 0.0 and [r.psi_j for r in rows] == [0.0]
+        assert multiprime.finite_pressure_exact_d(zero, 0.5, 8, P_UNIT) == 0.0
+        assert ldp.scgf(fstar, P_UNIT, 0.5, 1e-10)[0] == 0.0
+
+    @pytest.mark.parametrize("index", [10**18 + 3, 2**61 - 1])
+    def test_large_prime_index(self, index):
+        basis, fstar = multiprime.extend_observable(Observable.make([((1, index), 1.0)]))
+        assert basis.primes == (2, index)
+        assert fstar.terms == ((frozenset({(0, 0), (0, 1)}), 1.0),)
+
+    def test_unfactorable_index_is_a_size_error(self):
+        with pytest.raises(InfeasibleSizeError, match="cannot factor"):
+            multiprime.extend_observable(Observable.make([((1, 65537**2), 1.0)]))
+
+    def test_first_layer_is_the_one_prime_route(self):
+        f = Observable.make([((1, 8), 1.0), ((2,), -0.5), ((), 0.25)])
+        basis, fstar = multiprime.extend_observable(f)
+        assert basis.primes == (2,) and to_first_layer(f) == fstar
+        assert fstar == FirstLayerObservable.make([((0, 3), 1.0), ((1,), -0.5), ((), 0.25)])
+        with pytest.raises(ValueError, match="site index 6 is not a power of two"):
+            to_first_layer(Observable.make([((1, 12), 1.0), ((6,), 1.0)]))
 
 
 class TestRegionPressure:
@@ -194,6 +215,18 @@ class TestKiePressure:
         # over more than 22 sites; the width check fails before any Psi_j
         with pytest.raises(InfeasibleSizeError, match="cap"):
             multiprime.kie_pressure(F_TWO, P_UNIT, 1.0, 1e-10)
+
+    def test_tolerance_below_the_mass_floor_is_refused_at_once(self, monkeypatch):
+        # the mass left after the 10^5-term cap is at least 1.09e-165 for
+        # (2, 3), so tol 1e-300 at t = 1 is refused before a weight is drawn
+        def no_terms(basis):
+            raise AssertionError("a term was pulled")
+            yield
+
+        monkeypatch.setattr(arith, "iter_kie_weights", no_terms)
+        assert arith._mass_floor(PrimeBasis((2, 3)), multiprime._MAX_TERMS) > 1e-165
+        with pytest.raises(InfeasibleSizeError, match="cap"):
+            multiprime.kie_pressure(Observable.make([((1, 3), 1.0)]), P_UNIT, 1.0, 1e-300)
 
     def test_small_tolerance_and_its_bound(self):
         # tol 1e-4 at t = 1 takes 144 terms; every partial sum lies within
