@@ -150,6 +150,9 @@ def _load_config(path: str) -> Dict[str, str]:
 
 _CSV_CHUNK_ROWS = 1 << 13
 _MAX_GRID_POINTS = 1_000_000  # at the cap, scgf takes 5.4 s and 75 MB, rate 16 s and 253 MB
+_MAX_INVARIANCE_SITES = 16  # 2^16 patterns per law: invariance takes 9.4 s
+_MAX_SAMPLE_BYTES = 1 << 30  # 4 times the 2^28 spins that took 1.0 s and 297 MB
+_MAX_SMB_COUNT = 1 << 22  # at the cap, smb at N = 2 takes 1.0 s and 710 MB
 
 
 def _open_output(path: Optional[str]):
@@ -312,6 +315,9 @@ def _cmd_sample(cfg) -> int:
     if cfg["output"] is None:
         raise ValueError("sample requires --output")
     n, count, seed = cfg["N"], cfg["count"], cfg["seed"]
+    if n * count > _MAX_SAMPLE_BYTES:
+        raise InfeasibleSizeError(f"sample needs N * count = {n * count} bytes "
+                                  f"(cap {_MAX_SAMPLE_BYTES})")
     batch = gibbs.sample(n, _params(cfg), count, seed)
     (batch.save_binary if cfg["format"] == "bin" else batch.save_csv)(cfg["output"])
     _sidecar("sample", cfg,
@@ -322,6 +328,8 @@ def _cmd_sample(cfg) -> int:
 def _cmd_smb(cfg) -> int:
     params = _params(cfg)
     n, count, seed = cfg["N"], cfg["count"], cfg["seed"]
+    if count > _MAX_SMB_COUNT:
+        raise InfeasibleSizeError(f"smb draws {count} replicas (cap {_MAX_SMB_COUNT})")
     mean, stderr = gibbs.smb_estimate(n, params, count, seed)
     payload = {"mean": mean, "stderr": stderr, "N": n, "count": count, "seed": seed}
     if params.h == 0.0:
@@ -332,6 +340,10 @@ def _cmd_smb(cfg) -> int:
 
 
 def _cmd_invariance(cfg) -> int:
+    k = len(set(cfg["indices"]))
+    if k > _MAX_INVARIANCE_SITES:
+        raise InfeasibleSizeError(f"{k} sites need 2^{k} spin patterns "
+                                  f"(cap 2^{_MAX_INVARIANCE_SITES})")
     rep = gibbs.check_mult_invariance(cfg["indices"], cfg["multiplier"], _params(cfg), cfg["atol"])
     payload = dict(vars(rep), logprob_before=rep.logprob_before.tolist(),
                    logprob_after=rep.logprob_after.tolist())

@@ -300,8 +300,11 @@ def _window_values(fstar: FirstLayerObservable, w: int) -> np.ndarray:
 
 
 # predecessor pairs whose weights, relative to the top one, sum below this
-# are merged in the log domain (see tilted_prefix_pressures)
+# are merged in the log domain, and a tilt whose weights may need more nats
+# than this below the top one takes the log route: e^-600 = 2^-865.6 is a
+# normal double with 156 binades to spare (see tilted_prefix_pressures)
 _PAIR_MIN = 2.0 ** -960
+_LINEAR_SPAN = 600.0
 
 
 def _shift_predecessors(v: np.ndarray, w: int) -> np.ndarray:
@@ -315,24 +318,38 @@ def tilted_prefix_pressures(k: int, fstar: FirstLayerObservable, t, params):
     t-derivative, for i = 0..k, under the infinite chain (pi, Q).
 
     One sliding-window transfer pass in forward mode.  Per window state it
-    carries the log of the tilted weight and the tilted conditional mean of
-    S given that state.  Each step normalises the weights as
-    u = exp(log w - top), top their largest log weight, and the next step
-    reuses u to merge the two predecessors of every successor:
-    log w = top + log(u0 + u1), and the second predecessor's share of the
-    mean is u1 / (u0 + u1).  So each step takes one exponential per window
-    state and one logarithm per pair.  The tilt adds t f* to the log weight
-    and f* to the mean, so dP^i = E_t S_i comes out exactly.  A pair that
-    sums below 2^-960 is merged in the log domain instead, by logaddexp and
-    exp(a1 - merged): at or above it a subnormal partner, off by at most
-    2^-1075, moves the sum by under 2^-114 of itself, so its log and the
-    share keep full precision; below it u may have lost digits or
-    underflowed to 0.  So no window weight underflows at any finite
-    parameters, however large |t|.
+    carries the tilted weight and the tilted conditional mean of S given
+    that state; the tilt adds t f* to the log weight and f* to the mean, so
+    dP^i = E_t S_i comes out exactly.  Step 0 takes u = exp(log w - top) and
+    z = sum u.  Let g(b, q) = log Q(newest slot of q, b) + t f*(q + b n/2),
+    the log weight that new slot b adds to prefix q, c = max g and
+    R = max g - min g.  Then each tilt takes one of two routes.
+
+    Linear: with E = exp(g - c), formed once, a step takes
+    pair(q) = (u(2q) + u(2q+1)) / z and Dp, the same sum of D = u * mean;
+    u' = E pair, D' = E (Dp + pair f*), z' = sum u',
+    P^i = P^{i-1} + c + log z' and dP^i = sum D' / z'.
+
+    Log: a step merges the predecessors of each successor as
+    log w = top + log(u0 + u1), with the second one's share of the mean
+    u1 / (u0 + u1), and forms u anew.  A pair that sums below 2^-960 is
+    merged by logaddexp and exp(a1 - merged) instead: at or above it a
+    subnormal partner, off by at most 2^-1075, moves the sum by under
+    2^-114 of itself.  So no weight underflows at any finite parameters.
+
+    The linear route's certificate.  The top log weight grows by at most
+    max g + log 2 per step, and a state weighs at least its predecessor
+    times e^{min g}.  Every state is reachable from the top one in w steps,
+    so every log weight lies within span = max(w (R + log 2),
+    R0 + (w-1)(R + log 2)) of the top, R0 the range at step 0.  Hence
+    u >= e^-span z / n, pair >= e^-span 2/n and E pair >=
+    e^-(span + R + (w-1) log 2), while u, pair, E <= 1 and z' >= 2 e^-R.
+    Where that exponent is at most _LINEAR_SPAN every weight is a normal
+    double, and an underflow of the signed D' costs at most 2^-1074 against
+    z'; other tilts, overflowing ones too, take the log route.
 
     Returns (P, dP), each of shape (k+1,) for scalar t and (k+1, len(t)) for
-    a vector of tilts.  The table is filled from _tilted_steps, which
-    ldp sums as it runs.
+    a vector of tilts; ldp sums the steps of _tilted_steps as they run.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -345,22 +362,103 @@ def tilted_prefix_pressures(k: int, fstar: FirstLayerObservable, t, params):
     return tuple(out)
 
 
-def _tilted_steps(k: int, fstar: FirstLayerObservable, t: np.ndarray, params):
-    """Yield (P^i, dP^i) for i = 0..k, one (2, t.size) array per step: the
-    pass of tilted_prefix_pressures for a 1-d array of tilts t."""
+def _pass_set_up(fstar: FirstLayerObservable, params):
+    # (w, f*, log Q, log w) of both routes: f* and the untilted log weights
+    # of the first window, log pi(slot 0) + sum_j log Q(slot j, slot j+1), as
+    # columns; new slot b after prefix q costs Q(newest slot of q, b) [b, q, .]
     w = _window_width(fstar)
-    td = _as_transfer(params)
+    td, bits = _as_transfer(params), _window_bits(w)
+    log_q = td.log_Q[(np.arange(1 << (w - 1)) >> (w - 2)) & 1].T[:, :, None]
+    log_w0 = td.log_pi[bits[:, 0]] + td.log_Q[bits[:, :-1], bits[:, 1:]].sum(axis=1)
+    return w, _window_values(fstar, w)[:, None], log_q, log_w0[:, None]
+
+
+def _linear_span(w: int, f, log_q, log_w0, t: np.ndarray) -> np.ndarray:
+    # span + R + (w-1) log 2 per tilt, with r = R + log 2, in one buffer of
+    # the block's size; nan or inf where the tilt overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = np.multiply(f, t)
+        r0 = np.ptp(np.add(g, log_w0, out=g), axis=0)
+        g = np.multiply(f, t, out=g).reshape(2, -1, t.size)
+        r = np.ptp(np.add(g, log_q, out=g).reshape(-1, t.size), axis=0) + _LOG2
+        return np.maximum(w * r, r0 + (w - 1) * r) + r + (w - 2) * _LOG2
+
+
+def _tilted_steps(k: int, fstar: FirstLayerObservable, t: np.ndarray, params):
+    """Iterate (P^i, dP^i) for i = 0..k, one (2, t.size) array per step: the
+    pass of tilted_prefix_pressures for a 1-d array of tilts t, each tilt on
+    the route that its certificate picks."""
+    set_up = _pass_set_up(fstar, params)
+    linear = _linear_span(*set_up, t) <= _LINEAR_SPAN
+    if linear.all() or not linear.any():
+        return (_linear_steps if linear.all() else _log_steps)(k, *set_up, t)
+
+    def merged(steps):
+        for a, b in steps:
+            step = np.empty((2, t.size))
+            step[:, linear], step[:, ~linear] = a, b
+            yield step
+
+    return merged(zip(_linear_steps(k, *set_up, t[linear]),
+                      _log_steps(k, *set_up, t[~linear])))
+
+
+def _first_step(log_w, mean, u, um):
+    # (top, z, step) of tilted log weights; u = exp(log_w - top) and
+    # um = u * mean are written in place
+    top = log_w.max(axis=0)
+    np.exp(np.subtract(log_w, top, out=u), out=u)
+    z = u.sum(axis=0)
+    step = np.empty((2, log_w.shape[1]))
+    np.divide(np.multiply(u, mean, out=um).sum(axis=0), z, out=step[1])
+    np.add(top, np.log(z), out=step[0])
+    return top, z, _finite(step)
+
+
+def _finite(step: np.ndarray) -> np.ndarray:
+    if not np.isfinite(step).all():
+        raise PreconditionError("tilted pass is not finite; the tilt is too large")
+    return step
+
+
+def _linear_steps(k: int, w: int, f, log_q, log_w0, t: np.ndarray):
+    # the linear route of tilted_prefix_pressures
+    if t.size == 1:  # numpy sums one column pairwise, more row by row
+        yield from (s[:, :1] for s in _linear_steps(k, w, f, log_q, log_w0, np.repeat(t, 2)))
+        return
+    tf = f * t
+    u, d = np.empty((2,) + tf.shape)
+    _, z, step = _first_step(log_w0 + tf, f, u, d)
+    yield step
+    # E = exp(g - c) takes the buffer of tf; every step writes u, d, pair and
+    # dp in place, so the views below stay valid for the whole pass
+    e = np.add(log_q, tf.reshape(2, -1, t.size), out=tf.reshape(2, -1, t.size))
+    c = e.max(axis=(0, 1))
+    np.exp(np.subtract(e, c, out=e), out=e)
+    p = step[0].copy()
+    (u0, u1), (d0, d1) = (np.moveaxis(_shift_predecessors(x, w), 1, 0) for x in (u, d))
+    pair, dp = np.empty((2,) + u0.shape)
+    for _ in range(k):
+        np.divide(np.add(u0, u1, out=pair), z, out=pair)
+        np.divide(np.add(d0, d1, out=dp), z, out=dp)
+        np.multiply(e, pair, out=u.reshape(e.shape))
+        succ_d = np.multiply(pair, f.reshape(2, -1, 1), out=d.reshape(e.shape))
+        np.multiply(np.add(succ_d, dp, out=succ_d), e, out=succ_d)
+        u.sum(axis=0, out=z)
+        p += c
+        p += np.log(z)
+        step = np.empty((2, t.size))
+        step[0] = p
+        np.divide(d.sum(axis=0, out=step[1]), z, out=step[1])
+        yield _finite(step)
+
+
+def _log_steps(k: int, w: int, f, log_q, log_w0, t: np.ndarray):
+    # the log route of tilted_prefix_pressures
     n, size = 1 << w, t.size
     half = n >> 1
-    f = _window_values(fstar, w)[:, None]
     tf = f * t[None, :]
-    # successor weights: new slot b after prefix q costs Q(newest slot of q, b)
-    tops = (np.arange(half) >> (w - 2)) & 1
-    log_q = td.log_Q[tops].T[:, :, None]  # (2, n/2, 1), indexed [b, q, .]
-    # window states start at log pi(slot 0) + sum_j log Q(slot j, slot j+1)
-    bits = _window_bits(w)
-    log_w = td.log_pi[bits[:, 0]] + td.log_Q[bits[:, :-1], bits[:, 1:]].sum(axis=1)
-    log_w = log_w[:, None] + np.zeros((1, size))
+    log_w = log_w0 + np.zeros((1, size))
     mean = np.zeros((n, size))
     u, um = np.empty((2, n, size))
     # every step writes the state and scratch buffers in place, so the views
@@ -391,14 +489,7 @@ def _tilted_steps(k: int, fstar: FirstLayerObservable, t: np.ndarray, params):
         else:
             mean += f
         log_w += tf
-        top = log_w.max(axis=0)
-        np.exp(np.subtract(log_w, top, out=u), out=u)
-        z = u.sum(axis=0)
-        step = np.empty((2, size))
-        np.divide(np.multiply(u, mean, out=um).sum(axis=0), z, out=step[1])
-        np.add(top, np.log(z), out=step[0])
-        if not np.isfinite(step).all():
-            raise PreconditionError("tilted pass is not finite; the tilt is too large")
+        top, _, step = _first_step(log_w, mean, u, um)
         yield step
 
 

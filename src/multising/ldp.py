@@ -51,9 +51,10 @@ __all__ = [
 ]
 
 # window-state entries per tilt block of the prefix pass.  A block holds only
-# its window states (seven arrays of this many doubles, 1.8 MB), because the
-# series is summed as the pass runs; larger blocks cut the per-step numpy
-# overhead, smaller ones keep the step arrays in cache
+# its window states, because the series is summed as the pass runs: seven
+# arrays of this many doubles (1.8 MB) on the log route, four (1.0 MB) on the
+# linear route, and no more where a block splits between them; larger blocks
+# cut the per-step numpy overhead, smaller ones keep the step arrays in cache
 _BLOCK_ENTRIES = 1 << 15
 _SOLVE_MAX_ITER = 200
 

@@ -194,12 +194,16 @@ def tilted_prefix_moments(k, fstar, t, params):
     """(P, dP, d2P) of the tilted prefix pressures P^i(t f*), i = 0..k, each
     of shape (k+1,) for scalar t and (k+1, len(t)) for a vector of tilts.
 
-    The forward-mode log-domain window pass of ising1d.tilted_prefix_pressures,
-    its merge by the last step's normalised weights and its log-domain
-    rescue of tiny pairs included, in plain expressions, with the variance
-    channel that the package no longer carries: per window state the log
-    tilted weight, the tilted conditional mean of S and its conditional
-    variance, so that d2P^i = Var_t S_i.  The reference for ising1d.prefix_variances.
+    The log route of ising1d.tilted_prefix_pressures, its merge by the last
+    step's normalised weights and its log-domain rescue of tiny pairs
+    included, in plain expressions, with the variance channel that the
+    package no longer carries: per window state the log tilted weight, the
+    tilted conditional mean of S and its conditional variance, so that
+    d2P^i = Var_t S_i.  The package takes the log route for a tilt whose
+    weight span the linear route's certificate does not cover, or for every
+    tilt with _LINEAR_SPAN set to -inf; the linear route agrees with this
+    pass to about 1e-15 in F and F', not bit for bit.  The reference for
+    ising1d.prefix_variances.
     """
     from multising.ising1d import transfer
 

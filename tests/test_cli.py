@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -429,6 +430,41 @@ class TestSampleCommand:
         assert err == {"code": 4, "type": "MemoryError", "message": "Unable to allocate 931. GiB"}
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, message", [
+        (["invariance", "--indices", ",".join(map(str, range(1, 27)))],
+         "26 sites need 2^26 spin patterns (cap 2^16)"),
+        (["sample", "--N", "1000000000", "--count", "1000"],
+         "sample needs N * count = 1000000000000 bytes (cap 1073741824)"),
+        (["smb", "--N", "4096", "--count", "1000000000"],
+         "smb draws 1000000000 replicas (cap 4194304)"),
+    ], ids=["invariance", "sample", "smb"])
+    def test_size_caps_exit_4_before_any_work(self, tmp_path, capsys, monkeypatch, argv, message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the size check comes first")
+
+        for name in ("check_mult_invariance", "sample", "smb_estimate"):
+            monkeypatch.setattr(gibbs, name, no_work)
+        start = time.perf_counter()
+        assert run_cli(*argv, "--output", str(tmp_path / "out")) == 4
+        assert time.perf_counter() - start < 1.0
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"code": 4, "type": "InfeasibleSizeError", "message": message}
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, cap, argv", [
+        ("invariance", "_MAX_INVARIANCE_SITES", ["--indices", "1,2,3,3"]),
+        ("sample", "_MAX_SAMPLE_BYTES", ["--N", "8", "--count", "4"]),
+        ("smb", "_MAX_SMB_COUNT", ["--N", "8", "--count", "3"]),
+    ])
+    def test_size_caps_admit_the_cap(self, tmp_path, monkeypatch, command, cap, argv):
+        # 3 distinct sites, 32 bytes and 3 replicas: run at a cap of that
+        # size, refused at one less
+        monkeypatch.setattr(cli, cap, {"invariance": 3, "sample": 32, "smb": 3}[command])
+        out = str(tmp_path / "out")
+        assert run_cli(command, *argv, "--output", out) == 0
+        monkeypatch.setattr(cli, cap, getattr(cli, cap) - 1)
+        assert run_cli(command, *argv, "--output", out) == 4
+
 
 class TestConfigFile:
     def test_config_supplies_and_flags_override(self, tmp_path, capsys):
@@ -708,7 +744,11 @@ class TestJsonOutput:
 # came to merge predecessor pairs by the last step's normalised weights:
 # F moved by at most 1.3e-15 and F' by 5.6e-16 (4.4e-16 and 2.2e-16 in
 # readme-scgf), I by 3.3e-16 and t* by 1.2e-15, and trunc_err and every
-# sidecar byte are unchanged.  The three kie-weights
+# sidecar byte are unchanged.  The same three were re-pinned when tilts whose
+# weight span fits a double came to take the linear-scale pass: F moved by
+# at most 1.3e-15 and F' by 5.6e-16 (4.4e-16 and 3.3e-16 in readme-scgf), I
+# by 2.2e-16 and t* by 1.3e-15, with trunc_err and the sidecars unchanged.
+# The three kie-weights
 # CSVs stop at the first J whose exact remaining mass is below --tol: 387,
 # 2,608 and 1,006 rows (n_j of up to 303 digits in kie-weights-2-deep).  Each
 # is the J-row prefix of the CSV that the conservative analytic tail bound
@@ -719,12 +759,12 @@ class TestJsonOutput:
 BYTE_IDENTITY = {
     "readme-scgf": (
         ["scgf", "--beta", "0", "--J", "1", "--h", "0", "--f", "s[1]*s[2]", "--t", "-3:3:0.1"],
-        "b3eb25a7a1a8383f6f182b25f83a5498d1d722491a7fef77bc0c03aa7985a789",
+        "56ce707e34db566a9e405c2e6f36c6891c16b58d8c2672315e8200a027c93945",
         "3864d20abff49ac2749f0b8d7f4fcf5b63e1412f2051eb7aef16eea44a6343ab",
     ),
     "readme-rate": (
         ["rate", "--beta", "0", "--J", "1", "--h", "0", "--f", "s[1]*s[2]", "--x", "-0.9:0.9:0.05"],
-        "7ffa1871b12c82f4694a338fbc4c3fb783b69aa8907e8e32b3d0720051cefbcd",
+        "0660671b8cac9a3ca5e43d4fd00a59bf81ae2158b998005f8c3f1fef253bcdd9",
         "24f17ca409ca6453af6e674d701965046a769483cbb39b9081c0458b2a0c3cab",
     ),
     "readme-series": (
@@ -759,7 +799,7 @@ BYTE_IDENTITY = {
     ),
     "scgf-30001-tilts": (
         ["scgf", "--beta", "1", "--J", "1", "--h", "0.3", "--t", "-3:3:0.0002"],
-        "d420eaf7ec4e032ed29bdae183adecf22c50a860d725bddf16421c1b8d403237",
+        "f5d3305b0f88f670e1c12b09e25811d0828739c3d16753599b6be4f8eeee14de",
         "ca5f3506a46ede878c481ccd6daf7626e422ad5b1ffc20c1be73dac5ef3cd922",
     ),
 }

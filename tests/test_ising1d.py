@@ -246,6 +246,7 @@ class TestMarginalEntropy:
 F_PAIR = FirstLayerObservable.make([([0, 1], 1.0)])
 F_SITE = FirstLayerObservable.make([([0], 1.0)])
 F_WIDTH3 = FirstLayerObservable.make([([0], 1.0), ([0, 2], 0.5)])  # s[1] + 0.5*s[1]*s[4]
+F_WIDTH4 = FirstLayerObservable.make([([0, 3], 1.0), ([1], -0.5), ([0, 1, 2], 2.0)])
 
 
 def _first_order_is_finite(params):
@@ -262,6 +263,20 @@ def _second_order_is_finite(params):
     assert np.all(np.isfinite(got))
     want = oracles.tilted_prefix_moments(5, F_PAIR, 0.0, params)[2]
     assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def _spy_routes(monkeypatch):
+    # the tilts that reach each route of the tilted pass, by route name
+    seen = {}
+    for name in ("linear", "log"):
+        route = getattr(ising1d, f"_{name}_steps")
+
+        def spy(k, *args, route=route, name=name):
+            seen.setdefault(name, set()).update(args[-1].tolist())
+            return route(k, *args)
+
+        monkeypatch.setattr(ising1d, f"_{name}_steps", spy)
+    return seen
 
 
 class TestTiltedPressure:
@@ -396,17 +411,77 @@ class TestTiltedPressure:
         F_WIDTH3,
         FirstLayerObservable.make([([0, 3], 1.0), ([1], -0.5)]),
     ], ids=["width1", "width2", "width3", "width4"])
-    def test_first_order_is_second_order_without_variance(self, fstar):
-        # the package pass is the second-order reference pass without its
-        # variance channel, bit for bit, so the reference's d2P belongs to it
+    def test_first_order_is_second_order_without_variance(self, fstar, monkeypatch):
+        # the log route is the second-order reference pass without its
+        # variance channel, bit for bit, so the reference's d2P belongs to
+        # it; the default routes agree with it
         t_grid = np.concatenate([np.linspace(-20.0, 20.0, 41), [-7.3, 0.0, 1e-3, 13.7]])
         for params in (ModelParams(1.0, 1.0, 0.3), ModelParams(2.5, -0.7, -1.2)):
             for t in (0.8, -20.0, t_grid):
-                first = ising1d.tilted_prefix_pressures(12, fstar, t, params)
                 second = oracles.tilted_prefix_moments(12, fstar, t, params)
+                default = ising1d.tilted_prefix_pressures(12, fstar, t, params)
+                with monkeypatch.context() as m:
+                    m.setattr(ising1d, "_LINEAR_SPAN", -math.inf)
+                    first = ising1d.tilted_prefix_pressures(12, fstar, t, params)
                 assert len(first) == 2 and len(second) == 3
                 assert np.array_equal(first[0], second[0])
                 assert np.array_equal(first[1], second[1])
+                assert np.allclose(default[0], second[0], rtol=1e-14, atol=1e-14)
+                assert np.allclose(default[1], second[1], rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("fstar, params, t", [
+        (F_PAIR, ModelParams(1.0, 1.0, 0.3), 0.7),
+        (F_PAIR, ModelParams(1.0, 1.0, 0.3), 95.0),
+        (F_WIDTH3, ModelParams(2.5, -0.7, -1.2), -45.0),
+    ], ids=["pair-0.7", "pair-95", "width3-minus45"])
+    def test_both_routes_match_enumeration_either_side_of_the_cap(self, fstar, params, t,
+                                                                   monkeypatch):
+        # a tilt takes the linear route at a cap equal to its span and the
+        # log route one ulp below it; spans of 584 and 577 nats sit just
+        # under the real cap of 600
+        k = 4
+        span = ising1d._linear_span(*ising1d._pass_set_up(fstar, params), np.array([t]))[0]
+        want = oracles.tilted_pressure_by_enumeration(k, fstar, t, params)
+        seen = _spy_routes(monkeypatch)
+        for cap, route in ((span, "linear"), (np.nextafter(span, -math.inf), "log")):
+            monkeypatch.setattr(ising1d, "_LINEAR_SPAN", cap)
+            seen.clear()
+            P = ising1d.tilted_prefix_pressures(k, fstar, t, params)[0]
+            assert set(seen) == {route}
+            assert P[-1] == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("fstar", [F_SITE, F_PAIR, F_WIDTH3, F_WIDTH4],
+                             ids=["width1", "width2", "width3", "width4"])
+    def test_routes_agree_on_a_grid(self, fstar, monkeypatch):
+        # the default routes (linear here) and the log route: F and F' to
+        # 1e-14, on a grid of three tilt blocks
+        from multising import ldp
+
+        grid = np.linspace(-3.0, 3.0, 2001)
+        for params in (ModelParams(1.0, 1.0, 0.3), ModelParams(3.0, 1.0, -1.0)):
+            seen = _spy_routes(monkeypatch)
+            default = ldp.scgf_values(fstar, params, grid)
+            assert set(seen) == {"linear"}
+            with monkeypatch.context() as m:
+                m.setattr(ising1d, "_LINEAR_SPAN", -math.inf)
+                log = ldp.scgf_values(fstar, params, grid)
+            for a, b in zip(default[:2], log[:2]):
+                assert np.allclose(a, b, rtol=1e-14, atol=1e-14)
+            assert np.array_equal(default[2], log[2])
+
+    @pytest.mark.parametrize("fstar", [F_SITE, F_PAIR, F_WIDTH3, F_WIDTH4],
+                             ids=["width1", "width2", "width3", "width4"])
+    def test_a_tilt_keeps_its_bits_beside_other_routes(self, fstar, monkeypatch):
+        # one log-route tilt among linear ones: each tilt's (P, dP) is the
+        # same alone and in the mixed block
+        params = ModelParams(1.0, 1.0, 0.3)
+        block = np.array([0.3, -1000.0, -1.7, 2.5])
+        seen = _spy_routes(monkeypatch)
+        P, dP = ising1d.tilted_prefix_pressures(9, fstar, block, params)
+        assert seen == {"linear": {0.3, -1.7, 2.5}, "log": {-1000.0}}
+        for i, t in enumerate(block):
+            alone = ising1d.tilted_prefix_pressures(9, fstar, t, params)
+            assert np.array_equal(alone[0], P[:, i]) and np.array_equal(alone[1], dP[:, i])
 
     @pytest.mark.parametrize("check", [_first_order_is_finite, _second_order_is_finite],
                              ids=["1", "2"])

@@ -101,23 +101,29 @@ class TestScgfCurve:
         assert len(columns) == 4 and all(len(c) == curve.grid.size for c in columns)
         assert columns[0] is curve.grid and columns[1] is curve.F
 
-    def test_first_order_curve_matches_second_order_values(self):
+    def test_first_order_curve_matches_second_order_values(self, monkeypatch):
         # 5,001 tilts of a width-4 observable span three tilt blocks of the
-        # pass; the curve is the series of the second-order reference pass,
-        # bit for bit, summed to the same depth
+        # pass; on the log route the curve is the series of the second-order
+        # reference pass, bit for bit, summed to the same depth, and on the
+        # default (linear) route it agrees with that series to 1e-14
         fstar = to_first_layer(Observable.make([((1, 8), 1.0), ((2,), -0.5)]))
         params = ModelParams(1.0, 1.0, 0.3)
         grid = np.linspace(-3.0, 3.0, 5001)
         assert grid.size > 2 * (ldp._BLOCK_ENTRIES >> max(fstar.widths))
+        depth = ldp.series_depth_for(fstar, 3.0, 1e-10)
+        P, dP, _ = oracles.tilted_prefix_moments(depth, fstar, grid, params)
+        s = np.abs(grid) * fstar.sup_bound
+        (want_F, want_fprime), want_errs = arith.dyadic_sum(np.stack([P, dP], axis=1), (s, s, 0.0))
+        default = ldp.scgf_curve(fstar, params, grid)
+        assert np.allclose(default.F, want_F, rtol=1e-14, atol=1e-14)
+        assert np.allclose(default.Fprime, want_fprime, rtol=1e-14, atol=1e-14)
+        assert np.array_equal(default.trunc_err, want_errs)
+        monkeypatch.setattr(ising1d, "_LINEAR_SPAN", -math.inf)
         curve = ldp.scgf_curve(fstar, params, grid)
         F, fprime, errs = ldp.scgf_values(fstar, params, grid)
         assert np.array_equal(curve.F, F)
         assert np.array_equal(curve.Fprime, fprime)
         assert np.array_equal(curve.trunc_err, errs)
-        depth = ldp.series_depth_for(fstar, 3.0, 1e-10)
-        P, dP, _ = oracles.tilted_prefix_moments(depth, fstar, grid, params)
-        s = np.abs(grid) * fstar.sup_bound
-        (want_F, want_fprime), want_errs = arith.dyadic_sum(np.stack([P, dP], axis=1), (s, s, 0.0))
         assert np.array_equal(curve.F, want_F)
         assert np.array_equal(curve.Fprime, want_fprime)
         assert np.array_equal(curve.trunc_err, want_errs)
