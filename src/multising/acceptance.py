@@ -13,6 +13,7 @@ import functools
 import itertools
 import math
 import time
+from collections import Counter
 from fractions import Fraction
 from typing import Callable, List, Tuple
 
@@ -268,8 +269,10 @@ def criterion_dyadic_average() -> Tuple[bool, str]:
 def criterion_region_pressure() -> Tuple[bool, str]:
     """Exact region pressures vs brute_region_pressure (<=1e-10) on 25
     lower closures of random points, each with a dependence set of at most
-    16 sites; equal-cardinality layer regions (basis {2,3}, cardinality
-    <= 6) have identical pressures or a witness is emitted."""
+    16 sites; at every volume n <= 120 over basis {2,3}, each layer region
+    is the canonical region of its cardinality j (so all share Psi_j), and
+    c_j(n) of arith.layer_counts of them have cardinality j, or a witness is
+    emitted: finite_pressure_exact_d's (1/n) sum_j c_j(n) Psi_j rests on both."""
     rng = np.random.default_rng(SEED + 1)
     params = ModelParams(0.8, 1.0, 0.3)
     f_two = Observable.make([((1, 2), 1.0), ((1, 3), 1.0)])
@@ -291,27 +294,20 @@ def criterion_region_pressure() -> Tuple[bool, str]:
         worst = max(worst, abs(a - b))
         done += 1
 
-    shapes = multiprime.layer_region_shapes(PrimeBasis((2, 3)), 120, 6)
+    basis = PrimeBasis((2, 3))
+    canonical = [arith.decompose(m, basis).exponents for _, m, _ in arith.layer_counts(120, basis)]
     witness = None
-    n_shapes = {c: len(s) for c, s in shapes.items()}
-    for c, shape_set in shapes.items():
-        pressures = [
-            multiprime.region_pressure(
-                multiprime.RegionPressureKey(Region(s), fstar, 0.4), td
-            )
-            for s in shape_set
-        ]
-        if max(pressures) - min(pressures) > 1e-10:
-            witness = (c, shape_set)
+    for n in range(1, 121):
+        part = arith.layer_partition(n, basis).items()
+        stray = [r for r, reg in part if reg.points != frozenset(canonical[:reg.cardinality])]
+        counts = {j: c for j, _, c in arith.layer_counts(n, basis) if c}
+        if stray or Counter(reg.cardinality for _, reg in part) != counts:
+            witness = f"n={n}: non-canonical layers {stray}, layer_counts {counts}"
+            break
     ok = worst <= 1e-10 and witness is None
-    detail = (
-        f"25 oracle cases, max |diff| {worst:.3e} (tol 1e-10); shape scan "
-        f"cardinality->distinct shapes {n_shapes} (equal-cardinality regions "
-        f"coincide, pressures agree)"
-    )
-    if witness is not None:
-        detail += f"; WITNESS at cardinality {witness[0]}"
-    return ok, detail
+    detail = (f"25 oracle cases, max |diff| {worst:.3e} (tol 1e-10); shape scan n<=120 "
+              f"over (2, 3): every layer region canonical, cardinalities counted by layer_counts")
+    return ok, detail + (f"; WITNESS at {witness}" if witness else "")
 
 
 def criterion_monte_carlo() -> Tuple[bool, str]:

@@ -5,6 +5,9 @@ to the chosen prime basis.  The i <-> (r, x) relabeling partitions [1, N] into
 geometric-progression layers; the counting measures of those layers converge
 to explicit weight series (the dyadic 1/2^{p+2} weights for basis {2}, and
 the smooth-number series kappa * (1/n_j - 1/n_{j+1}) for general bases).
+layer_counts gives the number c_j(n) = Phi(n // n_j) - Phi(n // n_{j+1}) of
+layers of [1, n] of region cardinality j (Phi: Legendre's count of integers
+coprime to the basis), exact to n = 10^9 and past; layer_partition lists them.
 Everything here is exact integer / rational arithmetic; floating point enters
 only when a weight is finally materialized.  iter_kie_weights streams the
 smooth numbers by a heap merge with each weight w_j and the exact remaining
@@ -21,7 +24,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, Tuple
+from typing import Callable, Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -37,6 +40,7 @@ __all__ = [
     "decompose",
     "psi2",
     "layer_partition",
+    "layer_counts",
     "koroa_finite_average",
     "dyadic_depth",
     "dyadic_sum",
@@ -126,6 +130,9 @@ class PrimeBasis:
         return float(self.kappa_fraction())
 
 
+BASIS2 = PrimeBasis((2,))  # the one-prime basis of the psi2 layers
+
+
 @dataclass(frozen=True)
 class LayerIndex:
     """i = r * prod(p_i^x_i) with r coprime to every basis prime."""
@@ -199,21 +206,35 @@ def layer_partition(n: int, basis: PrimeBasis) -> Dict[int, Region]:
     return {r: Region(frozenset(pts)) for r, pts in buckets.items()}
 
 
+def layer_counts(n: int, basis: PrimeBasis) -> List[Tuple[int, int, int]]:
+    """(j, n_j, c_j) for every basis-smooth n_j <= n, zero counts included:
+    the c_j layers r of [1, n] with n // n_{j+1} < r <= n // n_j hold the
+    n_1 .. n_j times r, so c_j = Phi(n // n_j) - Phi(n // n_{j+1}) with
+    Phi(x) = sum_{d | rad} mu(d) (x // d).  sum_j j c_j = n exactly."""
+    if n < 1:
+        raise ValueError("volume must be >= 1")
+    mobius = [(1, 1)]  # (d, mu(d)) for the squarefree basis products d <= n
+    for p in basis.primes:
+        mobius += [(d * p, -mu) for d, mu in mobius if d * p <= n]
+    smooth = list(itertools.takewhile(lambda m: m <= n, _smooth_heap(basis.primes)))
+    phi = [sum(mu * (n // m // d) for d, mu in mobius) for m in smooth] + [0]
+    return [(j, m, phi[j - 1] - phi[j]) for j, m in enumerate(smooth, 1)]
+
+
 # ---------------------------------------------------------------------------
 # Dyadic layer series (basis {2}).
 # ---------------------------------------------------------------------------
 
 
 def koroa_finite_average(phi: Callable[[int], object], n: int):
-    """(1/n) * sum over odd i <= n of phi(psi2(i, n)), computed exactly.
+    """(1/n) * sum over odd i <= n of phi(psi2(i, n)), computed exactly from
+    the c_j odd i with psi2(i, n) = j - 1 that layer_counts gives.
 
     If phi returns ints or Fractions the result is an exact Fraction.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    total = 0
-    for i in range(1, n + 1, 2):
-        total = total + phi(psi2(i, n))
+    total = sum(c * phi(j - 1) for j, _, c in layer_counts(n, BASIS2) if c)
     if isinstance(total, (int, Fraction)):
         return Fraction(total, n)
     return total / n

@@ -131,33 +131,21 @@ def _isolated_site_log_weight(params: ModelParams, bc: str, jbc: float) -> float
     return x + math.log1p(math.exp(-2.0 * x))
 
 
-def layer_count_by_depth(n: int) -> Dict[int, int]:
-    """Number of odd r <= n with psi2(r, n) = p, for each p."""
-    counts = {}
-    p = 0
-    while (n >> p) >= 1:
-        c = _odd_count(n >> p) - _odd_count(n >> (p + 1))
-        if c:
-            counts[p] = c
-        p += 1
-    return counts
-
-
 def finite_volume_log_partition(n: int, params: ModelParams, bc: str = "free",
                                 bc_coupling: str = "J") -> float:
     """Exact log Z over the volume [1, 2n] by layer factorization.
 
-    A layer with psi2 = p contributes a chain with p+1 bonds (sites 0..p+1);
-    odd sites in (n, 2n] are isolated single-site factors.
+    A layer with psi2 = p = j - 1 contributes a chain with p+1 bonds (sites
+    0..p+1); odd sites in (n, 2n] are isolated single-site factors.
     """
     if bc not in BOUNDARY_CONDITIONS:
         raise ValueError(f"unknown boundary condition {bc!r}")
     jbc = _boundary_coupling(params, bc_coupling)
-    counts = layer_count_by_depth(n)
-    log_z = log_partition_prefix(max(counts) + 1, params.beta * params.J,
+    counts = [(j - 1, c) for j, _, c in arith.layer_counts(n, arith.BASIS2) if c]
+    log_z = log_partition_prefix(counts[-1][0] + 1, params.beta * params.J,
                                  params.beta * params.h, bc, params.beta * jbc)
     total = 0.0
-    for p, c in counts.items():
+    for p, c in counts:
         total += c * log_z[p + 1]
     n_iso = _odd_count(2 * n) - _odd_count(n)
     total += n_iso * _isolated_site_log_weight(params, bc, jbc)
@@ -375,9 +363,9 @@ class SampleBatch:
 
 def _depth_classes(n: int) -> List[Tuple[int, np.ndarray]]:
     """(p, the odd r with psi2(r, n) = p in increasing order) for each depth
-    p that has layers: the odd r in (n >> (p+1), n >> p]."""
-    return [(p, np.arange(((n >> (p + 1)) + 1) | 1, (n >> p) + 1, 2))
-            for p in layer_count_by_depth(n)]
+    p = j - 1 that has layers: the odd r in (n >> (p+1), n >> p]."""
+    return [(j - 1, np.arange(((n >> j) + 1) | 1, (n >> (j - 1)) + 1, 2))
+            for j, _, c in arith.layer_counts(n, arith.BASIS2) if c]
 
 
 def _lane_split(theta: float) -> Tuple[int, float]:
@@ -568,7 +556,7 @@ def smb_estimate(n: int, params: ModelParams, count: int, seed: int) -> Tuple[fl
 
     _on_workers(tally, range(len(groups)))
     m0, leave, enter, mm = counts.sum(axis=0)
-    layers = sum(layer_count_by_depth(n).values())
+    layers = _odd_count(n)
     k = np.stack([layers - m0, m0,                          # pi(+), pi(-)
                   n - layers - leave - enter + mm, enter - mm,  # Q(+,+), Q(+,-)
                   leave - mm, mm], axis=1)                  # Q(-,+), Q(-,-)

@@ -14,12 +14,12 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from . import arith
-from .arith import PrimeBasis, Region
+from .arith import Region
 from .errors import InfeasibleSizeError, PreconditionError
 from .ising1d import ModelParams, _as_transfer, log_q_power, log_site_law, transfer
 from .observables import FirstLayerObservable, Observable, extend_observable
@@ -31,7 +31,6 @@ __all__ = [
     "region_pressure",
     "kie_pressure",
     "finite_pressure_exact_d",
-    "layer_region_shapes",
 ]
 
 WIDTH_CAP = 22  # sites spanned by the largest intermediate factor: 2^22 doubles, 32 MB
@@ -209,6 +208,26 @@ def region_pressure(key: RegionPressureKey, params) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _psi_table(points: List[Tuple[int, ...]], js: Sequence[int], fstar: FirstLayerObservable,
+               t: float, td, need: str) -> Dict[int, float]:
+    """{j: Psi_j} for the increasing js, on the canonical regions of the
+    first j points.  All are planned first, widest first, so one past the
+    factor-width cap fails (with `need`, what takes it) before any Psi_j is
+    computed; a Psi_j that is not finite is a PreconditionError."""
+    for j in reversed(js):
+        try:
+            _plan(frozenset(points[:j]), fstar)
+        except InfeasibleSizeError as err:
+            raise InfeasibleSizeError(
+                f"{need}, and term j={j} exceeds the factor-width cap: {err}") from err
+    table = {}
+    for j in js:
+        table[j] = region_pressure(RegionPressureKey(Region(frozenset(points[:j])), fstar, t), td)
+        if not math.isfinite(table[j]):
+            raise PreconditionError(f"the region pressure Psi_{j} is {table[j]}, not finite")
+    return table
+
+
 @dataclass(frozen=True)
 class SeriesRow:
     j: int
@@ -230,12 +249,11 @@ def kie_pressure(f: Observable, params: ModelParams, t: float,
     params and shared by every Psi_j.  Truncation uses |Psi_j| <= j |t|
     sup|f*| together with the exact remaining mass sum_{j>J} j w_j that
     iter_kie_weights yields (mass identity), the rule kie_weights stops on.
-    That bound does not involve Psi, so the stopping index J is found first
-    and every region j <= J is checked against the factor-width cap before
-    any Psi_j is computed; a tolerance past the cap, or one that
-    arith._mass_floor puts past _MAX_TERMS terms, fails at once.  A NaN or
-    infinite tilt is refused before J is chosen, and a Psi_j that is not
-    finite raises PreconditionError rather than entering the table.
+    That bound does not involve Psi, so J is found first and _psi_table
+    checks every region j <= J against the factor-width cap before any
+    Psi_j is computed: a tolerance past the cap, or one that _mass_floor
+    puts past _MAX_TERMS terms, fails at once, and a NaN or infinite tilt
+    before J is chosen.  A Psi_j that is not finite raises PreconditionError.
     """
     if not math.isfinite(t):
         raise ValueError(f"tilt t must be finite, got {t!r}")
@@ -257,57 +275,32 @@ def kie_pressure(f: Observable, params: ModelParams, t: float,
             break
         if j >= _MAX_TERMS:
             raise refusal
-    for j in range(len(terms), 0, -1):  # the widest region first
-        try:
-            _plan(frozenset(points[:j]), fstar)
-        except InfeasibleSizeError as err:
-            raise InfeasibleSizeError(
-                f"reaching tol={tol:g} takes the series terms j <= {len(terms)}, "
-                f"and term j={j} exceeds the factor-width cap: {err}"
-            ) from err
+    psi = _psi_table(points, range(1, len(terms) + 1), fstar, t, td,
+                     f"reaching tol={tol:g} takes the series terms j <= {len(terms)}")
     value = 0.0
     rows: List[SeriesRow] = []
     for j, n_j, w_j, tail in terms:
-        region = Region(frozenset(points[:j]))
-        psi = region_pressure(RegionPressureKey(region, fstar, t), td)
-        if not math.isfinite(psi):
-            raise PreconditionError(f"the region pressure Psi_{j} is {psi}, not finite")
-        value += w_j * psi
-        rows.append(SeriesRow(j, n_j, w_j, psi, value, tail))
+        value += w_j * psi[j]
+        rows.append(SeriesRow(j, n_j, w_j, psi[j], value, tail))
     return value, rows
 
 
 def finite_pressure_exact_d(f: Observable, t: float, n: int, params: ModelParams) -> float:
-    """(1/n) sum over layers r <= n of the exact region pressure of the layer
-    region; the finite-volume counterpart of kie_pressure, used for
-    convergence diagnostics and as the authoritative fallback."""
+    """(1/n) log E exp(t sum_{i<=n} f(s_{i.})) on [1, n], exactly, for
+    convergence diagnostics and as the authoritative fallback.  A layer
+    region of cardinality j is the canonical region of Psi_j, so this is
+    (1/n) sum_j c_j(n) Psi_j over the c_j > 0 of arith.layer_counts, one
+    region per smooth n_j <= n (306 for (2, 3) at n = 10^9), guarded alike."""
     if n < 1:
         raise ValueError("volume must be >= 1")
     basis, fstar = extend_observable(f)
     td = transfer(params)
-    partition = arith.layer_partition(n, basis)
-    cache: Dict[frozenset, float] = {}
+    counts = arith.layer_counts(n, basis)
+    points = [arith.decompose(n_j, basis).exponents for _, n_j, _ in counts]
+    layers = {j: c for j, _, c in counts if c}
+    psi = _psi_table(points, list(layers), fstar, t, td,
+                     f"the volume n={n} holds layer regions up to cardinality {len(points)}")
     total = 0.0
-    for region in partition.values():
-        if region.points not in cache:
-            cache[region.points] = region_pressure(RegionPressureKey(region, fstar, t), td)
-        total += cache[region.points]
+    for j, c in layers.items():
+        total += c * psi[j]
     return total / n
-
-
-def layer_region_shapes(basis: PrimeBasis, n_max: int,
-                        max_cardinality: int) -> Dict[int, set]:
-    """Distinct layer-region point sets of cardinality <= max_cardinality
-    arising as some layer of some volume n <= n_max, grouped by cardinality.
-
-    For a fixed basis the region of layer r at volume n is determined by
-    floor(n / r), so equal-cardinality regions coincide; the scan verifies
-    that instead of assuming it.
-    """
-    shapes: Dict[int, set] = {}
-    for n in range(1, n_max + 1):
-        for region in arith.layer_partition(n, basis).values():
-            c = region.cardinality
-            if c <= max_cardinality:
-                shapes.setdefault(c, set()).add(region.points)
-    return shapes

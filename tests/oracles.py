@@ -11,6 +11,7 @@ The chain and region brute-force enumerators live in multising.acceptance,
 where `multising verify` runs them, and the tests import them from there.
 """
 
+import collections
 import decimal
 import functools
 import itertools
@@ -260,13 +261,13 @@ def tilted_prefix_moments(k, fstar, t, params):
 def finite_pressure_exact(fstar, t, n, params):
     """(1/n) log E exp(t * sum_{i<=n} f(s_{i.})), exact at finite volume:
     the expectation factorizes over layers, each contributing the tilted
-    pressure of its chain window; layers are grouped by psi2 depth."""
-    from multising.gibbs import layer_count_by_depth
+    pressure of its chain window; layers are grouped by the psi2 depth of
+    each odd r <= n, which shares no code with arith.layer_counts."""
     from multising.ising1d import tilted_prefix_pressures
 
     if n < 1 or n > 1 << 20:
         raise ValueError("volume must be in [1, 2^20]")
-    counts = layer_count_by_depth(n)
+    counts = collections.Counter(arith.psi2(r, n) for r in range(1, n + 1, 2))
     prefix = tilted_prefix_pressures(max(counts), fstar, t, params)[0]
     total = 0.0
     for p, c in sorted(counts.items()):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -228,6 +229,49 @@ class TestLayerPartition:
             part = arith.layer_partition(n, basis)
             assert sum(reg.cardinality for reg in part.values()) == n
             assert all(oracles.is_lower_set(reg) for reg in part.values())
+
+
+class TestLayerCounts:
+    BASES = [PrimeBasis(b) for b in ((2, 3), (2, 5), (2, 3, 5), (3, 7), (2, 3, 5, 7))]
+
+    @staticmethod
+    def depth_classes(n):
+        return {j - 1: c for j, _, c in arith.layer_counts(n, B2) if c}
+
+    def test_one_prime_counts_are_the_psi2_classes(self):
+        for n in range(1, 3000):
+            want = Counter(arith.psi2(r, n) for r in range(1, n + 1, 2))
+            assert self.depth_classes(n) == want, n
+
+    def test_one_prime_classes_tile_the_odd_numbers_at_a_large_volume(self):
+        # psi2(r, n) falls in r, so the classes are runs of odd r: deepest
+        # first, each run's ends carry its depth, and the runs end at n
+        n = 2**40 + 3
+        r = 1
+        for p, c in sorted(self.depth_classes(n).items(), reverse=True):
+            last = r + 2 * (c - 1)
+            assert arith.psi2(r, n) == arith.psi2(last, n) == p
+            r = last + 2
+        assert r - 2 <= n < r
+
+    def test_counts_are_the_partition_histograms(self):
+        for basis in self.BASES:
+            for n in range(1, 400):
+                want = Counter(reg.cardinality for reg in arith.layer_partition(n, basis).values())
+                counts = arith.layer_counts(n, basis)
+                assert [m for _, m, _ in counts] == oracles.smooth_numbers_upto(n, basis.primes)
+                assert {j: c for j, _, c in counts if c} == want, (basis.primes, n)
+
+    def test_counts_cover_the_volume(self):
+        for basis in [B2] + self.BASES:
+            for k in range(13):
+                n = 10**k
+                assert sum(j * c for j, _, c in arith.layer_counts(n, basis)) == n, (basis.primes, k)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_volume_must_be_positive(self, n):
+        with pytest.raises(ValueError):
+            arith.layer_counts(n, B23)
 
 
 class TestDyadicWeights:

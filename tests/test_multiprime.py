@@ -284,6 +284,42 @@ class TestFiniteVolume:
         v = multiprime.finite_pressure_exact_d(F_TWO, t, 6, P_FREE)
         assert v == pytest.approx(direct, abs=1e-11)
 
+    def test_non_finite_psi_is_refused(self, monkeypatch):
+        # layer 5 of [1, 5] is the first with c_j > 0: Psi_1 is the first computed
+        monkeypatch.setattr(multiprime, "region_pressure", lambda *a, **k: math.nan)
+        with pytest.raises(PreconditionError, match="Psi_1"):
+            multiprime.finite_pressure_exact_d(Observable.make([((1, 3), 1.0)]), 0.1, 5, P_UNIT)
+
+    def test_volume_past_the_cap_fails_before_any_psi(self, monkeypatch):
+        # n = 10^12 holds a layer of cardinality 534 over (2, 3), past the
+        # 341 regions that fit the factor-width cap
+        def no_psi(*args):
+            raise AssertionError("a region pressure was computed")
+
+        monkeypatch.setattr(multiprime, "region_pressure", no_psi)
+        with pytest.raises(InfeasibleSizeError, match="n=1000000000000 .* cardinality 534"):
+            multiprime.finite_pressure_exact_d(F_TWO, 1.0, 10**12, P_UNIT)
+
+    def test_converges_to_the_series_within_the_count_bound(self):
+        # finite(n) - F_J = sum_{j<=J} (c_j/n - w_j) Psi_j + sum_{j>J} (c_j/n) Psi_j,
+        # and |Psi_j| <= j |t| sup|f*| bounds the second sum by the layer mass
+        # that the regions j <= J leave uncovered
+        params, t = ModelParams(1.0, 1.0, 0.2), 0.1
+        value, rows = multiprime.kie_pressure(F_TWO, params, t, 1e-4)
+        assert len(rows) == 97
+        basis, fstar = multiprime.extend_observable(F_TWO)
+        bounds = []
+        for k in range(1, 7):
+            n = 10**k
+            counts = {j: c for j, _, c in arith.layer_counts(n, basis)}
+            gap = abs(multiprime.finite_pressure_exact_d(F_TWO, t, n, params) - value)
+            covered = sum(r.j * counts.get(r.j, 0) for r in rows) / n
+            bound = (sum(abs(counts.get(r.j, 0) / n - r.w_j) * abs(r.psi_j) for r in rows)
+                     + abs(t) * fstar.sup_bound * (1 - covered))
+            assert gap <= bound + 1e-12, (n, gap, bound)
+            bounds.append(bound)
+        assert bounds[-1] < 1e-3 < bounds[0]
+
     def test_d1_matches_layer_route(self):
         fstar = to_first_layer(F_BOND)
         for n in (5, 16, 37):
@@ -294,14 +330,13 @@ class TestFiniteVolume:
 
 class TestShapeScan:
     def test_equal_cardinality_regions_coincide(self):
-        shapes = multiprime.layer_region_shapes(PrimeBasis((2, 3)), 100, 6)
-        assert set(shapes) == {1, 2, 3, 4, 5, 6}
-        for c, shape_set in shapes.items():
-            assert len(shape_set) == 1
-            region = Region(next(iter(shape_set)))
-            assert region.cardinality == c
-            assert oracles.is_lower_set(region)
-            assert region.points == oracles.canonical_region(PrimeBasis((2, 3)), c).points
+        # every layer region of every volume is the canonical region of its
+        # cardinality, so equal-cardinality regions coincide
+        basis = PrimeBasis((2, 3))
+        for n in range(1, 101):
+            for region in arith.layer_partition(n, basis).values():
+                canonical = oracles.canonical_region(basis, region.cardinality)
+                assert region.points == canonical.points, n
 
 
 class TestEnumeratorOracle:
