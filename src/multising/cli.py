@@ -15,9 +15,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, suppress
 from dataclasses import astuple
 from fractions import Fraction
 from itertools import islice
@@ -151,12 +152,36 @@ def _load_config(path: str) -> Dict[str, str]:
 _CSV_CHUNK_ROWS = 1 << 13
 _MAX_GRID_POINTS = 1_000_000  # at the cap, scgf takes 5.4 s and 75 MB, rate 16 s and 253 MB
 _MAX_INVARIANCE_SITES = 16  # 2^16 patterns per law: invariance takes 9.4 s
-_MAX_SAMPLE_BYTES = 1 << 30  # 4 times the 2^28 spins that took 1.0 s and 297 MB
+_MAX_SAMPLE_BYTES = 1 << 30  # 4 times the 2^28 spins that took 1.6 s and 40 MB
 _MAX_SMB_COUNT = 1 << 22  # at the cap, smb at N = 2 takes 1.0 s and 710 MB
 
 
-def _open_output(path: Optional[str]):
-    return nullcontext(sys.stdout) if path is None else open(path, "w", encoding="ascii")
+@contextmanager
+def _open_output(path: Optional[str], binary: bool = False):
+    """stdout when path is None.  Else a new file under a temporary name in
+    the directory of path, renamed onto path when the block ends without an
+    error and removed when it raises, so that a failed command leaves
+    whatever was at path as it was.  A path that exists and is not a
+    regular file (a device, a pipe) is written in place."""
+    if path is None:
+        yield sys.stdout
+        return
+    mode, encoding = ("b", None) if binary else ("", "ascii")
+    path = os.path.realpath(path)  # through a symlink, replace its target
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w" + mode, encoding=encoding) as fh:
+            yield fh
+        return
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, "x" + mode, encoding=encoding) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def write_csv(path: Optional[str], header: Sequence[str], columns) -> None:
@@ -212,7 +237,7 @@ def _sidecar(command: str, cfg: Dict[str, object], extra: Dict[str, object]) -> 
         "version": __version__,
     }
     meta.update(extra)
-    with open(cfg["output"] + ".meta.json", "w", encoding="ascii") as fh:
+    with _open_output(cfg["output"] + ".meta.json") as fh:
         fh.write(json.dumps(meta, indent=2, sort_keys=True, default=str) + "\n")
 
 
@@ -318,8 +343,8 @@ def _cmd_sample(cfg) -> int:
     if n * count > _MAX_SAMPLE_BYTES:
         raise InfeasibleSizeError(f"sample needs N * count = {n * count} bytes "
                                   f"(cap {_MAX_SAMPLE_BYTES})")
-    batch = gibbs.sample(n, _params(cfg), count, seed)
-    (batch.save_binary if cfg["format"] == "bin" else batch.save_csv)(cfg["output"])
+    with _open_output(cfg["output"], binary=True) as fh:
+        gibbs.write_sample(fh, cfg["format"], n, _params(cfg), count, seed)
     _sidecar("sample", cfg,
              {"N": n, "count": count, "seed": seed, "stream_version": gibbs.STREAM_VERSION})
     return 0

@@ -12,8 +12,9 @@ from __future__ import annotations
 import math
 import os
 import struct
+from contextlib import closing
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -42,6 +43,8 @@ __all__ = [
     "ks_entropy_printed_variant",
     "ks_entropy_report",
     "sample",
+    "sample_blocks",
+    "write_sample",
     "smb_estimate",
     "check_mult_invariance",
 ]
@@ -266,10 +269,13 @@ _HEADER_V2 = struct.Struct("<4sIqqQddd")
 # sample sidecar.  Batches drawn under another version are not reproduced.
 STREAM_VERSION = 3
 
-# Row chunks of the file writers hold about this many spins.  A depth class
-# is drawn in chunks of about a quarter of it, and each worker reuses one
-# scratch buffer of four such chunks.  This bounds the working memory.
+# A block of whole replicas holds about this many spins.  A depth class is
+# drawn in chunks of about a quarter of it (in whole blocks in sample; shared
+# among the workers, and at least a sixteenth, in sample_blocks), and each
+# worker reuses one scratch buffer for its classes' chunks.  The file writers
+# encode _ENCODE_SPINS spins at a time.  This bounds the working memory.
 _CHUNK_SPINS = 1 << 20
+_ENCODE_SPINS = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,12 +293,18 @@ class SampleBatch:
     Q(-,+) after it).  Only there is v drawn: one double per tied spin, in
     (replica, step, layer) order, from the class's tie stream
     spawn_key=(3, p, 1).  So the batch is independent of evaluation order
-    and of chunking, and extends consistently when count grows.  Each class
-    is drawn in its own row chunks, and the classes run on one thread per
-    CPU available to the process; the batch does not depend on the number
-    of threads.  Batches drawn under version 2 (one double per spin) are
-    not reproduced.  The binary header's version number is that of the file
-    layout, not of the stream.
+    and of chunking, and extends consistently when count grows.  Draws
+    come in blocks of whole replicas of about _CHUNK_SPINS spins: every
+    depth class draws its rows of each block, and the classes are split
+    into one group per CPU available to the process, each group drawing on
+    a thread of its own; the batch does not depend on the number of
+    threads.  sample draws the blocks straight into the batch.
+    sample_blocks draws one block at a time into one buffer, and
+    write_sample encodes each block as it is drawn with the block encoder
+    that save_binary and save_csv use, so `multising sample` writes the
+    same bytes and never holds a batch.  Batches drawn under version 2 (one
+    double per spin) are not reproduced.  The binary header's version
+    number is that of the file layout, not of the stream.
     """
 
     N: int
@@ -306,15 +318,7 @@ class SampleBatch:
         version 2, int64 N and count, uint64 seed, then beta, J and h as
         IEEE-754 doubles.  Payload: one byte per spin (0x00 = -1,
         0x01 = +1), replica-major."""
-        if not 0 <= self.seed < 1 << 64:
-            raise ValueError(f"seed {self.seed} does not fit the unsigned 64-bit header field")
-        header = _HEADER_V2.pack(_MAGIC, 2, self.N, self.count, self.seed,
-                                 self.params.beta, self.params.J, self.params.h)
-        rows = max(1, _CHUNK_SPINS // self.N)
-        with open(path, "wb") as fh:
-            fh.write(header)
-            for start in range(0, self.count, rows):
-                fh.write((self.configurations[start:start + rows] == 1).view(np.uint8))
+        self._save(path, "bin")
 
     @classmethod
     def load_binary(cls, path) -> "SampleBatch":
@@ -347,18 +351,75 @@ class SampleBatch:
     def save_csv(self, path) -> None:
         """A header line site_1,...,site_N, then one line per replica of
         comma-separated spins, each "1" or "-1"."""
-        rows = max(1, _CHUNK_SPINS // self.N)
+        self._save(path, "csv")
+
+    def _save(self, path, fmt: str) -> None:
+        head, encode = _encoder(fmt, self.N, self.count, self.seed, self.params)
+        rows = _block_rows(self.N, self.count)
+        blocks = (self.configurations[start:start + rows] for start in range(0, self.count, rows))
         with open(path, "wb") as fh:
-            fh.write((",".join(f"site_{i}" for i in range(1, self.N + 1)) + "\n").encode("ascii"))
-            for start in range(0, self.count, rows):
-                cfg = self.configurations[start:start + rows]
-                # every spin as "-1" plus its separator; a plus spin drops the "-"
-                tokens = np.empty(cfg.shape + (3,), dtype=np.uint8)
-                tokens[...] = np.frombuffer(b"-1,", dtype=np.uint8)
-                tokens[:, -1, 2] = ord("\n")
-                keep = np.ones(tokens.shape, dtype=bool)
-                keep[..., 0] = cfg == -1
-                fh.write(tokens[keep].tobytes())
+            _write_blocks(fh, head, encode, blocks)
+
+
+def _binary_bytes(spins: np.ndarray, lo: int) -> np.ndarray:
+    """The payload of consecutive spins: one byte each, 1 for +1."""
+    return (spins == 1).view(np.uint8)
+
+
+def _csv_encoder(n: int, size: int):
+    """The encoder of the CSV text of at most `size` consecutive spins, the
+    first of them the spin lo of replicas of n sites: each spin is "-1" and
+    its separator, a plus spin drops the "-", and the last spin of a replica
+    ends its line.  Its token and mask buffers are made once and reused."""
+    tokens = np.empty((size, 3), dtype=np.uint8)
+    tokens[...] = np.frombuffer(b"-1,", dtype=np.uint8)
+    keep = np.ones(tokens.shape, dtype=bool)
+
+    def encode(spins: np.ndarray, lo: int) -> np.ndarray:
+        k = spins.size
+        ends = tokens[(n - 1 - lo) % n:k:n, 2]
+        ends[...] = ord("\n")
+        np.equal(spins, -1, out=keep[:k, 0])
+        text = np.compress(keep[:k].ravel(), tokens[:k].ravel())
+        ends[...] = ord(",")
+        return text
+
+    return encode
+
+
+def _encoder(fmt: str, n: int, count: int, seed: int, params: ModelParams):
+    """The header of a sample file in format "bin" or "csv", and the
+    encoder of its payload: encode(spins, lo) is the bytes of at most
+    _ENCODE_SPINS consecutive spins, the first of them the spin lo of a
+    block of whole replicas."""
+    if fmt == "csv":
+        return ((",".join(f"site_{i}" for i in range(1, n + 1)) + "\n").encode("ascii"),
+                _csv_encoder(n, min(_ENCODE_SPINS, n * count)))
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed {seed} does not fit the unsigned 64-bit header field")
+    head = _HEADER_V2.pack(_MAGIC, 2, n, count, seed, params.beta, params.J, params.h)
+    return head, _binary_bytes
+
+
+def _write_blocks(fh, head: bytes, encode, blocks) -> None:
+    """Write head, then each block of whole replicas, encoded _ENCODE_SPINS
+    spins at a time."""
+    fh.write(head)
+    for rows in blocks:
+        spins = rows.reshape(-1)
+        for lo in range(0, spins.size, _ENCODE_SPINS):
+            fh.write(encode(spins[lo:lo + _ENCODE_SPINS], lo))
+
+
+def write_sample(fh, fmt: str, n: int, params: ModelParams, count: int, seed: int) -> None:
+    """Draw sample(n, params, count, seed) and write it to the binary file
+    fh in format "bin" (SampleBatch.save_binary) or "csv"
+    (SampleBatch.save_csv), one block of replicas at a time: the bytes are
+    those of the batch's own writers, and the memory used does not grow
+    with count."""
+    head, encode = _encoder(fmt, n, count, seed, params)
+    with closing(sample_blocks(n, params, count, seed)) as blocks:
+        _write_blocks(fh, head, encode, blocks)
 
 
 def _depth_classes(n: int) -> List[Tuple[int, np.ndarray]]:
@@ -390,23 +451,31 @@ def _class_streams(p: int, seed: int):
                 np.random.SeedSequence(entropy=seed, spawn_key=(STREAM_VERSION, p, 1)))))
 
 
-def _chunk_rows(width: int, count: int) -> int:
+def _chunk_rows(width: int, count: int, spins: Optional[int] = None) -> int:
     """Replicas per chunk of a depth class of `width` spins per replica:
-    about _CHUNK_SPINS / 4 spins, and at least one replica."""
-    return min(count, max(1, (_CHUNK_SPINS >> 2) // width))
+    about `spins` spins (by default _CHUNK_SPINS / 4), at most count, and
+    at least one replica."""
+    return min(count, max(1, (_CHUNK_SPINS >> 2 if spins is None else spins) // width))
 
 
-def _class_blocks(p: int, layers: int, td, count: int, streams,
-                  scratch: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
-    """Depth class p, of `layers` layers, in chunks of _chunk_rows
-    consecutive replicas: per chunk, its first replica and its spin-index
-    block (True = minus), block[c, i, j] = tau_i of the j-th layer of the
-    class in replica start + c.  Each step of the chain is one select over
-    all (replica, layer) pairs of the chunk.  The class reads only its own
-    `streams` (from _class_streams), in replica order, so classes may be
-    drawn in any order and on any thread.  The block is a view of
-    `scratch`, a bool buffer of at least four chunks, and holds only until
-    the next chunk is drawn."""
+def _scratch_bytes(p: int, layers: int, chunk: int) -> int:
+    """The scratch that _class_blocks takes for a chunk of depth class p:
+    the spin indices and the ties of every step, and two masks of every
+    move."""
+    return (4 * p + 2) * layers * chunk
+
+
+def _class_blocks(p: int, layers: int, td, count: int, streams, scratch: np.ndarray,
+                  chunk: Optional[int] = None) -> Iterator[Tuple[int, np.ndarray]]:
+    """Depth class p, of `layers` layers, in chunks of `chunk` consecutive
+    replicas (by default _chunk_rows): per chunk, its first replica and its
+    spin-index block (True = minus), block[c, i, j] = tau_i of the j-th
+    layer of the class in replica start + c.  Each step of the chain is one
+    select over all (replica, layer) pairs of the chunk.  The class reads
+    only its own `streams` (from _class_streams), in replica order, so
+    classes may be drawn in any order, on any thread and in any chunks.
+    The block is a view of `scratch`, a bool buffer of at least
+    _scratch_bytes, and holds only until the next chunk is drawn."""
     # tau_0 is minus where u >= pi(+), and a step from s is minus where
     # u >= Q(s, +): the select s ? (u >= Q(-,+)) : (u >= Q(+,+)) is taken as
     # (u >= Q(+,+)) ^ (s & flip), flip marking where the two comparisons differ
@@ -414,7 +483,8 @@ def _class_blocks(p: int, layers: int, td, count: int, streams,
     lane0, lane_stay, lane_leave = (_lane_split(x)[0] for x in (first, stay, leave))
     lanes, tie_stream = streams
     width = (p + 1) * layers
-    chunk = _chunk_rows(width, count)
+    if chunk is None:
+        chunk = _chunk_rows(width, count)
     for start in range(0, count, chunk):
         rows = min(chunk, count - start)
         # replica c reads the lanes of raw words [c W, (c+1) W), least
@@ -442,6 +512,9 @@ def _class_blocks(p: int, layers: int, td, count: int, streams,
         flip ^= idx[:, 1:]
         for i in range(p):
             idx[:, i + 1] ^= np.bitwise_and(flip[:, i], idx[:, i], out=flip[:, i])
+        # the lanes die here, not when the next chunk is drawn: a block's
+        # classes are suspended together
+        del words, a
         yield start, idx
 
 
@@ -453,10 +526,13 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
-def _class_groups(n: int, count: int, seed: int) -> List[Tuple[list, np.ndarray]]:
+def _class_groups(n: int, count: int, seed: int,
+                  chunk_rows=None) -> List[Tuple[list, np.ndarray]]:
     """The depth classes of [1, n] split into one group per worker, as
     (classes, scratch): classes a list of (p, r, streams), scratch the
-    buffer that their _class_blocks share.  The classes go greedily to the
+    buffer that their _class_blocks share, sized for chunks of
+    chunk_rows(width) replicas of a class of `width` spins per replica (by
+    default _chunk_rows(width, count)).  The classes go greedily to the
     least loaded group, most spins (p+1) L_p first.  Streams and buffers
     are made here, in the calling thread: under glibc, what a worker thread
     allocates stays in that thread's malloc arena after the thread ends."""
@@ -467,9 +543,14 @@ def _class_groups(n: int, count: int, seed: int) -> List[Tuple[list, np.ndarray]
         k = loads.index(min(loads))
         groups[k].append((p, r, _class_streams(p, seed)))
         loads[k] += (p + 1) * r.size
-    widths = [[(p + 1) * r.size for p, r, _ in g] for g in groups]
-    return [(g, np.empty(4 * max(_chunk_rows(w, count) * w for w in ws), dtype=bool))
-            for g, ws in zip(groups, widths)]
+    if chunk_rows is None:
+        def chunk_rows(width):
+            return _chunk_rows(width, count)
+
+    def need(p, layers):
+        return _scratch_bytes(p, layers, chunk_rows((p + 1) * layers))
+
+    return [(g, np.empty(max(need(p, r.size) for p, r, _ in g), dtype=bool)) for g in groups]
 
 
 def _on_workers(run, items) -> None:
@@ -499,25 +580,126 @@ def _check_sample_size(n: int, count: int) -> None:
         raise ValueError("count must be >= 1")
 
 
-def sample(n: int, params: ModelParams, count: int, seed: int) -> SampleBatch:
-    """Draw `count` configurations on [1, n]: each odd layer r runs its chain
-    for psi2(r, n) + 1 sites, which land on the sites r * 2^i."""
-    _check_sample_size(n, count)
-    td = _as_transfer(params)
-    configs = np.empty((count, n), dtype=np.int8)
+def _stream_chunk(width: int, count: int, rows: int, workers: int) -> int:
+    """Replicas per chunk of a depth class of `width` spins per replica
+    streamed in blocks of `rows` replicas by `workers` workers: about a
+    quarter of _CHUNK_SPINS spins shared among the workers, and at least a
+    sixteenth, or, for a class with no more spins than that in a block,
+    whole blocks of about a sixteenth.  So a wide class draws few chunks
+    per block, the workers' scratch together does not grow with their
+    number, and a narrow class, whose chunk outlives its first block, keeps
+    few spins."""
+    chunk = _chunk_rows(width, count, max(_CHUNK_SPINS >> 4, (_CHUNK_SPINS >> 2) // workers))
+    if chunk < rows:
+        return chunk
+    return min(count, rows * max(1, (_CHUNK_SPINS >> 4) // (width * rows)))
 
-    def draw(group):
-        classes, scratch = group
-        for p, r, streams in classes:
-            for start, idx in _class_blocks(p, r.size, td, count, streams, scratch):
-                out = configs[start:start + idx.shape[0]]
+
+def _class_pieces(p: int, r: np.ndarray, td, count: int, streams, scratch: np.ndarray,
+                  rows: int, chunk: int) -> Iterator[Tuple[int, np.ndarray]]:
+    """Depth class p, layers r, in chunks of `chunk` replicas cut at the
+    boundaries of blocks of `rows` replicas, as (first replica, spin-index
+    rows).  The rows of a chunk past its first block are copied out of the
+    scratch before the piece of that block is yielded, so that they
+    outlive the draws of the other classes."""
+    for start, idx in _class_blocks(p, r.size, td, count, streams, scratch, chunk):
+        cut = min(idx.shape[0], rows - start % rows)
+        rest = idx[cut:].copy()
+        yield start, idx[:cut]
+        for lo in range(0, rest.shape[0], rows):
+            yield start + cut + lo, rest[lo:lo + rows]
+
+
+def _fill_blocks(group, td, count: int, rows: int, out: np.ndarray, chunk_rows,
+                 whole: bool) -> Iterator[None]:
+    """Draw the classes of one group of _class_groups block by block, `rows`
+    replicas a block, yielding after each block; a class of `width` spins
+    per replica draws chunks of chunk_rows(width) replicas.  `out` is int8
+    and takes 1 for a minus spin and 0 for a plus spin.  If `whole`, it
+    holds the whole batch, every chunk but the last is whole blocks, and
+    each goes straight to its rows.  Else `out` holds one block, which
+    every block fills in turn with the pieces of _class_pieces."""
+    classes, scratch = group
+    feeds = []
+    for p, r, streams in classes:
+        chunk = chunk_rows((p + 1) * r.size)
+        if whole:
+            chunks = _class_blocks(p, r.size, td, count, streams, scratch, chunk)
+            feeds.append((r, -(-chunk // rows), chunks))
+        else:
+            feeds.append((r, 1, _class_pieces(p, r, td, count, streams, scratch, rows, chunk)))
+    for b, b0 in enumerate(range(0, count, rows)):
+        for r, m, chunks in feeds:
+            if b % m:
+                continue
+            at, end = b0, min(b0 + m * rows, count)
+            while at < end:
+                at, idx = next(chunks)
+                lo = at if whole else at - b0
+                target = out[lo:lo + idx.shape[0]]
                 minus = idx.view(np.int8)  # a byte copy: a cast from bool is slower
                 # step i of the class lands on the sites r 2^i: column
                 # (r_0 << i) - 1, then every (2 << i)-th
-                for i in range(p + 1):
-                    out[:, (int(r[0]) << i) - 1:(int(r[-1]) << i):2 << i] = minus[:, i]
+                for i in range(idx.shape[1]):
+                    target[:, (int(r[0]) << i) - 1:(int(r[-1]) << i):2 << i] = minus[:, i]
+                at += idx.shape[0]
+        yield
 
-    _on_workers(draw, _class_groups(n, count, seed))
+
+def _block_rows(n: int, count: int) -> int:
+    """Replicas per block: about _CHUNK_SPINS spins, at most count, and at
+    least one."""
+    return max(1, min(count, _CHUNK_SPINS // n))
+
+
+def sample_blocks(n: int, params: ModelParams, count: int, seed: int) -> Iterator[np.ndarray]:
+    """The draws of sample(n, params, count, seed) as consecutive blocks of
+    whole replicas, each an int8 array of +-1 of about _CHUNK_SPINS spins.
+    Every block is drawn by all the class groups of _class_groups, each on
+    a worker of _on_workers.  A block is a view of one buffer and holds
+    only until the next block is drawn, so the memory used does not grow
+    with count."""
+    _check_sample_size(n, count)
+    td = _as_transfer(params)
+    rows = _block_rows(n, count)
+    buffer = np.empty((rows, n), dtype=np.int8)
+    workers = _worker_count()
+
+    def chunk_rows(width):
+        return _stream_chunk(width, count, rows, workers)
+
+    fills = [_fill_blocks(g, td, count, rows, buffer, chunk_rows, False)
+             for g in _class_groups(n, count, seed, chunk_rows)]
+    for start in range(0, count, rows):
+        _on_workers(next, fills)
+        block = buffer[:count - start]
+        # 1 (minus) -> -1 and 0 (plus) -> +1
+        block *= -2
+        block += 1
+        yield block
+
+
+def sample(n: int, params: ModelParams, count: int, seed: int) -> SampleBatch:
+    """Draw `count` configurations on [1, n]: each odd layer r runs its chain
+    for psi2(r, n) + 1 sites, which land on the sites r * 2^i.  The blocks
+    that sample_blocks yields are drawn straight into the batch: each class
+    group of _class_groups fills all its blocks on a worker of _on_workers,
+    without waiting for the other groups between blocks."""
+    _check_sample_size(n, count)
+    td = _as_transfer(params)
+    rows = _block_rows(n, count)
+    configs = np.empty((count, n), dtype=np.int8)
+
+    def chunk_rows(width):
+        # about _chunk_rows replicas in whole blocks, or all of them
+        chunk = _chunk_rows(width, count)
+        return chunk if chunk == count else max(1, chunk // rows) * rows
+
+    def draw(group):
+        for _ in _fill_blocks(group, td, count, rows, configs, chunk_rows, True):
+            pass
+
+    _on_workers(draw, _class_groups(n, count, seed, chunk_rows))
     # 1 (minus) -> -1 and 0 (plus) -> +1, once over the whole batch
     configs *= -2
     configs += 1

@@ -2,6 +2,9 @@ import argparse
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -11,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import multising
-from multising import arith, cli, gibbs, multiprime
+from multising import arith, cli, gibbs, ldp, multiprime
 from multising.acceptance import brute_region_pressure
 from multising.errors import InfeasibleSizeError, ObservableSyntaxError, PreconditionError
 from multising.ising1d import ModelParams
@@ -423,7 +426,7 @@ class TestSampleCommand:
         def out_of_memory(*args, **kwargs):
             raise MemoryError("Unable to allocate 931. GiB")
 
-        monkeypatch.setattr(gibbs, "sample", out_of_memory)
+        monkeypatch.setattr(gibbs, "sample_blocks", out_of_memory)
         out = tmp_path / "batch.bin"
         assert run_cli("sample", "--N", "4", "--output", str(out)) == 4
         err = json.loads(capsys.readouterr().err)["error"]
@@ -442,7 +445,7 @@ class TestSampleCommand:
         def no_work(*args, **kwargs):
             raise AssertionError("the size check comes first")
 
-        for name in ("check_mult_invariance", "sample", "smb_estimate"):
+        for name in ("check_mult_invariance", "sample_blocks", "smb_estimate"):
             monkeypatch.setattr(gibbs, name, no_work)
         start = time.perf_counter()
         assert run_cli(*argv, "--output", str(tmp_path / "out")) == 4
@@ -464,6 +467,143 @@ class TestSampleCommand:
         assert run_cli(command, *argv, "--output", out) == 0
         monkeypatch.setattr(cli, cap, getattr(cli, cap) - 1)
         assert run_cli(command, *argv, "--output", out) == 4
+
+
+# SHA-256 of sample files at (1, 1, 0) with seed 7 and N = 4096, recorded
+# from the sampler that built the whole batch before writing it.  4000
+# replicas are the bench's binary size and 500 its CSV size; 257 is one
+# replica past a block of 2^20 spins.
+SAMPLE_BYTES = {
+    (4000, "bin"): "c2c78d5812f24886476a13ae16a0ac841f51e4009181292106a02ef10e5c8822",
+    (500, "csv"): "a09db7aa2c89a61acdad8ecc3ea019229182e2d4e4cbdeb5903324066cfad57f",
+    (257, "bin"): "9ae4a1d0e054c64780e29fe166ea574c1c95802ccd21b1f11869025f011e98ec",
+    (257, "csv"): "5829f8dbaf24a8da50e29f5c9b245aa93a523a9d5c4e4fb384e4ddbcd6fd3dfa",
+}
+
+
+class TestSampleBytes:
+    @pytest.mark.parametrize("count, fmt", sorted(SAMPLE_BYTES))
+    def test_sample_files_are_byte_identical(self, tmp_path, count, fmt):
+        out = tmp_path / f"batch.{fmt}"
+        assert run_cli("sample", "--beta", "1", "--J", "1", "--h", "0", "--N", "4096",
+                       "--count", str(count), "--seed", "7", "--format", fmt,
+                       "--output", str(out)) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == SAMPLE_BYTES[count, fmt]
+
+    def test_wide_sample_is_byte_identical(self):
+        # the bench's sweep batch: 65536 sites, 100 replicas
+        cfg = gibbs.sample(65536, ModelParams(1.0, 1.0, 0.0), 100, 3).configurations
+        assert hashlib.sha256(cfg.tobytes()).hexdigest() == \
+            "1e7a3d22252629377ae7317e66454d3bd3d992311829054e2b8a351ba084191e"
+
+
+def _files(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+class TestAtomicOutput:
+    """A command that fails after it began to write leaves neither its
+    output nor its sidecar, and whatever was at the output path as it was."""
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    @pytest.mark.parametrize("fmt", ["bin", "csv"])
+    def test_sample_failing_mid_stream(self, tmp_path, monkeypatch, capsys, fmt, existing):
+        blocks = gibbs._class_blocks
+
+        def failing(p, *args):
+            # 600 replicas of 4096 sites are blocks of 256, 256 and 88
+            # replicas; depth 2 fails at its first chunk past the first block
+            for start, idx in blocks(p, *args):
+                if p == 2 and start >= 256:
+                    raise PreconditionError("depth 2 failed after its first block")
+                yield start, idx
+
+        encoded = []
+        encoder = gibbs._encoder
+
+        def counting(*args):
+            head, encode = encoder(*args)
+            return head, lambda *a: encoded.append(1) or encode(*a)
+
+        monkeypatch.setattr(gibbs, "_class_blocks", failing)
+        monkeypatch.setattr(gibbs, "_encoder", counting)
+        out = tmp_path / f"batch.{fmt}"
+        if existing:
+            out.write_bytes(b"an earlier batch")
+            (tmp_path / f"batch.{fmt}.meta.json").write_bytes(b"its sidecar")
+        before = _files(tmp_path)
+        assert run_cli("sample", "--N", "4096", "--count", "600", "--format", fmt,
+                       "--output", str(out)) == 3
+        assert json.loads(capsys.readouterr().err)["error"]["message"] == \
+            "depth 2 failed after its first block"
+        assert encoded  # the first block was written before the failure
+        assert _files(tmp_path) == before
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    def test_scgf_failing_mid_table(self, tmp_path, monkeypatch, capsys, existing):
+        class Failing:
+            """A column that fails at its sixth row."""
+
+            def __init__(self, values):
+                self.values = values.tolist()
+
+            def __len__(self):
+                return len(self.values)
+
+            def __iter__(self):
+                for k, value in enumerate(self.values):
+                    if k == 5:
+                        raise PreconditionError("row 5 failed")
+                    yield value
+
+        columns = ldp.ScgfCurve.csv_columns
+        monkeypatch.setattr(ldp.ScgfCurve, "csv_columns",
+                            lambda curve: columns(curve)[:3] + (Failing(curve.trunc_err),))
+        monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", 2)  # rows 0 to 3 are written first
+        out = tmp_path / "scgf.csv"
+        if existing:
+            out.write_bytes(b"an earlier table")
+        before = _files(tmp_path)
+        assert run_cli("scgf", "--t", "-1:1:0.1", "--output", str(out)) == 3
+        assert json.loads(capsys.readouterr().err)["error"]["message"] == "row 5 failed"
+        assert _files(tmp_path) == before
+
+    def test_success_replaces_the_file_and_its_sidecar(self, tmp_path):
+        out = tmp_path / "batch.csv"
+        out.write_bytes(b"an earlier batch")
+        (tmp_path / "batch.csv.meta.json").write_bytes(b"its sidecar")
+        assert run_cli("sample", "--N", "4", "--count", "2", "--format", "csv",
+                       "--output", str(out)) == 0
+        assert sorted(_files(tmp_path)) == ["batch.csv", "batch.csv.meta.json"]
+        assert out.read_text().startswith("site_1,")
+        assert json.loads((tmp_path / "batch.csv.meta.json").read_text())["command"] == "sample"
+
+
+def _peak_kib(directory, statement):
+    """The peak resident set of a fresh interpreter that imports the
+    command line and runs statement, in KiB.  It is VmHWM, the high-water
+    mark of the process image: ru_maxrss would also count the test
+    process, whose resident pages a child holds between fork and exec."""
+    code = ("from multising import cli\n"
+            f"{statement}\n"
+            "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])")
+    src = os.path.dirname(os.path.dirname(multising.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], cwd=directory, env=env,
+                          capture_output=True, text=True, check=True)
+    return int(done.stdout)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+class TestSampleMemory:
+    @pytest.mark.parametrize("fmt", ["bin", "csv"])
+    def test_sample_peak_does_not_grow_with_the_count(self, tmp_path, fmt):
+        # the batch is 16 MB; the command peaked 26 MB (bin) and 36 MB (csv)
+        # above the import when it drew the whole batch before writing it
+        base = _peak_kib(tmp_path, "pass")
+        peak = _peak_kib(tmp_path, "assert cli.main(['sample', '--N', '4096', '--count', '4000', "
+                                   f"'--format', '{fmt}', '--output', 'batch.{fmt}']) == 0")
+        assert peak - base <= 12 * 1024
 
 
 class TestConfigFile:
